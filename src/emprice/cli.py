@@ -20,10 +20,6 @@ from .auction import AuctionSetting, ProfitMode, auction_profit, auction_regret_
 from .distributions import KernelShape, KernelSpec, read_sample
 from .environment import environment_from_config
 from .errors import EmpriceError
-
-
-class UsageError(EmpriceError):
-    """Command-line misuse; mapped to exit code 2."""
 from .experiments import McConfig, McTarget, parse_distribution, run_coverage, run_regret
 from .inference import (
     bootstrap_ci_optimal_profit,
@@ -33,6 +29,11 @@ from .inference import (
 )
 from .mechanisms import Menu, read_menu
 from .solvers import optimal_profit
+
+
+class UsageError(EmpriceError):
+    """Command-line misuse; mapped to exit code 2."""
+
 
 _KERNELS = {
     "uniform": KernelShape.UNIFORM,
@@ -166,6 +167,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    if args.target != "optimal" and args.menu is None:
+        raise UsageError(f"--target {args.target} requires --menu")
     env = _env_from_args(args)
     sample = _load_sample(args)
     kwargs = dict(b_draws=args.bootstrap, level=args.level, seed=args.seed, percentile=args.percentile)
@@ -220,6 +223,9 @@ def _cmd_auction(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.config is not None:
         raw = json.loads(Path(args.config).read_text())
+        missing = [k for k in ("distributions", "sample_sizes", "target", "seed") if k not in raw]
+        if missing:
+            raise UsageError(f"config file {args.config} lacks {', '.join(map(repr, missing))}")
         menu = Menu(tuple((it["x"], it["p"]) for it in raw.get("menu", {}).get("items", [])) or ((1.0, 0.5),))
         cfg = McConfig(
             distributions=tuple(raw["distributions"]),

@@ -11,12 +11,21 @@ Quantiles of variants without a closed-form inverse (Beta, kernel-smoothed,
 mixtures) are found by bisection to 1e-12, which keeps sampling deterministic
 for a given stream. The Beta CDF itself is the regularized incomplete beta
 function (continued-fraction evaluation via scipy.special.betainc).
+
+Beta quantiles start the bisection from a dyadic table: the first 12 levels
+of the bisection's own midpoints (4095 nodes, built by the same 0.5*(lo+hi)
+recursion, so the same floats) and F at each node, computed once per
+distribution. When those values are nondecreasing, a binary search over the
+table takes exactly the path the first 12 steps would take, so the result is
+the same lattice point bit for bit, whatever the accuracy of betainc; when
+they are not, the plain bisection runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +54,7 @@ __all__ = [
 ]
 
 _BISECT_TOL = 1e-12
+_TABLE_LEVELS = 12
 _SUP_GRID = 10_000
 
 
@@ -127,20 +137,57 @@ class Cdf:
         return float(self.density_array(np.asarray([theta]))[0])
 
 
-def _bisect_quantile(F: Cdf, q: np.ndarray) -> np.ndarray:
+def _bisect_steps(F: Cdf) -> int:
+    lo_s, hi_s = F.support
+    # ~52 halvings take any bracket below 1e-12 on unit-scale supports
+    return max(8, int(np.ceil(np.log2(max(hi_s - lo_s, 1e-300) / _BISECT_TOL))) + 2)
+
+
+def _dyadic_table(F: Cdf) -> tuple[np.ndarray, np.ndarray] | None:
+    """(edges, values): the bisection's first _TABLE_LEVELS levels of midpoints.
+
+    edges holds the support edges and the 4095 midpoints in order,
+    each made by the bisection's own 0.5 * (lo + hi); values holds F at the
+    midpoints. None when the bisection runs fewer steps than the table covers,
+    or when the values are not nondecreasing (NaN included): only a monotone
+    table guarantees the bisection's path.
+    """
+    if _bisect_steps(F) < _TABLE_LEVELS:
+        return None
+    edges = np.asarray(F.support, dtype=float)
+    for _ in range(_TABLE_LEVELS):
+        finer = np.empty(2 * edges.size - 1)
+        finer[0::2] = edges
+        finer[1::2] = 0.5 * (edges[:-1] + edges[1:])
+        edges = finer
+    values = F.cdf_array(edges[1:-1])
+    if not np.all(values[1:] >= values[:-1]):
+        return None
+    return edges, values
+
+
+def _bisect_quantile(
+    F: Cdf, q: np.ndarray, table: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Generalized inverse by elementwise bisection.
 
     Invariant: F(hi) >= q everywhere, F(lo) < q (or lo is the support edge),
     so the limit is inf{theta : F(theta) >= q}. Elementwise, hence identical
-    results whether calls are batched or not.
+    results whether calls are batched or not. A `_dyadic_table` of F replaces
+    the first steps: the first node with F >= q is where they would end.
     """
     if np.any((q < 0) | (q > 1)):
         raise ValueError("quantile levels must lie in [0, 1]")
-    lo_s, hi_s = F.support
-    lo = np.full(q.shape, lo_s, dtype=float)
-    hi = np.full(q.shape, hi_s, dtype=float)
-    # ~52 halvings take any bracket below 1e-12 on unit-scale supports
-    steps = max(8, int(np.ceil(np.log2(max(hi_s - lo_s, 1e-300) / _BISECT_TOL))) + 2)
+    steps = _bisect_steps(F)
+    if table is None:
+        lo_s, hi_s = F.support
+        lo = np.full(q.shape, lo_s, dtype=float)
+        hi = np.full(q.shape, hi_s, dtype=float)
+    else:
+        edges, values = table
+        k = np.searchsorted(values, q, side="left")
+        lo, hi = edges[k], edges[k + 1]
+        steps -= _TABLE_LEVELS
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         ge = F.cdf_array(mid) >= q
@@ -218,6 +265,13 @@ class BetaCdf(Cdf):
         ln -= special.betaln(self.alpha, self.beta)
         out[inside] = np.exp(ln) / (self.hi - self.lo)
         return out
+
+    @cached_property
+    def _quantile_table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return _dyadic_table(self)
+
+    def quantile_array(self, q):
+        return _bisect_quantile(self, np.asarray(q, dtype=float), self._quantile_table)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ as its seed tuple, so every replication owns a disjoint family of streams and
 results are byte-identical for any worker count. All floating-point
 reductions run in replication order.
 
+Ground truth is computed once per distribution, in the calling process: each
+law is parsed once and its true optimum (regret) or true value (coverage) is
+passed to the chunk tasks as a float. A regret task covers one distribution
+and a run of replications across every sample size; it inverts all of their
+uniforms in one quantile call and regroups the results per cell.
+
 CSV schemas (17 significant digits for round-tripping):
 
     coverage: dist,n,level,R,B,coverage,mc_se,seed
@@ -168,27 +174,34 @@ def _is_analytic(F: Cdf) -> bool:
     return False
 
 
-def _draw_cell_samples(F: Cdf, n: int, seed: int, d_idx: int, n_idx: int, reps: range) -> np.ndarray:
-    """Samples for a run of replications, one row per replication.
+# uniforms inverted per quantile call in a regret task (about 2 MB of input)
+_BATCH_POINTS = 1 << 18
+
+
+def _draw_samples(F: Cdf, seed: int, d_idx: int, cells, reps: range) -> list[np.ndarray]:
+    """Sorted samples for a run of replications of each (n_idx, n) cell:
+    one (len(reps), n) array per cell, one row per replication.
 
     Uniform draws come from each replication's own stream; the quantile
     transform is elementwise, so batching cannot change any value.
     """
-    u = np.empty((len(reps), n))
-    for j, r in enumerate(reps):
-        u[j] = substream(seed, d_idx, n_idx, r).random(n)
-    theta = F.quantile_array(u.reshape(-1)).reshape(u.shape)
-    return np.sort(theta, axis=1)
+    u = np.concatenate([
+        substream(seed, d_idx, n_idx, r).random(n) for n_idx, n in cells for r in reps
+    ])
+    theta = F.quantile_array(u)
+    out, start = [], 0
+    for _, n in cells:
+        stop = start + len(reps) * n
+        out.append(np.sort(theta[start:stop].reshape(len(reps), n), axis=1))
+        start = stop
+    return out
 
 
 def _coverage_chunk(args) -> np.ndarray:
-    (spec, n, d_idx, n_idx, rep_lo, rep_hi, cfg) = args
-    F = _as_cdf(spec)
+    (F, truth, n, d_idx, n_idx, rep_lo, rep_hi, cfg) = args
     env = cfg.environment()
-    truth_fixed, truth_opt = true_values(F, cfg.fixed_menu, env)
-    truth = truth_fixed if cfg.target is McTarget.FIXED_PROFIT_COVERAGE else truth_opt
     reps = range(rep_lo, rep_hi)
-    thetas = _draw_cell_samples(F, n, cfg.seed, d_idx, n_idx, reps)
+    (thetas,) = _draw_samples(F, cfg.seed, d_idx, [(n_idx, n)], reps)
     counts = np.zeros(len(cfg.levels), dtype=np.int64)
     for j, r in enumerate(reps):
         sample = Sample(thetas[j])
@@ -208,17 +221,20 @@ def _coverage_chunk(args) -> np.ndarray:
 
 
 def _regret_chunk(args) -> np.ndarray:
-    (spec, n, d_idx, n_idx, rep_lo, rep_hi, cfg) = args
-    F = _as_cdf(spec)
+    """Regret shares of replications rep_lo..rep_hi-1 of one distribution:
+    one row per sample size, one column per replication."""
+    (F, opt_true, d_idx, rep_lo, rep_hi, cfg) = args
     env = cfg.environment()
-    opt_true = optimal_profit(F, env).optimal_value
-    reps = range(rep_lo, rep_hi)
-    thetas = _draw_cell_samples(F, n, cfg.seed, d_idx, n_idx, reps)
-    shares = np.empty(len(reps))
-    for j in range(len(reps)):
-        menu_hat = optimal_profit(EmpiricalStep(Sample(thetas[j])), env).menu
-        realized = expected_profit(menu_hat, F, env)
-        shares[j] = (opt_true - realized) / opt_true
+    cells = list(enumerate(cfg.sample_sizes))
+    shares = np.empty((len(cells), rep_hi - rep_lo))
+    block = max(1, _BATCH_POINTS // sum(cfg.sample_sizes))
+    for b_lo in range(rep_lo, rep_hi, block):
+        reps = range(b_lo, min(b_lo + block, rep_hi))
+        for (i, _), thetas in zip(cells, _draw_samples(F, cfg.seed, d_idx, cells, reps)):
+            for j, theta in enumerate(thetas):
+                menu_hat = optimal_profit(EmpiricalStep(Sample(theta)), env).menu
+                realized = expected_profit(menu_hat, F, env)
+                shares[i, b_lo - rep_lo + j] = (opt_true - realized) / opt_true
     return shares
 
 
@@ -239,14 +255,21 @@ def run_coverage(cfg: McConfig) -> McResult:
     """Empirical CI coverage per (distribution, n, level)."""
     if cfg.target is McTarget.REGRET_SHARE:
         raise ValueError("run_coverage needs a coverage target")
-    rows = []
     R = cfg.replications
+    env = cfg.environment()
+    chunks = _chunks(R, cfg.workers)
+    tasks = []
     for d_idx, spec in enumerate(cfg.distributions):
+        F = _as_cdf(spec)
+        truth_fixed, truth_opt = true_values(F, cfg.fixed_menu, env)
+        truth = truth_fixed if cfg.target is McTarget.FIXED_PROFIT_COVERAGE else truth_opt
         for n_idx, n in enumerate(cfg.sample_sizes):
-            tasks = [
-                (spec, n, d_idx, n_idx, lo, hi, cfg) for lo, hi in _chunks(R, cfg.workers)
-            ]
-            counts = sum(_map_chunks(_coverage_chunk, tasks, cfg.workers))
+            tasks += [(F, truth, n, d_idx, n_idx, lo, hi, cfg) for lo, hi in chunks]
+    results = iter(_map_chunks(_coverage_chunk, tasks, cfg.workers))
+    rows = []
+    for spec in cfg.distributions:
+        for n in cfg.sample_sizes:
+            counts = sum(next(results) for _ in chunks)
             for k, level in enumerate(cfg.levels):
                 cov = counts[k] / R
                 mc_se = math.sqrt(cov * (1.0 - cov) / R)
@@ -258,15 +281,20 @@ def run_regret(cfg: McConfig) -> McResult:
     """Mean regret share of the empirically optimal menu per (distribution, n)."""
     if cfg.target is not McTarget.REGRET_SHARE:
         raise ValueError("run_regret needs the regret-share target")
-    rows = []
     R = cfg.replications
+    env = cfg.environment()
+    chunks = _chunks(R, cfg.workers)
+    tasks = []
     for d_idx, spec in enumerate(cfg.distributions):
-        for n_idx, n in enumerate(cfg.sample_sizes):
-            tasks = [
-                (spec, n, d_idx, n_idx, lo, hi, cfg) for lo, hi in _chunks(R, cfg.workers)
-            ]
-            shares = np.concatenate(_map_chunks(_regret_chunk, tasks, cfg.workers))
-            mean = float(shares.mean())
-            mc_se = float(shares.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
+        F = _as_cdf(spec)
+        opt_true = optimal_profit(F, env).optimal_value
+        tasks += [(F, opt_true, d_idx, lo, hi, cfg) for lo, hi in chunks]
+    results = iter(_map_chunks(_regret_chunk, tasks, cfg.workers))
+    rows = []
+    for spec in cfg.distributions:
+        shares = np.concatenate([next(results) for _ in chunks], axis=1)
+        for n, row in zip(cfg.sample_sizes, shares):
+            mean = float(row.mean())
+            mc_se = float(row.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
             rows.append(McRow(distribution_label(spec), n, None, mean, mc_se, cfg.seed))
     return McResult(cfg.target, R, cfg.bootstrap_draws, tuple(rows))

@@ -7,13 +7,16 @@ distribution the maximizer sits on a sample point, so exact enumeration
 applies; for other distributions a 10^4-point grid (plus every atom and kink)
 is refined by golden section to 1e-10.
 
-Separable screening (v multiplicatively separable, convex cost): with an
+Separable screening (v = theta * u(x) with u concave, convex cost): with an
 absolutely continuous estimate with positive density, the optimal allocation
 pointwise maximizes the ironed virtual surplus
 
-    psi_bar(theta) * v(theta, x) - c(x),
+    psi_bar(theta) * v_theta(theta, x) - c(x)  =  psi_bar(theta) * u(x) - c(x),
 
 where psi_bar irons the virtual value J(theta) = theta - (1 - F(theta)) / f(theta).
+The formula assumes v = theta * u(x): for v = a(theta) * u(x) with a nonlinear
+a, the virtual value would be a(theta) - (1 - F(theta)) / f(theta) * a'(theta),
+which this solver does not compute.
 Ironing happens in quantile space: per-segment virtual values are cumulated
 into a piecewise-linear function whose greatest convex minorant (the lower
 convex hull of its knots, built with a monotone chain) has slopes psi_bar.
@@ -227,10 +230,10 @@ def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = 2000) -> S
     x_max = float(env.x_max)
 
     def surplus(x: np.ndarray) -> np.ndarray:
-        return w * np.asarray(env.valuation(th, x)) - np.asarray(env.cost(x))
+        return w * np.asarray(env.valuation_d_theta(th, x)) - np.asarray(env.cost(x))
 
     # vectorized golden section over all segments at once; the surplus is
-    # concave in x (v concave, c convex) wherever psi_bar > 0
+    # concave in x (u concave, c convex) wherever psi_bar > 0
     a = np.zeros_like(w)
     b = np.full_like(w, x_max)
     c = b - _GOLDEN * (b - a)

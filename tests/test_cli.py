@@ -128,6 +128,12 @@ class TestInfer:
         )
         assert payload["point"] == 1.0 / 3.0
 
+    def test_profit_requires_menu(self, capsys, sample_file):
+        code = main(["infer", "--target", "profit", "--sample", sample_file, "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: --target profit requires --menu\n"
+
     def test_compare_requires_second_menu(self, capsys, sample_file, menu_file):
         code = main(
             ["infer", "--target", "compare", "--sample", sample_file, "--menu", menu_file, "--seed", "1"]
@@ -214,3 +220,17 @@ class TestSimulate:
 
     def test_seed_required(self):
         assert main(["simulate", "--dist", "uniform", "--sizes", "10", "--reps", "2"]) == 2
+
+    def test_config_without_seed_is_usage_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "target": "regret",
+            "distributions": ["uniform"],
+            "sample_sizes": [10],
+            "replications": 2,
+            "bootstrap_draws": 0,
+        }))
+        code = main(["simulate", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: config file {cfg_path} lacks 'seed'\n"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emprice as ep
-from emprice.distributions import Side, cdf_eval
+from emprice.distributions import Side, _bisect_quantile, _dyadic_table, cdf_eval
 
 from conftest import random_exact_cdf
 
@@ -65,6 +65,45 @@ class TestQuantile:
                 assert F.cdf(th) >= q - 1e-9
             for th in gen.uniform(*F.support, size=25):
                 assert F.quantile(F.cdf(th)) <= th + 1e-9
+
+
+class TestDyadicWarmStart:
+    """Beta quantiles start from the bisection's own dyadic table: bit for bit
+    the plain bisection's result."""
+
+    @pytest.mark.parametrize(
+        "F",
+        [ep.BetaCdf(0.25, 0.25), ep.BetaCdf(4, 4), ep.BetaCdf(2, 5), ep.BetaCdf(2, 2, 0.5, 3)],
+        ids=["beta-quarter", "beta-4-4", "beta-2-5", "beta-2-2-rescaled"],
+    )
+    def test_matches_plain_bisection_bit_for_bit(self, F):
+        table = F._quantile_table
+        assert table is not None
+        edges, values = table
+        assert edges.size == 4097 and values.size == 4095
+        q = np.concatenate([
+            np.random.default_rng(2024).random(200_000),
+            [0.0, 1.0, 1e-300, 1.0 - 1e-16, np.nan],
+            values,
+            np.nextafter(values, 0.0),
+            np.nextafter(values, 1.0),
+        ])
+        got = F.quantile_array(q)
+        want = _bisect_quantile(F, q)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_nonmonotone_values_fall_back(self):
+        class Wobbly(ep.Uniform):
+            def cdf_array(self, theta):
+                return np.cos(40.0 * np.asarray(theta)) ** 2
+
+        assert _dyadic_table(Wobbly(0.0, 1.0)) is None
+
+    def test_short_bisection_has_no_table(self):
+        # a 1e-10-wide support needs fewer halvings than the table holds
+        F = ep.BetaCdf(2, 2, 0.3, 0.3 + 1e-10)
+        assert F._quantile_table is None
+        assert 0.3 <= F.quantile(0.5) <= 0.3 + 1e-10
 
 
 class TestDrawSample:

@@ -98,7 +98,7 @@ class TestRunCoverage:
         truth, _ = ep.true_values(F, cfg.fixed_menu, env)
         from emprice.experiments import _coverage_chunk
 
-        counts = _coverage_chunk(("uniform", 40, 0, 0, r, r + 1, cfg))
+        counts = _coverage_chunk((F, truth, 40, 0, 0, r, r + 1, cfg))
         assert counts[0] == int(est.ci_low <= truth <= est.ci_high)
 
     def test_rejects_regret_target(self):
@@ -126,7 +126,9 @@ class TestRunRegret:
         from emprice.experiments import _regret_chunk
 
         cfg = McConfig(("beta:0.25:0.25",), (25,), McTarget.REGRET_SHARE, replications=30, seed=5)
-        shares = _regret_chunk(("beta:0.25:0.25", 25, 0, 0, 0, 30, cfg))
+        F = parse_distribution("beta:0.25:0.25")
+        opt_true = ep.optimal_profit(F, cfg.environment()).optimal_value
+        shares = _regret_chunk((F, opt_true, 0, 0, 30, cfg))
         assert np.all(shares >= -1e-12)
 
     def test_point_mass_zero_regret(self):

@@ -95,14 +95,21 @@ class TestScreeningSolver:
         assert res.optimal_value == pytest.approx(0.25, abs=1e-12)
 
     def test_interior_first_order_condition(self):
-        # quadratic cost: the ironed-surplus maximizer is clamp(psi_bar * theta)
+        # v = theta * x, c = x^2 / 2: the ironed-surplus maximizer is clamp(psi_bar),
+        # and psi_bar(theta) = 2 * theta - 1 for uniform types
         env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2)
-        table = ep.ironed_virtual_value(ep.Uniform(0, 1), 2000)
         res = ep.optimal_screening_menu(ep.Uniform(0, 1), env, 2000)
         # recover allocation levels from the menu via choice
         th = 0.75
         got = ep.consumer_choice(res.menu, th, env).quantity
-        assert got == pytest.approx(0.375, abs=2e-3)
+        assert got == pytest.approx(0.5, abs=2e-3)
+
+    def test_uniform_quadratic_cost_oracle(self):
+        # closed form: x(theta) = 2 * theta - 1 above 1/2, p(theta) = theta^2 - 1/4,
+        # value int_{1/2}^{1} (theta^2 - 1/4 - (2 * theta - 1)^2 / 2) d theta = 1/12
+        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2)
+        res = ep.optimal_screening_menu(ep.Uniform(0, 1), env, 2000)
+        assert res.optimal_value == pytest.approx(1.0 / 12.0, abs=1e-4)
 
     def test_no_trade_below_ironed_zero(self):
         env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2)
@@ -116,7 +123,7 @@ class TestScreeningSolver:
         table = ep.ironed_virtual_value(ep.Uniform(0, 1), G)
         res = ep.optimal_screening_menu(ep.Uniform(0, 1), env, G)
         mids = table.segment_thetas
-        want = np.clip(table.psi_bar * mids, 0.0, 1.0)
+        want = np.clip(table.psi_bar, 0.0, 1.0)
         got = np.array([ep.consumer_choice(res.menu, th, env).quantity for th in mids])
         # menu levels change on segment boundaries; compare away from them
         assert np.quantile(np.abs(got - want), 0.9) <= 5e-3
@@ -176,13 +183,13 @@ class TestValueFunctionProperties:
         }
         sizes = (10, 100, 1000, 10_000)
         runs = 200
-        for name, F0 in laws.items():
+        for law_idx, (name, F0) in enumerate(laws.items()):
             top = ep.optimal_profit(F0, linear_env).optimal_value
             medians = []
             for n in sizes:
                 u = np.empty((runs, n))
                 for r in range(runs):
-                    u[r] = substream(1234, hash(name) % 1000, n, r).random(n)
+                    u[r] = substream(1234, law_idx, n, r).random(n)
                 thetas = np.sort(F0.quantile_array(u.reshape(-1)).reshape(runs, n), axis=1)
                 regrets = np.empty(runs)
                 for r in range(runs):
