@@ -71,7 +71,17 @@ def _add_env_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_sample(args):
-    return read_sample(args.sample, header=args.header)
+    try:
+        return read_sample(args.sample, header=args.header)
+    except ValueError as exc:
+        raise UsageError(f"sample file {args.sample}: {exc}") from exc
+
+
+def _load_menu(path: str) -> Menu:
+    try:
+        return read_menu(path)
+    except ValueError as exc:
+        raise UsageError(f"menu file {path}: {exc}") from exc
 
 
 def _bound_kind(args) -> guarantees.BoundKind:
@@ -173,7 +183,7 @@ def _cmd_infer(args) -> int:
     sample = _load_sample(args)
     kwargs = dict(b_draws=args.bootstrap, level=args.level, seed=args.seed, percentile=args.percentile)
     if args.target == "profit":
-        est = bootstrap_ci_profit(read_menu(args.menu), sample, env, **kwargs)
+        est = bootstrap_ci_profit(_load_menu(args.menu), sample, env, **kwargs)
         _emit(est.to_dict())
     elif args.target == "optimal":
         est = bootstrap_ci_optimal_profit(
@@ -182,7 +192,7 @@ def _cmd_infer(args) -> int:
         _emit(est.to_dict())
     elif args.target == "regret":
         est = bootstrap_ci_regret(
-            read_menu(args.menu), sample, env,
+            _load_menu(args.menu), sample, env,
             estimator=args.estimator, theta_lower=args.theta_min, **kwargs,
         )
         _emit(est.to_dict())
@@ -191,7 +201,7 @@ def _cmd_infer(args) -> int:
             raise EmpriceError("--target compare requires --menu-b")
         kwargs.pop("percentile")
         res = bootstrap_compare(
-            read_menu(args.menu), read_menu(args.menu_b), sample, env,
+            _load_menu(args.menu), _load_menu(args.menu_b), sample, env,
             percentile=args.percentile, **kwargs,
         )
         _emit(res.to_dict())
@@ -220,14 +230,18 @@ def _cmd_auction(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _simulate_config(args) -> McConfig:
+    """The run's configuration, from the --config file or the inline flags."""
     if args.config is not None:
-        raw = json.loads(Path(args.config).read_text())
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config file {args.config}: {exc}") from exc
         missing = [k for k in ("distributions", "sample_sizes", "target", "seed") if k not in raw]
         if missing:
             raise UsageError(f"config file {args.config} lacks {', '.join(map(repr, missing))}")
         menu = Menu(tuple((it["x"], it["p"]) for it in raw.get("menu", {}).get("items", [])) or ((1.0, 0.5),))
-        cfg = McConfig(
+        return McConfig(
             distributions=tuple(raw["distributions"]),
             sample_sizes=tuple(int(n) for n in raw["sample_sizes"]),
             target=McTarget(raw["target"]),
@@ -243,8 +257,8 @@ def _cmd_simulate(args) -> int:
     else:
         if args.seed is None:
             raise UsageError("simulate requires --seed (or a config file with a seed)")
-        menu = read_menu(args.menu) if args.menu else Menu.uniform_price(args.menu_price)
-        cfg = McConfig(
+        menu = _load_menu(args.menu) if args.menu else Menu.uniform_price(args.menu_price)
+        return McConfig(
             distributions=tuple(args.dist.split(",")),
             sample_sizes=tuple(int(n) for n in args.sizes.split(",")),
             target=McTarget(args.target),
@@ -257,6 +271,13 @@ def _cmd_simulate(args) -> int:
             theta_max=args.theta_max,
             workers=args.workers,
         )
+
+
+def _cmd_simulate(args) -> int:
+    try:
+        cfg = _simulate_config(args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     result = run_regret(cfg) if cfg.target is McTarget.REGRET_SHARE else run_coverage(cfg)
     csv = result.to_csv()
     if args.out:

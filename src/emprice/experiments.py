@@ -31,7 +31,7 @@ import numpy as np
 from .distributions import BetaCdf, Cdf, EmpiricalStep, Mixture, PointMass, Sample, Uniform
 from .environment import Environment, linear_unit_demand
 from .errors import EmpriceError
-from .inference import _bootstrap_roots, _interval, _optimal_value_stat
+from .inference import bootstrap_roots, mean_statistic, optimal_value_statistic
 from .mechanisms import Menu, expected_profit, per_consumer_profit
 from .rng import substream
 from .solvers import optimal_profit
@@ -90,6 +90,18 @@ def _as_cdf(dist: str | Cdf) -> Cdf:
     return parse_distribution(dist) if isinstance(dist, str) else dist
 
 
+def _law_in_type_space(dist: str | Cdf, env: Environment) -> Cdf:
+    """Parse a law and check that its support lies inside the type space."""
+    F = _as_cdf(dist)
+    lo, hi = F.support
+    if lo < env.types.lower or hi > env.types.upper:
+        raise EmpriceError(
+            f"law {distribution_label(dist)} has support [{lo:g}, {hi:g}] outside "
+            f"the type space [{env.types.lower:g}, {env.types.upper:g}]"
+        )
+    return F
+
+
 @dataclass(frozen=True)
 class McConfig:
     distributions: tuple[str | Cdf, ...]
@@ -113,6 +125,8 @@ class McConfig:
             raise ValueError("levels must lie in (0, 1)")
         if not self.distributions or not self.sample_sizes:
             raise ValueError("need at least one distribution and one sample size")
+        if min(self.sample_sizes) < 1:
+            raise ValueError("sample sizes must be at least 1")
 
     def environment(self) -> Environment:
         return linear_unit_demand(0.0, self.theta_max, 1.0, self.c_bar)
@@ -205,16 +219,13 @@ def _coverage_chunk(args) -> np.ndarray:
     counts = np.zeros(len(cfg.levels), dtype=np.int64)
     for j, r in enumerate(reps):
         sample = Sample(thetas[j])
-        path = (cfg.seed, d_idx, n_idx, r)
         if cfg.target is McTarget.FIXED_PROFIT_COVERAGE:
-            w = per_consumer_profit(cfg.fixed_menu, sample.values, env)
-            point = float(w.mean())
-            roots = _bootstrap_roots(lambda idx: w[idx].mean(), n, cfg.bootstrap_draws, path, point)
+            stat = mean_statistic(per_consumer_profit(cfg.fixed_menu, sample.values, env))
         else:
-            point, stat = _optimal_value_stat(sample, env, "ecdf", None, None)
-            roots = _bootstrap_roots(stat, n, cfg.bootstrap_draws, path, point)
+            stat = optimal_value_statistic(sample, env)
+        boot = bootstrap_roots(stat, cfg.bootstrap_draws, (cfg.seed, d_idx, n_idx, r))
         for k, level in enumerate(cfg.levels):
-            lo, hi = _interval(point, roots, level, n, percentile=False)
+            lo, hi = boot.interval(level)
             if lo <= truth <= hi:
                 counts[k] += 1
     return counts
@@ -260,7 +271,7 @@ def run_coverage(cfg: McConfig) -> McResult:
     chunks = _chunks(R, cfg.workers)
     tasks = []
     for d_idx, spec in enumerate(cfg.distributions):
-        F = _as_cdf(spec)
+        F = _law_in_type_space(spec, env)
         truth_fixed, truth_opt = true_values(F, cfg.fixed_menu, env)
         truth = truth_fixed if cfg.target is McTarget.FIXED_PROFIT_COVERAGE else truth_opt
         for n_idx, n in enumerate(cfg.sample_sizes):
@@ -286,8 +297,13 @@ def run_regret(cfg: McConfig) -> McResult:
     chunks = _chunks(R, cfg.workers)
     tasks = []
     for d_idx, spec in enumerate(cfg.distributions):
-        F = _as_cdf(spec)
+        F = _law_in_type_space(spec, env)
         opt_true = optimal_profit(F, env).optimal_value
+        if not opt_true > 0.0:
+            raise EmpriceError(
+                f"law {distribution_label(spec)} has optimal profit {opt_true:g}; "
+                "the regret share needs a positive optimum"
+            )
         tasks += [(F, opt_true, d_idx, lo, hi, cfg) for lo, hi in chunks]
     results = iter(_map_chunks(_regret_chunk, tasks, cfg.workers))
     rows = []

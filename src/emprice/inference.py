@@ -18,11 +18,25 @@ Resample b of a call seeded with s draws its indices from the stream keyed by
 (*path(s), b), so outer Monte Carlo replications can run in parallel on
 disjoint streams; comparisons and regret bootstrap both statistics on shared
 resamples.
+
+One engine, `bootstrap_roots`, serves every target and the Monte Carlo
+harness. It takes the PCG64 states of all B streams from
+`rng.substream_states` in one vectorized pass, and `rng.resample_indices`
+draws each resample's indices exactly as
+``substream(*path(s), b).integers(0, n, size=n)`` would. A `Statistic` then
+scores the resamples a block at a time, as a function of a (k, n) index
+array: means and the linear-ECDF optimum are vectorized over the block's
+rows, other solvers run once per row. Each row goes through the same
+elementwise operations and reductions as a single resample would, so the
+roots are bit-identical to scoring the draws one by one. A block holds a
+fixed budget of indices rather than a fixed number of resamples, so its
+memory stays small and constant whatever n is (see `_BLOCK_INDICES`).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,13 +47,27 @@ from .distributions import PiecewiseLinear, Sample
 from .environment import Environment, MarketKind
 from .estimators import ecdf, interp_ecdf
 from .mechanisms import Menu, per_consumer_profit
-from .rng import seed_path, substream
+from .rng import resample_indices, seed_path, substream_states
 from .solvers import optimal_profit
+
+# Resample indices scored per block: a block holds the largest whole number
+# of resamples (at least one) that fits. The budget bounds the engine's memory
+# for any n, and keeps each block's (k, n) index and work arrays just under
+# glibc's default 128 KiB mmap threshold (2^14 8-byte values), so they reuse
+# heap memory instead of faulting in fresh pages every block. Blocks of 64
+# resamples at n = 500 (256 KiB arrays) did fault, and all B rows at once
+# (4 MB) raised peak memory without running faster.
+_BLOCK_INDICES = 16_000
 
 __all__ = [
     "CiMethod",
     "ProfitEstimate",
     "ComparisonResult",
+    "Statistic",
+    "BootstrapRoots",
+    "bootstrap_roots",
+    "mean_statistic",
+    "optimal_value_statistic",
     "plugin_variance",
     "plugin_normal_ci",
     "bootstrap_ci_profit",
@@ -104,23 +132,67 @@ def _check_bootstrap_args(b_draws: int, level: float) -> None:
         raise ValueError("confidence level must lie in (0, 1)")
 
 
-def _bootstrap_roots(stat_of_idx, n: int, b_draws: int, path: tuple[int, ...], point: float) -> np.ndarray:
-    """G_b = sqrt(n) * (stat(resample_b) - point), one substream per draw."""
-    root_n = math.sqrt(n)
-    out = np.empty(b_draws)
-    for b in range(b_draws):
-        idx = substream(*path, b).integers(0, n, size=n)
-        out[b] = root_n * (stat_of_idx(idx) - point)
-    return out
+@dataclass(frozen=True)
+class Statistic:
+    """A functional of the sample for the bootstrap engine.
+
+    ``point`` is its value on the sample of size ``n``; ``on_resamples`` maps
+    a (k, n) block of resample indices, one resample per row, to the k
+    values of the functional on those resamples.
+    """
+
+    point: float
+    n: int
+    on_resamples: Callable[[np.ndarray], np.ndarray]
 
 
-def _interval(point: float, roots: np.ndarray, level: float, n: int, percentile: bool) -> tuple[float, float]:
-    alpha = 1.0 - level
-    q_lo, q_hi = np.quantile(roots, [alpha / 2.0, 1.0 - alpha / 2.0])
-    root_n = math.sqrt(n)
-    if percentile:
-        return point + q_lo / root_n, point + q_hi / root_n
-    return point - q_hi / root_n, point - q_lo / root_n
+@dataclass(frozen=True)
+class BootstrapRoots:
+    """Recentered roots G_b = sqrt(n) * (stat(resample_b) - point)."""
+
+    point: float
+    n: int
+    roots: np.ndarray
+
+    def interval(self, level: float, percentile: bool = False) -> tuple[float, float]:
+        """Centered (default) or percentile interval at the given level."""
+        alpha = 1.0 - level
+        q_lo, q_hi = np.quantile(self.roots, [alpha / 2.0, 1.0 - alpha / 2.0])
+        root_n = math.sqrt(self.n)
+        if percentile:
+            return float(self.point + q_lo / root_n), float(self.point + q_hi / root_n)
+        return float(self.point - q_hi / root_n), float(self.point - q_lo / root_n)
+
+    def std_error(self) -> float:
+        return float(self.roots.std(ddof=1)) / math.sqrt(self.n)
+
+
+def bootstrap_roots(stat: Statistic, b_draws: int, seed: int | tuple[int, ...]) -> BootstrapRoots:
+    """The bootstrap engine: roots of ``stat`` over b_draws n-of-n resamples.
+
+    Resample b draws its indices from the stream ``(*seed_path(seed), b)``;
+    the statistic scores them a block of ``_BLOCK_INDICES // n`` resamples
+    at a time.
+    """
+    if b_draws < 100:
+        raise ValueError("bootstrap needs at least 100 draws")
+    states = substream_states(seed_path(seed), b_draws)
+    values = np.empty(b_draws)
+    block = max(1, _BLOCK_INDICES // stat.n)
+    for lo in range(0, b_draws, block):
+        values[lo:lo + block] = stat.on_resamples(resample_indices(states[lo:lo + block], stat.n))
+    return BootstrapRoots(stat.point, stat.n, math.sqrt(stat.n) * (values - stat.point))
+
+
+def mean_statistic(w: np.ndarray) -> Statistic:
+    """Sample mean of per-observation values w, e.g. per-consumer profit."""
+    return Statistic(float(w.mean()), int(w.size), lambda idx: w[idx].mean(axis=1))
+
+
+def _estimate(boot: BootstrapRoots, level: float, percentile: bool, b_draws: int, seed) -> ProfitEstimate:
+    lo, hi = boot.interval(level, percentile)
+    method = CiMethod.PERCENTILE_BOOTSTRAP if percentile else CiMethod.CENTERED_BOOTSTRAP
+    return ProfitEstimate(boot.point, boot.std_error(), lo, hi, level, method, b_draws, seed)
 
 
 def plugin_variance(menu: Menu, sample: Sample, env: Environment) -> float:
@@ -151,41 +223,41 @@ def bootstrap_ci_profit(
 ) -> ProfitEstimate:
     """Bootstrap interval for expected profit under a fixed menu."""
     _check_bootstrap_args(b_draws, level)
-    w = per_consumer_profit(menu, sample.values, env)
-    point = float(w.mean())
-    path = seed_path(seed)
-    roots = _bootstrap_roots(lambda idx: w[idx].mean(), sample.n, b_draws, path, point)
-    lo, hi = _interval(point, roots, level, sample.n, percentile)
-    se = float(roots.std(ddof=1)) / math.sqrt(sample.n)
-    method = CiMethod.PERCENTILE_BOOTSTRAP if percentile else CiMethod.CENTERED_BOOTSTRAP
-    return ProfitEstimate(point, se, float(lo), float(hi), level, method, b_draws, seed)
+    stat = mean_statistic(per_consumer_profit(menu, sample.values, env))
+    return _estimate(bootstrap_roots(stat, b_draws, seed), level, percentile, b_draws, seed)
 
 
-def _optimal_value_stat(sample: Sample, env: Environment, estimator: str, theta_lower: float | None, grid_size: int | None):
-    """(point, stat_of_indices) for the optimal-profit functional."""
+def optimal_value_statistic(
+    sample: Sample,
+    env: Environment,
+    estimator: str = "ecdf",
+    theta_lower: float | None = None,
+    grid_size: int | None = None,
+) -> Statistic:
+    """The optimal-profit functional under the ECDF or interpolated ECDF."""
     values = sample.values
     n = values.size
     if estimator == "ecdf":
-        point = optimal_profit(ecdf(sample), env, grid_size).optimal_value
+        point = float(optimal_profit(ecdf(sample), env, grid_size).optimal_value)
         if env.kind is MarketKind.LINEAR_UNIT_DEMAND:
             c_bar, x_max = float(env.c_bar), float(env.x_max)
             margins = x_max * (values - c_bar)
 
-            def stat(idx: np.ndarray) -> float:
-                counts = np.bincount(idx, minlength=n)
-                tails = np.cumsum(counts[::-1])[::-1]
+            def on_resamples(idx: np.ndarray) -> np.ndarray:
+                k = idx.shape[0]
+                counts = np.bincount((idx + n * np.arange(k)[:, None]).ravel(), minlength=k * n)
+                tails = np.cumsum(counts.reshape(k, n)[:, ::-1], axis=1)[:, ::-1]
                 # the maximizer over resample support equals the max over all
                 # original order statistics, zero-count prices included
-                return max(float(np.max(margins * (tails / n))), 0.0)
+                best = np.max(margins * (tails / n), axis=1)
+                return np.where(best < 0.0, 0.0, best)
 
-            return point, stat
+            return Statistic(point, n, on_resamples)
 
-        def stat(idx: np.ndarray) -> float:
-            return optimal_profit(ecdf(Sample(values[idx])), env, grid_size).optimal_value
+        def solve(row: np.ndarray) -> float:
+            return optimal_profit(ecdf(Sample(values[row])), env, grid_size).optimal_value
 
-        return point, stat
-
-    if estimator == "interp":
+    elif estimator == "interp":
         lower = env.types.lower if theta_lower is None else float(theta_lower)
 
         def interp_of(vals: np.ndarray) -> PiecewiseLinear:
@@ -195,14 +267,14 @@ def _optimal_value_stat(sample: Sample, env: Environment, estimator: str, theta_
             probs = np.concatenate([[0.0], np.cumsum(counts)]) / vals.size
             return PiecewiseLinear(np.concatenate([[lower], distinct]), probs)
 
-        point = optimal_profit(interp_ecdf(sample, lower), env, grid_size).optimal_value
+        point = float(optimal_profit(interp_ecdf(sample, lower), env, grid_size).optimal_value)
 
-        def stat(idx: np.ndarray) -> float:
-            return optimal_profit(interp_of(values[idx]), env, grid_size).optimal_value
+        def solve(row: np.ndarray) -> float:
+            return optimal_profit(interp_of(values[row]), env, grid_size).optimal_value
 
-        return point, stat
-
-    raise ValueError(f"unknown estimator {estimator!r}; use 'ecdf' or 'interp'")
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}; use 'ecdf' or 'interp'")
+    return Statistic(point, n, lambda idx: np.array([solve(row) for row in idx], dtype=float))
 
 
 def bootstrap_ci_optimal_profit(
@@ -219,13 +291,8 @@ def bootstrap_ci_optimal_profit(
     """Bootstrap interval for the optimal expected profit (bootstrap-only:
     there is no consistent plug-in variance for this functional)."""
     _check_bootstrap_args(b_draws, level)
-    point, stat = _optimal_value_stat(sample, env, estimator, theta_lower, grid_size)
-    path = seed_path(seed)
-    roots = _bootstrap_roots(stat, sample.n, b_draws, path, point)
-    lo, hi = _interval(point, roots, level, sample.n, percentile)
-    se = float(roots.std(ddof=1)) / math.sqrt(sample.n)
-    method = CiMethod.PERCENTILE_BOOTSTRAP if percentile else CiMethod.CENTERED_BOOTSTRAP
-    return ProfitEstimate(float(point), se, float(lo), float(hi), level, method, b_draws, seed)
+    stat = optimal_value_statistic(sample, env, estimator, theta_lower, grid_size)
+    return _estimate(bootstrap_roots(stat, b_draws, seed), level, percentile, b_draws, seed)
 
 
 def bootstrap_compare(
@@ -242,12 +309,9 @@ def bootstrap_compare(
     _check_bootstrap_args(b_draws, level)
     wa = per_consumer_profit(menu_a, sample.values, env)
     wb = per_consumer_profit(menu_b, sample.values, env)
-    diff = wa - wb
-    point = float(diff.mean())
-    path = seed_path(seed)
-    roots = _bootstrap_roots(lambda idx: diff[idx].mean(), sample.n, b_draws, path, point)
-    lo, hi = _interval(point, roots, level, sample.n, percentile)
-    return ComparisonResult(point, float(lo), float(hi), level, not (lo <= 0.0 <= hi))
+    boot = bootstrap_roots(mean_statistic(wa - wb), b_draws, seed)
+    lo, hi = boot.interval(level, percentile)
+    return ComparisonResult(boot.point, lo, hi, level, not (lo <= 0.0 <= hi))
 
 
 def bootstrap_ci_regret(
@@ -266,11 +330,8 @@ def bootstrap_ci_regret(
     with both functionals evaluated on shared resamples."""
     _check_bootstrap_args(b_draws, level)
     w = per_consumer_profit(menu, sample.values, env)
-    opt_point, opt_stat = _optimal_value_stat(sample, env, estimator, theta_lower, grid_size)
-    point = float(opt_point - w.mean())
-    path = seed_path(seed)
-    roots = _bootstrap_roots(lambda idx: opt_stat(idx) - w[idx].mean(), sample.n, b_draws, path, point)
-    lo, hi = _interval(point, roots, level, sample.n, percentile)
-    se = float(roots.std(ddof=1)) / math.sqrt(sample.n)
-    method = CiMethod.PERCENTILE_BOOTSTRAP if percentile else CiMethod.CENTERED_BOOTSTRAP
-    return ProfitEstimate(point, se, float(lo), float(hi), level, method, b_draws, seed)
+    opt = optimal_value_statistic(sample, env, estimator, theta_lower, grid_size)
+    stat = Statistic(
+        float(opt.point - w.mean()), sample.n, lambda idx: opt.on_resamples(idx) - w[idx].mean(axis=1)
+    )
+    return _estimate(bootstrap_roots(stat, b_draws, seed), level, percentile, b_draws, seed)

@@ -55,6 +55,14 @@ class TestSolve:
         path.write_text("0.3\n0.3\n0.9\n")
         assert main(["solve", "--sample", str(path), "--estimator", "interp"]) == 1
 
+    def test_non_numeric_sample_line_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0.3\nabc\n0.9\n")
+        code = main(["solve", "--sample", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: sample file {path}: ") and err.count("\n") == 1
+
     def test_unknown_flag_exits_2(self, capsys, sample_file):
         assert main(["solve", "--sample", sample_file, "--frobnicate"]) == 2
 
@@ -152,6 +160,15 @@ class TestInfer:
         assert payload == want.to_dict()
 
 
+    def test_malformed_menu_json_exits_2(self, capsys, sample_file, tmp_path):
+        path = tmp_path / "menu.json"
+        path.write_text('{"items": [')
+        code = main(["infer", "--target", "profit", "--sample", sample_file, "--menu", str(path), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: menu file {path}: ") and err.count("\n") == 1
+
+
 class TestAuction:
     def test_solve_reserve(self, capsys, tmp_path):
         gen = np.random.default_rng(5)
@@ -234,3 +251,36 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: config file {cfg_path} lacks 'seed'\n"
+
+    def test_malformed_config_json_exits_2(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"target": "regret",')
+        code = main(["simulate", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: config file {cfg_path}: ") and err.count("\n") == 1
+
+    def test_sample_size_zero_exits_2(self, capsys):
+        code = main(["simulate", "--target", "regret", "--sizes", "0", "--reps", "2", "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: sample sizes must be at least 1\n"
+
+    def test_law_outside_type_space_exits_1(self, capsys):
+        code = main(
+            ["simulate", "--target", "regret", "--dist", "beta:2:2:0.5:3", "--sizes", "10", "--reps", "2",
+             "--seed", "1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: law beta:2:2:0.5:3 has support [0.5, 3] outside the type space [0, 1]\n"
+        )
+
+    def test_zero_optimum_regret_exits_1(self, capsys):
+        code = main(
+            ["simulate", "--target", "regret", "--dist", "pointmass:0", "--sizes", "10", "--reps", "2",
+             "--seed", "1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: law pointmass:0 has optimal profit 0; the regret share needs a positive optimum\n"
+        )

@@ -101,6 +101,10 @@ class TestRunCoverage:
         counts = _coverage_chunk((F, truth, 40, 0, 0, r, r + 1, cfg))
         assert counts[0] == int(est.ci_low <= truth <= est.ci_high)
 
+    def test_rejects_law_outside_type_space(self):
+        with pytest.raises(ep.EmpriceError, match="uniform:0:2"):
+            ep.run_coverage(small_coverage_cfg(distributions=("uniform:0:2",)))
+
     def test_rejects_regret_target(self):
         cfg = small_coverage_cfg()
         with pytest.raises(ValueError):
@@ -161,6 +165,10 @@ class TestConfigValidation:
     def test_bad_levels(self):
         with pytest.raises(ValueError):
             small_coverage_cfg(levels=(0.9, 1.5))
+
+    def test_bad_sample_size(self):
+        with pytest.raises(ValueError):
+            small_coverage_cfg(sample_sizes=(40, 0))
 
     def test_bad_replications(self):
         with pytest.raises(ValueError):

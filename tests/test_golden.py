@@ -1,17 +1,23 @@
-"""Golden outputs: Monte Carlo CSV bytes pinned against files in tests/golden.
+"""Golden outputs: Monte Carlo CSV and `emprice infer` JSON bytes pinned
+against files in tests/golden.
 
 The files hold the exact bytes `run_regret` and `run_coverage` printed for
-small configurations. A performance change must leave every byte alone; a
-change that means to move these numbers regenerates the files with
-`python tests/test_golden.py` and says why in CHANGES.md.
+small configurations, and the exact stdout of `emprice infer` for every
+target on the committed sample and menu files. A performance change must
+leave every byte alone; a change that means to move these numbers
+regenerates the files with `python tests/test_golden.py` and says why in
+CHANGES.md.
 """
 
+import contextlib
+import io
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import emprice as ep
+from emprice.cli import main
 from emprice.experiments import McConfig, McTarget
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -30,6 +36,40 @@ CONFIGS = {
 }
 
 
+SAMPLE = str(GOLDEN / "infer-sample.txt")  # Beta(2,3), n=120
+SMALL_SAMPLE = str(GOLDEN / "infer-sample-small.txt")  # Beta(2,3), n=30
+MENU_A, MENU_B = str(GOLDEN / "menu-a.json"), str(GOLDEN / "menu-b.json")
+
+# `infer` has no --grid-size flag, so the screening case runs the default grid
+# on a small sample with the smallest bootstrap the CLI accepts
+INFER = {
+    "infer-profit.json": ["--target", "profit", "--sample", SAMPLE, "--menu", MENU_A, "--seed", "11"],
+    "infer-compare.json": [
+        "--target", "compare", "--sample", SAMPLE, "--menu", MENU_A, "--menu-b", MENU_B, "--seed", "12",
+    ],
+    "infer-regret.json": ["--target", "regret", "--sample", SAMPLE, "--menu", MENU_B, "--seed", "13"],
+    "infer-optimal-ecdf.json": ["--target", "optimal", "--sample", SAMPLE, "--cost", "0.1", "--seed", "14"],
+    "infer-optimal-interp.json": [
+        "--target", "optimal", "--estimator", "interp", "--sample", SAMPLE, "--bootstrap", "300", "--seed", "15",
+    ],
+    "infer-optimal-screening.json": [
+        "--target", "optimal", "--env", "screening", "--estimator", "interp", "--sample", SMALL_SAMPLE,
+        "--bootstrap", "100", "--seed", "16",
+    ],
+    "infer-profit-percentile.json": [
+        "--target", "profit", "--sample", SAMPLE, "--menu", MENU_B, "--percentile", "--level", "0.9",
+        "--bootstrap", "500", "--seed", "17",
+    ],
+}
+
+
+def _infer(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["infer", *argv]) == 0
+    return out.getvalue()
+
+
 def _run(cfg: McConfig) -> str:
     run = ep.run_regret if cfg.target is McTarget.REGRET_SHARE else ep.run_coverage
     return run(cfg).to_csv()
@@ -42,7 +82,14 @@ def test_csv_bytes_match_golden(name, workers):
     assert _run(cfg) == (GOLDEN / name).read_text()
 
 
+@pytest.mark.parametrize("name", sorted(INFER))
+def test_infer_json_bytes_match_golden(name):
+    assert _infer(INFER[name]) == (GOLDEN / name).read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, cfg in CONFIGS.items():
         (GOLDEN / name).write_text(_run(cfg))
+    for name, argv in INFER.items():
+        (GOLDEN / name).write_text(_infer(argv))

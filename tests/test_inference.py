@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import emprice as ep
+from emprice.inference import bootstrap_roots, mean_statistic, optimal_value_statistic
+from emprice.rng import seed_path
 
 
 @pytest.fixture
@@ -99,16 +101,13 @@ class TestBootstrapOptimalProfit:
 
     def test_fast_resample_path_matches_solver(self, linear_env):
         # the bincount shortcut must agree with re-running the solver
-        from emprice.inference import _optimal_value_stat
-
         s = ep.draw_sample(ep.BetaCdf(0.25, 0.25), 60, 12)
-        _, stat = _optimal_value_stat(s, linear_env, "ecdf", None, None)
-        gen = np.random.default_rng(0)
-        for _ in range(25):
-            idx = gen.integers(0, s.n, s.n)
-            resample = ep.Sample(s.values[idx])
+        stat = optimal_value_statistic(s, linear_env)
+        idx = np.random.default_rng(0).integers(0, s.n, (25, s.n))
+        for row, got in zip(idx, stat.on_resamples(idx)):
+            resample = ep.Sample(s.values[row])
             want = ep.optimal_profit(ep.ecdf(resample), linear_env).optimal_value
-            assert stat(idx) == pytest.approx(want, abs=1e-12)
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_interp_estimator_point(self, linear_env):
         s = ep.draw_sample(ep.Uniform(0.05, 1.0), 40, 6)
@@ -184,3 +183,126 @@ class TestPluginNormal:
         d = est.to_dict()
         assert d["method"] == "centered_bootstrap"
         assert d["b_draws"] == 200 and d["seed"] == 5
+
+
+# ---------------------------------------------------------------------------
+# The bootstrap engine against the per-draw loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_roots(stat_of_idx, n, b_draws, path, point):
+    """G_b = sqrt(n) * (stat(resample_b) - point), one substream per draw."""
+    root_n = math.sqrt(n)
+    out = np.empty(b_draws)
+    for b in range(b_draws):
+        idx = ep.substream(*path, b).integers(0, n, size=n)
+        out[b] = root_n * (stat_of_idx(idx) - point)
+    return out
+
+
+def reference_ecdf_optimum(values, env):
+    """Per-draw linear-ECDF optimum: one bincount per resample."""
+    n = values.size
+    margins = float(env.x_max) * (values - float(env.c_bar))
+
+    def stat(idx):
+        counts = np.bincount(idx, minlength=n)
+        tails = np.cumsum(counts[::-1])[::-1]
+        return max(float(np.max(margins * (tails / n))), 0.0)
+
+    return stat
+
+
+def reference_interp_optimum(values, env, lower, grid_size):
+    """Per-draw solve against the interpolated resample ECDF."""
+
+    def stat(idx):
+        distinct, counts = np.unique(values[idx], return_counts=True)
+        probs = np.concatenate([[0.0], np.cumsum(counts)]) / idx.size
+        F = ep.PiecewiseLinear(np.concatenate([[lower], distinct]), probs)
+        return ep.optimal_profit(F, env, grid_size).optimal_value
+
+    return stat
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+ENGINE_SEEDS = [7, (3, -5), (2**40 + 3, 11, -1)]
+
+
+class TestEngineMatchesPerDrawLoop:
+    @pytest.mark.parametrize("seed", ENGINE_SEEDS, ids=["int", "negative", "multiword"])
+    @pytest.mark.parametrize("n", [1, 2, 37, 500])
+    @pytest.mark.parametrize("b_draws", [100, 1000, 1001])
+    def test_linear_statistics(self, b_draws, n, seed):
+        # unit cost 0.3 puts order statistics on both sides of the margin sign
+        env = ep.linear_unit_demand(0.0, 1.0, 1.0, 0.3)
+        s = ep.draw_sample(ep.Uniform(0, 1), n, 40 + n)
+        path = seed_path(seed)
+        wa = ep.per_consumer_profit(ep.Menu(((1.0, 0.45),)), s.values, env)
+        wb = ep.per_consumer_profit(ep.Menu(((0.5, 0.2), (1.0, 0.5))), s.values, env)
+        opt_stat = reference_ecdf_optimum(s.values, env)
+        opt_point = ep.optimal_profit(ep.ecdf(s), env).optimal_value
+        diff = wa - wb
+        cases = [
+            (mean_statistic(wa), lambda idx: wa[idx].mean(), float(wa.mean())),
+            (mean_statistic(diff), lambda idx: diff[idx].mean(), float(diff.mean())),
+            (optimal_value_statistic(s, env), opt_stat, opt_point),
+        ]
+        for stat, ref_stat, ref_point in cases:
+            assert stat.point == ref_point
+            got = bootstrap_roots(stat, b_draws, seed)
+            assert_same_bits(got.roots, reference_roots(ref_stat, n, b_draws, path, ref_point))
+        # regret scores both functionals on the same resamples
+        reg = ep.bootstrap_ci_regret(ep.Menu(((1.0, 0.45),)), s, env, b_draws, 0.9, seed)
+        want = reference_roots(lambda idx: opt_stat(idx) - wa[idx].mean(), n, b_draws, path,
+                               float(opt_point - wa.mean()))
+        alpha = 1.0 - 0.9
+        q_lo, q_hi = np.quantile(want, [alpha / 2.0, 1.0 - alpha / 2.0])
+        assert reg.point == float(opt_point - wa.mean())
+        assert (reg.ci_low, reg.ci_high) == (reg.point - q_hi / math.sqrt(n), reg.point - q_lo / math.sqrt(n))
+        assert reg.std_error == float(want.std(ddof=1)) / math.sqrt(n)
+
+    def test_all_margins_negative(self):
+        # every type below cost: products are negative or signed zeros
+        env = ep.linear_unit_demand(0.0, 1.0, 1.0, 0.1)
+        s = ep.Sample(np.array([0.05, 0.08]))
+        stat = optimal_value_statistic(s, env)
+        want = reference_roots(reference_ecdf_optimum(s.values, env), 2, 1001, (5,), stat.point)
+        assert_same_bits(bootstrap_roots(stat, 1001, 5).roots, want)
+
+    def test_one_resample_per_block(self, linear_env):
+        # n above the block's index budget: every block holds a single resample
+        s = ep.draw_sample(ep.BetaCdf(2, 3), 20_000, 9)
+        w = ep.per_consumer_profit(ep.Menu(((1.0, 0.45),)), s.values, linear_env)
+        for stat, ref in [
+            (mean_statistic(w), lambda idx: w[idx].mean()),
+            (optimal_value_statistic(s, linear_env), reference_ecdf_optimum(s.values, linear_env)),
+        ]:
+            want = reference_roots(ref, s.n, 100, (7,), stat.point)
+            assert_same_bits(bootstrap_roots(stat, 100, 7).roots, want)
+
+    @pytest.mark.parametrize("b_draws", [100, 1001])
+    def test_interp_row_fallback(self, linear_env, b_draws):
+        s = ep.draw_sample(ep.BetaCdf(2, 3), 37, 3)
+        stat = optimal_value_statistic(s, linear_env, "interp", 0.0, 500)
+        ref = reference_interp_optimum(s.values, linear_env, 0.0, 500)
+        want = reference_roots(ref, s.n, b_draws, (2**40 + 3, 11, -1), stat.point)
+        assert_same_bits(bootstrap_roots(stat, b_draws, (2**40 + 3, 11, -1)).roots, want)
+
+    def test_screening_row_fallback(self):
+        env = ep.environment_from_config(
+            {"kind": "screening", "theta_min": 0.0, "theta_max": 1.0, "x_max": 1.0,
+             "cost": {"scale": 0.5, "power": 2.0}}
+        )
+        s = ep.draw_sample(ep.BetaCdf(2, 3), 37, 4)
+        stat = optimal_value_statistic(s, env, "interp", None, 200)
+        ref = reference_interp_optimum(s.values, env, 0.0, 200)
+        want = reference_roots(ref, s.n, 100, (3, -5), stat.point)
+        assert_same_bits(bootstrap_roots(stat, 100, (3, -5)).roots, want)
+
+    def test_engine_rejects_few_draws(self):
+        with pytest.raises(ValueError):
+            bootstrap_roots(mean_statistic(np.ones(5)), 99, 1)
