@@ -1,9 +1,10 @@
-"""Golden outputs: Monte Carlo CSV and `emprice infer` JSON bytes pinned
-against files in tests/golden.
+"""Golden outputs: Monte Carlo CSV and `emprice infer`, `solve` and `auction`
+JSON bytes pinned against files in tests/golden.
 
 The files hold the exact bytes `run_regret` and `run_coverage` printed for
-small configurations, and the exact stdout of `emprice infer` for every
-target on the committed sample and menu files. A performance change must
+small configurations, the exact stdout of `emprice infer` for every target,
+and that of `emprice solve` and `emprice auction` for both environment kinds
+and every auction mode, on the committed sample and menu files. A performance change must
 leave every byte alone; a change that means to move these numbers
 regenerates the files with `python tests/test_golden.py` and says why in
 CHANGES.md.
@@ -63,11 +64,33 @@ INFER = {
 }
 
 
-def _infer(argv: list[str]) -> str:
+# linear and auction cases run the grid-then-refine searches; the screening
+# cases the vectorized golden section over every quantile segment
+SOLVE_AUCTION = {
+    "solve-beta-4-4.json": ["solve", "--dist", "beta:4:4"],
+    "solve-beta-2-5-cost.json": ["solve", "--dist", "beta:2:5", "--cost", "0.2"],
+    "solve-interp.json": ["solve", "--sample", SAMPLE, "--estimator", "interp"],
+    "solve-ecdf.json": ["solve", "--sample", SAMPLE],
+    "solve-screening-uniform.json": ["solve", "--dist", "uniform", "--env", "screening", "--grid-size", "500"],
+    "solve-screening-interp.json": [
+        "solve", "--sample", SAMPLE, "--estimator", "interp", "--env", "screening", "--grid-size", "500",
+    ],
+    "auction-revenue-2.json": ["auction", "--sample", SAMPLE, "--bidders", "2"],
+    "auction-revenue-3-seller.json": ["auction", "--sample", SAMPLE, "--bidders", "3", "--seller-value", "0.1"],
+    "auction-tail.json": ["auction", "--sample", SAMPLE, "--bidders", "3", "--mode", "tail"],
+    "auction-reserve.json": ["auction", "--sample", SAMPLE, "--bidders", "2", "--reserve", "0.4"],
+}
+
+
+def _cli(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["infer", *argv]) == 0
+        assert main(argv) == 0
     return out.getvalue()
+
+
+def _infer(argv: list[str]) -> str:
+    return _cli(["infer", *argv])
 
 
 def _run(cfg: McConfig) -> str:
@@ -87,9 +110,16 @@ def test_infer_json_bytes_match_golden(name):
     assert _infer(INFER[name]) == (GOLDEN / name).read_text()
 
 
+@pytest.mark.parametrize("name", sorted(SOLVE_AUCTION))
+def test_solve_auction_json_bytes_match_golden(name):
+    assert _cli(SOLVE_AUCTION[name]) == (GOLDEN / name).read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, cfg in CONFIGS.items():
         (GOLDEN / name).write_text(_run(cfg))
     for name, argv in INFER.items():
         (GOLDEN / name).write_text(_infer(argv))
+    for name, argv in SOLVE_AUCTION.items():
+        (GOLDEN / name).write_text(_cli(argv))
