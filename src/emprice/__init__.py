@@ -12,7 +12,6 @@ from .auction import (
     auction_profit,
     auction_regret_guarantee,
     optimal_reserve,
-    second_order_cdf,
     second_order_distribution,
 )
 from .distributions import (
@@ -26,11 +25,8 @@ from .distributions import (
     PiecewiseLinear,
     PointMass,
     Sample,
-    Side,
     Uniform,
-    cdf_eval,
     draw_sample,
-    quantile,
     read_sample,
     sup_distance,
     write_sample,

@@ -36,11 +36,11 @@ from scipy import integrate
 from .distributions import Cdf, PiecewiseLinear
 from .errors import EmpriceError
 from .guarantees import BoundKind, GuaranteeResult, regret_guarantee
+from .numerics import argmax_refine
 
 __all__ = [
     "ProfitMode",
     "AuctionSetting",
-    "second_order_cdf",
     "SecondOrderCdf",
     "second_order_distribution",
     "auction_profit",
@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 _RESERVE_GRID = 10_000
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class ProfitMode(Enum):
@@ -78,13 +77,6 @@ class AuctionSetting:
 def _phi(y: np.ndarray, m: int) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     return m * y ** (m - 1) * (1.0 - y) + y**m
-
-
-def second_order_cdf(F: Cdf, bidders: int, theta: float) -> float:
-    """CDF of the second-highest of `bidders` i.i.d. draws from F."""
-    if bidders < 2:
-        raise ValueError("need at least two bidders")
-    return float(_phi(F.cdf(theta), bidders))
 
 
 @dataclass(frozen=True)
@@ -178,7 +170,7 @@ def auction_profit(r: float, setting: AuctionSetting, mode: ProfitMode = ProfitM
     F = setting.cdf
     m = setting.bidders
     if mode is ProfitMode.SECOND_ORDER_TAIL:
-        return 1.0 - second_order_cdf(F, m, r)
+        return 1.0 - SecondOrderCdf(F, m).cdf(r)
     lo, hi = F.support
     y = F.cdf(r)
     f2_r = float(_phi(np.asarray([y]), m)[0])
@@ -205,11 +197,10 @@ def optimal_reserve(
         np.asarray([p for p in F.special_points() if lo <= p <= hi]),
     ]))
 
+    f2 = SecondOrderCdf(F, m)
     if mode is ProfitMode.SECOND_ORDER_TAIL:
-        f2 = SecondOrderCdf(F, m)
         vals = 1.0 - f2.cdf_array(grid)
     else:
-        f2 = SecondOrderCdf(F, m)
         order = max(8, (m + 3) // 2)
         seg = _gl_integral_segments(f2.cdf_array, grid[:-1], grid[1:], order)
         integral_above = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
@@ -221,33 +212,10 @@ def optimal_reserve(
             - setting.seller_value * (1.0 - y**m)
         )
 
-    k = int(np.argmax(vals))  # first max = smallest reserve on ties
-    best_r, best_val = float(grid[k]), float(vals[k])
+    def profit(rs: np.ndarray) -> np.ndarray:
+        return np.asarray([auction_profit(r, setting, mode) for r in rs])
 
-    blo = float(grid[k - 1]) if k > 0 else lo
-    bhi = float(grid[k + 1]) if k + 1 < grid.size else hi
-    if bhi > blo:
-        a, b = blo, bhi
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc = auction_profit(c, setting, mode)
-        fd = auction_profit(d, setting, mode)
-        it = 0
-        while b - a > 1e-10 and it < 200:
-            it += 1
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = auction_profit(c, setting, mode)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = auction_profit(d, setting, mode)
-        r_ref = c if fc >= fd else d
-        val_ref = max(fc, fd)
-        if val_ref > best_val or (val_ref == best_val and r_ref < best_r):
-            best_r, best_val = float(r_ref), float(val_ref)
-
+    best_r, _, _ = argmax_refine(grid, vals, profit, lo, hi)
     return best_r, float(auction_profit(best_r, setting, mode))
 
 

@@ -27,7 +27,7 @@ from .inference import (
     bootstrap_ci_regret,
     bootstrap_compare,
 )
-from .mechanisms import Menu, read_menu
+from .mechanisms import Menu, menu_from_dict, read_menu
 from .solvers import optimal_profit
 
 
@@ -151,16 +151,17 @@ def _cmd_bound(args) -> int:
     if args.samples_needed:
         if args.alpha is None:
             raise EmpriceError("--samples-needed requires --alpha")
-        n = guarantees.sample_complexity(kind, args.delta, args.alpha, args.lipschitz)
+        lipschitz = 1.0 if args.lipschitz is None else args.lipschitz
+        n = guarantees.sample_complexity(kind, args.delta, args.alpha, lipschitz)
         _emit({
             "samples_needed": n,
             "delta": args.delta,
             "alpha": args.alpha,
-            "lipschitz": args.lipschitz,
+            "lipschitz": lipschitz,
             "kind": kind.name,
         })
         return 0
-    if args.lipschitz != 1.0:
+    if args.lipschitz is not None:
         profit, regret = guarantees.regret_guarantee(kind, args.n, args.delta, args.lipschitz)
         _emit({"kind": kind.name, "profit": profit.to_dict(), "regret": regret.to_dict()})
         return 0
@@ -240,7 +241,8 @@ def _simulate_config(args) -> McConfig:
         missing = [k for k in ("distributions", "sample_sizes", "target", "seed") if k not in raw]
         if missing:
             raise UsageError(f"config file {args.config} lacks {', '.join(map(repr, missing))}")
-        menu = Menu(tuple((it["x"], it["p"]) for it in raw.get("menu", {}).get("items", [])) or ((1.0, 0.5),))
+        # InvalidMenuError is a ValueError, which _cmd_simulate maps to exit 2
+        menu = menu_from_dict(raw.get("menu", {"items": []}))
         return McConfig(
             distributions=tuple(raw["distributions"]),
             sample_sizes=tuple(int(n) for n in raw["sample_sizes"]),
@@ -249,7 +251,7 @@ def _simulate_config(args) -> McConfig:
             bootstrap_draws=int(raw.get("bootstrap_draws", 1000)),
             levels=tuple(float(v) for v in raw.get("levels", (0.9, 0.95, 0.99))),
             seed=int(raw["seed"]),
-            fixed_menu=menu,
+            fixed_menu=menu if menu.items else Menu(((1.0, 0.5),)),
             c_bar=float(raw.get("c_bar", 0.0)),
             theta_max=float(raw.get("theta_max", 1.0)),
             workers=args.workers,
@@ -314,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["dkw", "interp", "kernel"], default="dkw")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--lipschitz", type=float, default=1.0)
+    p.add_argument(
+        "--lipschitz", type=float, default=None,
+        help="Lipschitz constant L; given, print the profit/regret pair instead of the estimator deviation",
+    )
     p.add_argument("--samples-needed", action="store_true")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--tv-bound", type=float, default=None)

@@ -35,7 +35,6 @@ from .errors import EmpriceError
 from .rng import substream
 
 __all__ = [
-    "Side",
     "Cdf",
     "Uniform",
     "BetaCdf",
@@ -45,8 +44,6 @@ __all__ = [
     "PiecewiseLinear",
     "KernelSmoothed",
     "Sample",
-    "cdf_eval",
-    "quantile",
     "draw_sample",
     "sup_distance",
     "read_sample",
@@ -56,11 +53,6 @@ __all__ = [
 _BISECT_TOL = 1e-12
 _TABLE_LEVELS = 12
 _SUP_GRID = 10_000
-
-
-class Side(Enum):
-    RIGHT = "right"
-    LEFT_LIMIT = "left_limit"
 
 
 @dataclass(frozen=True)
@@ -554,18 +546,6 @@ class KernelSmoothed(Cdf):
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-def cdf_eval(F: Cdf, theta: float, side: Side = Side.RIGHT) -> float:
-    """Evaluate F(theta) (right-continuous) or the left limit F(theta-)."""
-    if side is Side.LEFT_LIMIT:
-        return F.cdf_left(theta)
-    return F.cdf(theta)
-
-
-def quantile(F: Cdf, q: float) -> float:
-    """Generalized inverse inf{theta : F(theta) >= q}."""
-    return F.quantile(q)
-
 
 def draw_sample(F: Cdf, n: int, seed: int) -> Sample:
     """n i.i.d. draws by inverse transform on the stream keyed by (seed,)."""

@@ -185,14 +185,13 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _grid_check(name, values, points, tol=_CHECK_TOL) -> AssumptionCheck:
-    # values >= -tol everywhere means the inequality holds on the grid
+def _grid_check(name, values, *axes, tol=_CHECK_TOL) -> AssumptionCheck:
+    # values >= -tol everywhere means the inequality holds on the grid; axis
+    # i of `values` is indexed by the points of axes[i]
     values = np.asarray(values, dtype=float)
-    k = int(np.argmin(values))
-    worst = float(values.flat[k])
-    pt = points[np.unravel_index(k, values.shape)] if values.ndim > 1 else points[k]
-    if not isinstance(pt, tuple):
-        pt = (float(pt),)
+    idx = np.unravel_index(int(np.argmin(values)), values.shape)
+    worst = float(values[idx])
+    pt = tuple(float(ax[i]) for ax, i in zip(axes, idx))
     return AssumptionCheck(name, worst >= -tol, pt, worst)
 
 
@@ -205,19 +204,13 @@ def validate_environment(env: Environment, grid_size: int = 50) -> ValidationRep
     tg, xg = np.meshgrid(th, xs, indexing="ij")
     v = np.asarray(env.valuation(tg, xg), dtype=float)
     c = np.asarray(env.cost(xs), dtype=float)
-
-    pts_tx = np.empty(tg.shape, dtype=object)
-    for i in range(grid_size):
-        for j in range(grid_size):
-            pts_tx[i, j] = (float(th[i]), float(xs[j]))
-
     checks = [
         _grid_check("valuation_zero_at_lowest_type", -np.abs(v[0, :]), xs),
         _grid_check("valuation_zero_at_zero_quantity", -np.abs(v[:, 0]), th),
-        _grid_check("valuation_nondecreasing_in_type", np.diff(v, axis=0), pts_tx[:-1, :]),
-        _grid_check("valuation_nondecreasing_in_quantity", np.diff(v, axis=1), pts_tx[:, :-1]),
+        _grid_check("valuation_nondecreasing_in_type", np.diff(v, axis=0), th[:-1], xs),
+        _grid_check("valuation_nondecreasing_in_quantity", np.diff(v, axis=1), th, xs[:-1]),
         # cross differences: v(t+,x+) - v(t+,x) - v(t,x+) + v(t,x) >= 0
-        _grid_check("valuation_supermodular", np.diff(np.diff(v, axis=0), axis=1), pts_tx[:-1, :-1]),
+        _grid_check("valuation_supermodular", np.diff(np.diff(v, axis=0), axis=1), th[:-1], xs[:-1]),
         _grid_check("cost_zero_at_zero", np.array([-abs(c[0])]), xs[:1]),
         _grid_check("cost_nondecreasing", np.diff(c), xs[:-1]),
         _grid_check("cost_convex", np.diff(c, 2), xs[1:-1]),

@@ -33,6 +33,7 @@ from .distributions import Cdf, EmpiricalStep
 from .environment import Environment, MarketKind
 from .errors import MissingDensityError, UnsupportedPairError
 from .mechanisms import Allocation, Menu, expected_profit, menu_from_allocation
+from .numerics import argmax_refine, golden_max
 
 __all__ = [
     "SolveMethod",
@@ -44,9 +45,6 @@ __all__ = [
     "optimal_screening_menu",
     "optimal_profit",
 ]
-
-_GOLDEN_TOL = 1e-10
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class SolveMethod(Enum):
@@ -95,29 +93,6 @@ class IronedTable:
         return np.interp(self.quantiles, self.quantiles[idx], self.cumulative[idx])
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = _GOLDEN_TOL) -> tuple[float, float, int]:
-    """Golden-section maximization; returns (argmax, value, iterations)."""
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while b - a > tol:
-        it += 1
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        if it > 200:
-            break
-    x = c if fc >= fd else d
-    return x, max(fc, fd), it
-
-
 def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = 10_000) -> SolveResult:
     """Best single full-quantity offer against F in the linear environment."""
     if env.kind is not MarketKind.LINEAR_UNIT_DEMAND:
@@ -141,19 +116,7 @@ def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = 10_000) -> 
             np.linspace(lo, hi, max(int(grid_size), 2)),
             F.special_points(),
         ]))
-        atoms_loc, _ = F.atoms()
-        vals = objective(cand)
-        k = int(np.argmax(vals))
-        best_rho, best_val = float(cand[k]), float(vals[k])
-        iters = 0
-        # refine inside the bracketing interval; skip if an atom makes the
-        # objective discontinuous there
-        blo = float(cand[k - 1]) if k > 0 else lo
-        bhi = float(cand[k + 1]) if k + 1 < cand.size else hi
-        if bhi > blo and not np.any((atoms_loc > blo) & (atoms_loc < bhi)):
-            rho_ref, val_ref, iters = _golden_max(lambda r: float(objective(np.asarray([r]))[0]), blo, bhi)
-            if val_ref > best_val or (val_ref == best_val and rho_ref < best_rho):
-                best_rho, best_val = float(rho_ref), float(val_ref)
+        best_rho, best_val, iters = argmax_refine(cand, objective(cand), objective, lo, hi, F.atoms()[0])
         method = SolveMethod.UNIFORM_PRICE_GRID
 
     if best_val <= 0.0 or best_rho <= 0.0:
@@ -164,8 +127,9 @@ def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = 10_000) -> 
     return SolveResult(menu, value, method, int(grid_size), iters)
 
 
-def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
-    """Knot indices of the lower convex hull (monotone chain, left to right)."""
+def _hull_slopes(x: np.ndarray, y: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Knot indices of the lower convex hull (monotone chain, left to right)
+    and the per-segment slopes of the minorant it spans."""
     hull = [0]
     for i in range(1, x.size):
         while len(hull) >= 2:
@@ -176,7 +140,10 @@ def _lower_hull(x: np.ndarray, y: np.ndarray) -> list[int]:
             else:
                 break
         hull.append(i)
-    return hull
+    slopes = np.empty(x.size - 1)
+    for a, b in zip(hull[:-1], hull[1:]):
+        slopes[a:b] = (y[b] - y[a]) / (x[b] - x[a])
+    return hull, slopes
 
 
 def convex_minorant_slopes(knot_x: np.ndarray, knot_y: np.ndarray) -> np.ndarray:
@@ -188,11 +155,7 @@ def convex_minorant_slopes(knot_x: np.ndarray, knot_y: np.ndarray) -> np.ndarray
         raise ValueError("need matching 1-D knot arrays with at least two knots")
     if np.any(np.diff(x) <= 0):
         raise ValueError("knot abscissae must be strictly increasing")
-    hull = _lower_hull(x, y)
-    slopes = np.empty(x.size - 1)
-    for a, b in zip(hull[:-1], hull[1:]):
-        slopes[a:b] = (y[b] - y[a]) / (x[b] - x[a])
-    return slopes
+    return _hull_slopes(x, y)[1]
 
 
 def ironed_virtual_value(F: Cdf, grid_size: int = 2000) -> IronedTable:
@@ -213,10 +176,7 @@ def ironed_virtual_value(F: Cdf, grid_size: int = 2000) -> IronedTable:
 
     # cumulative virtual value: piecewise linear with slope psi per segment
     big_psi = np.concatenate([[0.0], np.cumsum(psi * np.diff(q))])
-    hull = _lower_hull(q, big_psi)
-    psi_bar = np.empty(G)
-    for a, b in zip(hull[:-1], hull[1:]):
-        psi_bar[a:b] = (big_psi[b] - big_psi[a]) / (q[b] - q[a])
+    hull, psi_bar = _hull_slopes(q, big_psi)
     return IronedTable(q, thetas, theta_mid, psi, psi_bar, big_psi, tuple(hull))
 
 
@@ -232,24 +192,9 @@ def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = 2000) -> S
     def surplus(x: np.ndarray) -> np.ndarray:
         return w * np.asarray(env.valuation_d_theta(th, x)) - np.asarray(env.cost(x))
 
-    # vectorized golden section over all segments at once; the surplus is
-    # concave in x (u concave, c convex) wherever psi_bar > 0
-    a = np.zeros_like(w)
-    b = np.full_like(w, x_max)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = surplus(c), surplus(d)
-    iters = 0
-    while float(np.max(b - a)) > _GOLDEN_TOL and iters < 200:
-        iters += 1
-        take = fc >= fd
-        b = np.where(take, d, b)
-        a = np.where(take, a, c)
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = surplus(c), surplus(d)
-    x_star = np.where(fc >= fd, c, d)
-    best = np.maximum(fc, fd)
+    # golden section over all segments at once; the surplus is concave in x
+    # (u concave, c convex) wherever psi_bar > 0
+    x_star, best, iters = golden_max(surplus, np.zeros_like(w), np.full_like(w, x_max))
     # exact boundary when the surplus is monotone on [0, x_max]
     f_hi = surplus(np.full_like(w, x_max))
     x_star = np.where(f_hi >= best, x_max, x_star)

@@ -5,23 +5,23 @@ import pytest
 from scipy import integrate
 
 import emprice as ep
-from emprice.auction import ProfitMode, second_order_distribution
+from emprice.auction import ProfitMode, SecondOrderCdf, second_order_distribution
 
 from conftest import random_exact_cdf
 
 
 class TestSecondOrderCdf:
     def test_uniform_two_bidders(self):
-        assert ep.second_order_cdf(ep.Uniform(0, 1), 2, 0.5) == 0.75
+        assert SecondOrderCdf(ep.Uniform(0, 1), 2).cdf(0.5) == 0.75
 
     def test_endpoints(self):
         F = ep.BetaCdf(2, 3)
-        assert ep.second_order_cdf(F, 4, 1.0) == 1.0
-        assert ep.second_order_cdf(F, 4, -0.2) == 0.0
+        assert SecondOrderCdf(F, 4).cdf(1.0) == 1.0
+        assert SecondOrderCdf(F, 4).cdf(-0.2) == 0.0
 
     def test_needs_two_bidders(self):
         with pytest.raises(ValueError):
-            ep.second_order_cdf(ep.Uniform(0, 1), 1, 0.5)
+            SecondOrderCdf(ep.Uniform(0, 1), 1).cdf(0.5)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_wrapper_is_valid_cdf(self, m):

@@ -82,6 +82,13 @@ class TestBound:
         assert payload["profit"]["bound"] == want.bound
         assert payload["regret"]["bound"] == want.bound
 
+    def test_lipschitz_one_gives_guarantee_pair(self, capsys):
+        _, payload = run_json(
+            capsys, ["bound", "--kind", "dkw", "--n", "500", "--delta", "0.4", "--lipschitz", "1"]
+        )
+        profit, regret = ep.regret_guarantee(ep.DkwBound(), 500, 0.4, 1.0)
+        assert payload == {"kind": ep.DkwBound().name, "profit": profit.to_dict(), "regret": regret.to_dict()}
+
     def test_samples_needed(self, capsys):
         _, payload = run_json(
             capsys,
@@ -259,6 +266,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: config file {cfg_path}: ") and err.count("\n") == 1
+
+    def test_config_menu_item_without_price_exits_2(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "target": "coverage-fixed",
+            "distributions": ["uniform"],
+            "sample_sizes": [10],
+            "seed": 4,
+            "menu": {"items": [{"x": 1.0}]},
+        }))
+        code = main(["simulate", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: malformed menu payload: 'p'\n"
 
     def test_sample_size_zero_exits_2(self, capsys):
         code = main(["simulate", "--target", "regret", "--sizes", "0", "--reps", "2", "--seed", "1"])

@@ -3,22 +3,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emprice as ep
-from emprice.distributions import Side, _bisect_quantile, _dyadic_table, cdf_eval
+from emprice.distributions import _bisect_quantile, _dyadic_table
 
 from conftest import random_exact_cdf
 
 
 class TestCdfEval:
     def test_uniform_identity(self):
-        assert cdf_eval(ep.Uniform(0, 1), 0.3) == 0.3
+        assert ep.Uniform(0, 1).cdf(0.3) == 0.3
 
     def test_beta_symmetry(self):
-        assert cdf_eval(ep.BetaCdf(4, 4), 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert ep.BetaCdf(4, 4).cdf(0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_mixture_atom_sides(self):
         mix = ep.Mixture(np.array([0.5, 0.5]), (ep.PointMass(0.2), ep.Uniform(0, 1)))
-        assert cdf_eval(mix, 0.2, Side.RIGHT) == pytest.approx(0.6, abs=1e-15)
-        assert cdf_eval(mix, 0.2, Side.LEFT_LIMIT) == pytest.approx(0.1, abs=1e-15)
+        assert mix.cdf(0.2) == pytest.approx(0.6, abs=1e-15)
+        assert mix.cdf_left(0.2) == pytest.approx(0.1, abs=1e-15)
 
     def test_right_at_least_left(self):
         gen = np.random.default_rng(0)
@@ -30,18 +30,18 @@ class TestCdfEval:
 
 class TestQuantile:
     def test_uniform_identity(self):
-        assert ep.quantile(ep.Uniform(0, 1), 0.25) == 0.25
+        assert ep.Uniform(0, 1).quantile(0.25) == 0.25
 
     def test_point_mass_degenerate(self):
         for q in (0.01, 0.4, 1.0):
-            assert ep.quantile(ep.PointMass(0.7), q) == 0.7
+            assert ep.PointMass(0.7).quantile(q) == 0.7
 
     def test_beta_median_by_symmetry(self):
-        assert ep.quantile(ep.BetaCdf(4, 4), 0.5) == pytest.approx(0.5, abs=1e-9)
+        assert ep.BetaCdf(4, 4).quantile(0.5) == pytest.approx(0.5, abs=1e-9)
 
     def test_level_out_of_range(self):
         with pytest.raises(ValueError):
-            ep.quantile(ep.Uniform(0, 1), 1.5)
+            ep.Uniform(0, 1).quantile(1.5)
 
     @given(st.floats(min_value=0.001, max_value=0.999))
     @settings(max_examples=100, deadline=None)

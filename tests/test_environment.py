@@ -65,6 +65,37 @@ class TestValidateEnvironment:
         check = next(c for c in report.checks if c.name == "valuation_zero_at_lowest_type")
         assert check.worst_value < -1e-9
 
+    @pytest.mark.parametrize("name,axis", [
+        ("valuation_nondecreasing_in_type", 0),
+        ("valuation_nondecreasing_in_quantity", 1),
+        ("valuation_supermodular", None),
+    ])
+    def test_failing_2d_check_reports_brute_force_argmin(self, name, axis):
+        # cross derivative 2 - 2 theta - 2 x: submodular for theta + x > 1,
+        # and v decreases in each argument near the top of the rectangle
+        v = lambda th, x: np.asarray(th) * np.asarray(x) * (2.0 - np.asarray(th) - np.asarray(x))
+        v1 = lambda th, x: np.asarray(x) * (2.0 - 2.0 * np.asarray(th) - np.asarray(x))
+        env = ep.separable_screening(
+            cost=lambda x: 0.5 * np.asarray(x) ** 2, theta_max=2.0, x_max=1.5, valuation=v, valuation_d_theta=v1
+        )
+        g = 7
+        th, xs = np.linspace(0.0, 2.0, g), np.linspace(0.0, 1.5, g)
+        vals = [[float(v(t, x)) for x in xs] for t in th]
+        if axis == 0:
+            diffs = {(i, j): vals[i + 1][j] - vals[i][j] for i in range(g - 1) for j in range(g)}
+        elif axis == 1:
+            diffs = {(i, j): vals[i][j + 1] - vals[i][j] for i in range(g) for j in range(g - 1)}
+        else:
+            diffs = {
+                (i, j): vals[i + 1][j + 1] - vals[i + 1][j] - vals[i][j + 1] + vals[i][j]
+                for i in range(g - 1) for j in range(g - 1)
+            }
+        i, j = min(diffs, key=lambda ij: (diffs[ij], ij))  # first minimum in row-major order
+        check = next(c for c in validate_environment(env, grid_size=g).checks if c.name == name)
+        assert not check.passed
+        assert check.worst_point == (th[i], xs[j])
+        assert check.worst_value == pytest.approx(diffs[i, j], abs=1e-12)
+
     def test_grid_size_too_small(self):
         with pytest.raises(ValueError):
             validate_environment(ep.linear_unit_demand(), grid_size=1)

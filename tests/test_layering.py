@@ -2,7 +2,8 @@
 
 Every module under src/emprice is parsed with `ast`; an import of an
 underscore-prefixed name from another package module fails the test. Tests
-themselves may import private helpers.
+themselves may import private helpers. The numerics core is a leaf: it
+imports numpy and nothing from the package.
 """
 
 import ast
@@ -34,3 +35,14 @@ def test_guard_catches_private_import(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("from .inference import _interval, bootstrap_roots\nfrom emprice.rng import _U64\n")
     assert private_imports(path) == [".inference._interval", "emprice.rng._U64"]
+
+
+def test_numerics_is_a_leaf():
+    tree = ast.parse((PACKAGE / "numerics.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." if node.level else node.module.split(".")[0])
+    assert imported <= {"__future__", "numpy"}
