@@ -20,7 +20,7 @@ from .auction import AuctionSetting, ProfitMode, auction_profit, auction_regret_
 from .distributions import KernelShape, KernelSpec, read_sample
 from .environment import environment_from_config
 from .errors import EmpriceError
-from .experiments import McConfig, McTarget, parse_distribution, run_coverage, run_regret
+from .experiments import McConfig, McTarget, law_in_type_space, run_coverage, run_regret
 from .inference import (
     bootstrap_ci_optimal_profit,
     bootstrap_ci_profit,
@@ -130,7 +130,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_solve(args) -> int:
     env = _env_from_args(args)
     if args.dist is not None:
-        F = parse_distribution(args.dist)
+        F = law_in_type_space(args.dist, env)
     else:
         sample = _load_sample(args)
         if args.estimator == "interp":
@@ -200,11 +200,7 @@ def _cmd_infer(args) -> int:
     else:
         if args.menu_b is None:
             raise EmpriceError("--target compare requires --menu-b")
-        kwargs.pop("percentile")
-        res = bootstrap_compare(
-            _load_menu(args.menu), _load_menu(args.menu_b), sample, env,
-            percentile=args.percentile, **kwargs,
-        )
+        res = bootstrap_compare(_load_menu(args.menu), _load_menu(args.menu_b), sample, env, **kwargs)
         _emit(res.to_dict())
     return 0
 

@@ -129,6 +129,14 @@ class Cdf:
         return float(self.density_array(np.asarray([theta]))[0])
 
 
+def _check_levels(q) -> np.ndarray:
+    """q as a float array; raises unless every level lies in [0, 1]."""
+    q = np.asarray(q, dtype=float)
+    if np.any((q < 0) | (q > 1)):
+        raise ValueError("quantile levels must lie in [0, 1]")
+    return q
+
+
 def _bisect_steps(F: Cdf) -> int:
     lo_s, hi_s = F.support
     # ~52 halvings take any bracket below 1e-12 on unit-scale supports
@@ -168,8 +176,7 @@ def _bisect_quantile(
     results whether calls are batched or not. A `_dyadic_table` of F replaces
     the first steps: the first node with F >= q is where they would end.
     """
-    if np.any((q < 0) | (q > 1)):
-        raise ValueError("quantile levels must lie in [0, 1]")
+    _check_levels(q)
     steps = _bisect_steps(F)
     if table is None:
         lo_s, hi_s = F.support
@@ -214,9 +221,7 @@ class Uniform(Cdf):
         return np.where(inside, 1.0 / (self.b - self.a), 0.0)
 
     def quantile_array(self, q):
-        q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantile levels must lie in [0, 1]")
+        q = _check_levels(q)
         return self.a + q * (self.b - self.a)
 
 
@@ -281,9 +286,7 @@ class PointMass(Cdf):
         return (np.asarray(theta, dtype=float) > self.theta0).astype(float)
 
     def quantile_array(self, q):
-        q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantile levels must lie in [0, 1]")
+        q = _check_levels(q)
         return np.full(q.shape, self.theta0, dtype=float)
 
     def atoms(self):
@@ -372,9 +375,7 @@ class EmpiricalStep(Cdf):
         return np.searchsorted(self.sample.values, th, side="left") / self.sample.n
 
     def quantile_array(self, q):
-        q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantile levels must lie in [0, 1]")
+        q = _check_levels(q)
         n = self.sample.n
         k = np.maximum(np.ceil(q * n).astype(int), 1)
         return self.sample.values[k - 1]
@@ -426,9 +427,7 @@ class PiecewiseLinear(Cdf):
         return np.where(inside, slopes[idx], 0.0)
 
     def quantile_array(self, q):
-        q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantile levels must lie in [0, 1]")
+        q = _check_levels(q)
         # leftmost knot index with prob >= q; exact for flat runs
         i = np.searchsorted(self.probs, q, side="left")
         i = np.clip(i, 0, self.probs.size - 1)

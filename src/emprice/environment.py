@@ -1,17 +1,19 @@
 """Economic primitives: type space, valuation/cost structure, Lipschitz constant.
 
 A consumer of type theta who buys quantity x at price p gets utility
-``v(theta, x) - p``. The model assumes, on the rectangle Theta x [0, x_max]:
+``v(theta, x) - p``. The valuation is multiplicatively separable,
+v(theta, x) = theta * u(x), so its type derivative ``valuation_d_theta`` is
+u(x) itself. The model assumes, on the rectangle Theta x [0, x_max]:
 v(theta_min, x) = v(theta, 0) = 0, v nondecreasing in both arguments and
-supermodular; the cost c is nondecreasing, convex, with c(0) = 0. These
-assumptions are what make menu profit Lipschitz in the type distribution with
-constant
+supermodular (u nondecreasing); the cost c is nondecreasing, convex, with
+c(0) = 0. These assumptions are what make menu profit Lipschitz in the type
+distribution with constant
 
     L = 2 * ( v(theta_max, x_max)
-              + (theta_max - theta_min) * max_theta v1(theta, x_max)
+              + (theta_max - theta_min) * u(x_max)
               + c(x_max) )
 
-where v1 is the partial derivative of v in theta.
+(u(x_max) is the maximum over theta of the type derivative v1(theta, x_max)).
 """
 
 from __future__ import annotations
@@ -70,10 +72,12 @@ class MarketKind(Enum):
 
 @dataclass(frozen=True)
 class Environment:
-    """Market primitives: types, quantity range, valuation v, v1, and cost.
+    """Market primitives: types, quantity range, valuation v, v1 = u, and cost.
 
-    ``valuation`` and ``valuation_d_theta`` must accept numpy arrays in either
-    argument. ``c_bar`` is the unit cost for the linear kind (None otherwise).
+    ``valuation`` is v(theta, x) = theta * u(x) and ``valuation_d_theta`` is
+    u(x), which does not depend on theta; both must accept numpy arrays in
+    either argument. ``c_bar`` is the unit cost for the linear kind (None
+    otherwise).
     """
 
     types: TypeSpace
@@ -92,6 +96,22 @@ class Environment:
                 raise InvalidEnvironmentError("linear kind requires c_bar >= 0")
 
 
+def _identity(x: np.ndarray) -> np.ndarray:
+    return x
+
+
+def _separable(utility: Callable[[np.ndarray], np.ndarray]):
+    """(v, v1) = (theta * u(x), u(x))."""
+
+    def valuation(th, x):
+        return np.asarray(th) * np.asarray(utility(np.asarray(x)))
+
+    def valuation_d_theta(th, x):
+        return np.asarray(utility(np.asarray(x)), dtype=float)
+
+    return valuation, valuation_d_theta
+
+
 def linear_unit_demand(
     theta_min: float = 0.0,
     theta_max: float = 1.0,
@@ -99,11 +119,12 @@ def linear_unit_demand(
     c_bar: float = 0.0,
 ) -> Environment:
     """Environment with v(theta, x) = theta * x and linear cost c_bar * x."""
+    valuation, valuation_d_theta = _separable(_identity)
     return Environment(
         types=TypeSpace(theta_min, theta_max),
         x_max=x_max,
-        valuation=lambda th, x: np.asarray(th) * np.asarray(x),
-        valuation_d_theta=lambda th, x: np.broadcast_arrays(np.asarray(th, dtype=float), np.asarray(x, dtype=float))[1].copy(),
+        valuation=valuation,
+        valuation_d_theta=valuation_d_theta,
         cost=lambda x: c_bar * np.asarray(x),
         kind=MarketKind.LINEAR_UNIT_DEMAND,
         c_bar=float(c_bar),
@@ -115,19 +136,14 @@ def separable_screening(
     theta_min: float = 0.0,
     theta_max: float = 1.0,
     x_max: float = 1.0,
-    valuation: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    valuation_d_theta: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    utility: Callable[[np.ndarray], np.ndarray] = _identity,
 ) -> Environment:
-    """Screening environment with multiplicatively separable valuation.
+    """Screening environment with valuation v(theta, x) = theta * u(x).
 
-    Defaults to v(theta, x) = theta * x; pass both ``valuation`` and
-    ``valuation_d_theta`` to override.
+    ``utility`` is u, applied elementwise to quantity arrays; the default is
+    u(x) = x.
     """
-    if (valuation is None) != (valuation_d_theta is None):
-        raise InvalidEnvironmentError("valuation and valuation_d_theta must be supplied together")
-    if valuation is None:
-        valuation = lambda th, x: np.asarray(th) * np.asarray(x)
-        valuation_d_theta = lambda th, x: np.broadcast_arrays(np.asarray(th, dtype=float), np.asarray(x, dtype=float))[1].copy()
+    valuation, valuation_d_theta = _separable(utility)
     return Environment(
         types=TypeSpace(theta_min, theta_max),
         x_max=x_max,
@@ -203,6 +219,7 @@ def validate_environment(env: Environment, grid_size: int = 50) -> ValidationRep
     xs = np.linspace(0.0, env.x_max, grid_size)
     tg, xg = np.meshgrid(th, xs, indexing="ij")
     v = np.asarray(env.valuation(tg, xg), dtype=float)
+    v1 = np.asarray(env.valuation_d_theta(tg, xg), dtype=float)
     c = np.asarray(env.cost(xs), dtype=float)
     checks = [
         _grid_check("valuation_zero_at_lowest_type", -np.abs(v[0, :]), xs),
@@ -211,6 +228,8 @@ def validate_environment(env: Environment, grid_size: int = 50) -> ValidationRep
         _grid_check("valuation_nondecreasing_in_quantity", np.diff(v, axis=1), th, xs[:-1]),
         # cross differences: v(t+,x+) - v(t+,x) - v(t,x+) + v(t,x) >= 0
         _grid_check("valuation_supermodular", np.diff(np.diff(v, axis=0), axis=1), th[:-1], xs[:-1]),
+        # v = theta * v1 exactly when v = theta * u(x) with v1 = u
+        _grid_check("valuation_separable", -np.abs(v - tg * v1), th, xs),
         _grid_check("cost_zero_at_zero", np.array([-abs(c[0])]), xs[:1]),
         _grid_check("cost_nondecreasing", np.diff(c), xs[:-1]),
         _grid_check("cost_convex", np.diff(c, 2), xs[1:-1]),
@@ -218,11 +237,11 @@ def validate_environment(env: Environment, grid_size: int = 50) -> ValidationRep
     return ValidationReport(tuple(checks))
 
 
-def lipschitz_constant(env: Environment, grid_size: int = 1000) -> float:
+def lipschitz_constant(env: Environment) -> float:
     """Menu-independent Lipschitz constant of profit in the type distribution.
 
-    The max of v1(., x_max) is exact for the linear kind (v1 is constant in
-    theta) and is otherwise taken over a dense grid of at least 1000 points.
+    With v = theta * u(x), the max over theta of v1(theta, x_max) is u(x_max),
+    read as v1(theta_max, x_max).
     """
     report = validate_environment(env, grid_size=32)
     if not report.passed:
@@ -230,10 +249,6 @@ def lipschitz_constant(env: Environment, grid_size: int = 1000) -> float:
         raise InvalidEnvironmentError(f"environment fails assumption checks: {names}")
     ts = env.types
     v_top = float(np.asarray(env.valuation(ts.upper, env.x_max)))
+    v1_top = float(np.asarray(env.valuation_d_theta(ts.upper, env.x_max)))
     c_top = float(np.asarray(env.cost(env.x_max)))
-    if env.kind is MarketKind.LINEAR_UNIT_DEMAND:
-        v1_max = float(env.x_max)
-    else:
-        th = np.linspace(ts.lower, ts.upper, max(int(grid_size), 1000) + 1)
-        v1_max = float(np.max(np.asarray(env.valuation_d_theta(th, env.x_max))))
-    return 2.0 * (v_top + ts.width * v1_max + c_top)
+    return 2.0 * (v_top + ts.width * v1_top + c_top)

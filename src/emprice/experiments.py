@@ -44,6 +44,7 @@ __all__ = [
     "parse_distribution",
     "distribution_label",
     "true_values",
+    "law_in_type_space",
     "run_coverage",
     "run_regret",
 ]
@@ -90,7 +91,7 @@ def _as_cdf(dist: str | Cdf) -> Cdf:
     return parse_distribution(dist) if isinstance(dist, str) else dist
 
 
-def _law_in_type_space(dist: str | Cdf, env: Environment) -> Cdf:
+def law_in_type_space(dist: str | Cdf, env: Environment) -> Cdf:
     """Parse a law and check that its support lies inside the type space."""
     F = _as_cdf(dist)
     lo, hi = F.support
@@ -271,7 +272,7 @@ def run_coverage(cfg: McConfig) -> McResult:
     chunks = _chunks(R, cfg.workers)
     tasks = []
     for d_idx, spec in enumerate(cfg.distributions):
-        F = _law_in_type_space(spec, env)
+        F = law_in_type_space(spec, env)
         truth_fixed, truth_opt = true_values(F, cfg.fixed_menu, env)
         truth = truth_fixed if cfg.target is McTarget.FIXED_PROFIT_COVERAGE else truth_opt
         for n_idx, n in enumerate(cfg.sample_sizes):
@@ -297,7 +298,7 @@ def run_regret(cfg: McConfig) -> McResult:
     chunks = _chunks(R, cfg.workers)
     tasks = []
     for d_idx, spec in enumerate(cfg.distributions):
-        F = _law_in_type_space(spec, env)
+        F = law_in_type_space(spec, env)
         opt_true = optimal_profit(F, env).optimal_value
         if not opt_true > 0.0:
             raise EmpriceError(

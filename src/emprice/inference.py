@@ -125,9 +125,7 @@ class ComparisonResult:
         }
 
 
-def _check_bootstrap_args(b_draws: int, level: float) -> None:
-    if b_draws < 100:
-        raise ValueError("bootstrap needs at least 100 draws")
+def _check_level(level: float) -> None:
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
 
@@ -203,8 +201,7 @@ def plugin_variance(menu: Menu, sample: Sample, env: Environment) -> float:
 
 def plugin_normal_ci(menu: Menu, sample: Sample, env: Environment, level: float = 0.95) -> ProfitEstimate:
     """Normal interval from the plug-in variance (fixed menus only)."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie in (0, 1)")
+    _check_level(level)
     w = per_consumer_profit(menu, sample.values, env)
     point = float(w.mean())
     se = math.sqrt(plugin_variance(menu, sample, env) / sample.n)
@@ -222,7 +219,7 @@ def bootstrap_ci_profit(
     percentile: bool = False,
 ) -> ProfitEstimate:
     """Bootstrap interval for expected profit under a fixed menu."""
-    _check_bootstrap_args(b_draws, level)
+    _check_level(level)
     stat = mean_statistic(per_consumer_profit(menu, sample.values, env))
     return _estimate(bootstrap_roots(stat, b_draws, seed), level, percentile, b_draws, seed)
 
@@ -290,7 +287,7 @@ def bootstrap_ci_optimal_profit(
 ) -> ProfitEstimate:
     """Bootstrap interval for the optimal expected profit (bootstrap-only:
     there is no consistent plug-in variance for this functional)."""
-    _check_bootstrap_args(b_draws, level)
+    _check_level(level)
     stat = optimal_value_statistic(sample, env, estimator, theta_lower, grid_size)
     return _estimate(bootstrap_roots(stat, b_draws, seed), level, percentile, b_draws, seed)
 
@@ -306,7 +303,7 @@ def bootstrap_compare(
     percentile: bool = False,
 ) -> ComparisonResult:
     """Bootstrap the profit difference pi(A) - pi(B) on shared resamples."""
-    _check_bootstrap_args(b_draws, level)
+    _check_level(level)
     wa = per_consumer_profit(menu_a, sample.values, env)
     wb = per_consumer_profit(menu_b, sample.values, env)
     boot = bootstrap_roots(mean_statistic(wa - wb), b_draws, seed)
@@ -328,7 +325,7 @@ def bootstrap_ci_regret(
 ) -> ProfitEstimate:
     """Bootstrap interval for regret = optimal profit - profit of the menu,
     with both functionals evaluated on shared resamples."""
-    _check_bootstrap_args(b_draws, level)
+    _check_level(level)
     w = per_consumer_profit(menu, sample.values, env)
     opt = optimal_value_statistic(sample, env, estimator, theta_lower, grid_size)
     stat = Statistic(

@@ -5,10 +5,11 @@ is always available. A consumer of type theta picks a utility-maximizing item,
 with ties broken in favor of the firm (highest price minus cost), then by
 lowest quantity. Supermodularity of the valuation makes the chosen quantity
 nondecreasing in theta, so the choice regions are intervals: expected profit
-against any distribution reduces to locating the indifference thresholds
-(closed form in the linear environment, bisection to 1e-12 otherwise) and
+against any distribution reduces to locating the indifference thresholds and
 summing item margins weighted by the distribution's mass on each region, with
 an atom sitting exactly on a threshold assigned to the firm-preferred side.
+With v = theta * u(x), the type indifferent between (x_lo, p_lo) and
+(x_hi, p_hi) is (p_hi - p_lo) / (u(x_hi) - u(x_lo)).
 
 Payments come from the standard envelope characterization: for a nondecreasing
 allocation x(.) with x(theta_min) = 0,
@@ -22,13 +23,14 @@ item per distinct quantity level.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .distributions import Cdf, EmpiricalStep
-from .environment import Environment, MarketKind
+from .environment import Environment
 from .errors import InvalidMenuError
 
 __all__ = [
@@ -44,8 +46,6 @@ __all__ = [
     "read_menu",
     "write_menu",
 ]
-
-_THRESH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,36 +129,6 @@ def _validate_menu(menu: Menu, env: Environment) -> None:
             raise InvalidMenuError(f"menu quantity {x} exceeds x_max {env.x_max}")
 
 
-def _crossing(env: Environment, x_lo, p_lo, x_hi, p_hi) -> float | None:
-    """Smallest type at which (x_hi, p_hi) is weakly preferred to (x_lo, p_lo).
-
-    The utility difference is nondecreasing in theta (supermodularity), so it
-    crosses zero at most once on the type space. None means never.
-    """
-    lo, hi = env.types.lower, env.types.upper
-    if env.kind is MarketKind.LINEAR_UNIT_DEMAND:
-        t = (p_hi - p_lo) / (x_hi - x_lo)
-        if t > hi:
-            return None
-        return max(t, lo)
-
-    def gap(th: float) -> float:
-        return float(np.asarray(env.valuation(th, x_hi)) - np.asarray(env.valuation(th, x_lo))) - (p_hi - p_lo)
-
-    if gap(hi) < 0.0:
-        return None
-    if gap(lo) >= 0.0:
-        return lo
-    a, b = lo, hi
-    while b - a > _THRESH_TOL:
-        m = 0.5 * (a + b)
-        if gap(m) >= 0.0:
-            b = m
-        else:
-            a = m
-    return b
-
-
 def _choice_ladder(menu: Menu, env: Environment) -> tuple[list[tuple[float, float]], list[float]]:
     """Active items in increasing quantity with their activation thresholds.
 
@@ -171,23 +141,35 @@ def _choice_ladder(menu: Menu, env: Environment) -> tuple[list[tuple[float, floa
     for x, p in menu.items:
         if x > 0.0 and (x not in best_by_x or p < best_by_x[x]):
             best_by_x[x] = p
-    ladder: list[tuple[float, float]] = [(0.0, 0.0)]
+    lo, hi = env.types.lower, env.types.upper
+    items = sorted(best_by_x.items())
+    # v1 = u(x) whatever the type: one call for the outside option and every item
+    us = np.asarray(env.valuation_d_theta(hi, np.array([0.0] + [x for x, _ in items])), dtype=float).tolist()
+    ladder = [(0.0, 0.0, us[0])]
     thresholds: list[float] = []
-    for x in sorted(best_by_x):
-        p = best_by_x[x]
+    for (x, p), u in zip(items, us[1:]):
         while True:
-            t = _crossing(env, ladder[-1][0], ladder[-1][1], x, p)
-            if t is None:
+            _, p_lo, u_lo = ladder[-1]
+            # the utility gap theta * du - dp is nondecreasing in theta, so the
+            # item is weakly preferred to the ladder's top from t = dp / du on;
+            # where u is flat between them, from theta_min if it costs no more
+            du, dp = u - u_lo, p - p_lo
+            if du > 0.0:
+                t = dp / du
+            else:
+                t = -math.inf if dp <= 0.0 else math.inf
+            if t > hi:
                 break
-            prev_t = thresholds[-1] if thresholds else env.types.lower
+            t = max(t, lo)
+            prev_t = thresholds[-1] if thresholds else lo
             if len(ladder) > 1 and t <= prev_t:
                 ladder.pop()
                 thresholds.pop()
                 continue
-            ladder.append((x, p))
+            ladder.append((x, p, u))
             thresholds.append(t)
             break
-    return ladder, thresholds
+    return [(x, p) for x, p, _ in ladder], thresholds
 
 
 def per_consumer_profit(menu: Menu, thetas: np.ndarray, env: Environment) -> np.ndarray:

@@ -14,9 +14,8 @@ pointwise maximizes the ironed virtual surplus
     psi_bar(theta) * v_theta(theta, x) - c(x)  =  psi_bar(theta) * u(x) - c(x),
 
 where psi_bar irons the virtual value J(theta) = theta - (1 - F(theta)) / f(theta).
-The formula assumes v = theta * u(x): for v = a(theta) * u(x) with a nonlinear
-a, the virtual value would be a(theta) - (1 - F(theta)) / f(theta) * a'(theta),
-which this solver does not compute.
+The environment enforces v = theta * u(x) with v_theta = u: its factories
+build only that model, and `validate_environment` checks it.
 Ironing happens in quantile space: per-segment virtual values are cumulated
 into a piecewise-linear function whose greatest convex minorant (the lower
 convex hull of its knots, built with a monotone chain) has slopes psi_bar.

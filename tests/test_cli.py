@@ -45,6 +45,13 @@ class TestSolve:
         _, payload = run_json(capsys, ["solve", "--dist", "uniform"])
         assert payload["optimal_value"] == pytest.approx(0.25, abs=1e-9)
 
+    def test_law_outside_type_space_exits_1(self, capsys):
+        code = main(["solve", "--dist", "beta:2:2:0.5:3"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "error: law beta:2:2:0.5:3 has support [0.5, 3] outside the type space [0, 1]\n"
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code = main(["solve", "--sample", str(tmp_path / "missing.csv")])
         assert code == 2

@@ -24,17 +24,18 @@ class TestLipschitzConstant:
         expected = 2.0 * (theta_max * x_max + theta_max * x_max + c_bar * x_max)
         assert lipschitz_constant(env) == expected
 
-    def test_grid_refinement_invariance(self):
-        # v1(theta, 1) = 1 + sin(pi theta) peaks strictly inside the type space
+    def test_non_separable_valuation_rejected(self):
+        # v1(theta, 1) = 1 + sin(pi theta) is the type derivative of v, but v
+        # is not theta * u(x)
         v = lambda th, x: (np.asarray(th) + (1 - np.cos(np.pi * np.asarray(th))) / np.pi) * np.asarray(x)
         v1 = lambda th, x: (1 + np.sin(np.pi * np.asarray(th))) * np.asarray(x)
-        env = ep.separable_screening(
-            cost=lambda x: 0.0 * np.asarray(x), valuation=v, valuation_d_theta=v1
+        env = ep.Environment(
+            types=ep.TypeSpace(0.0, 1.0), x_max=1.0, valuation=v, valuation_d_theta=v1,
+            cost=lambda x: 0.0 * np.asarray(x), kind=ep.MarketKind.SEPARABLE_SCREENING,
         )
-        l_coarse = lipschitz_constant(env, grid_size=1000)
-        l_fine = lipschitz_constant(env, grid_size=8000)
-        assert abs(l_coarse - l_fine) <= 1e-6
-        assert abs(l_coarse - 2.0 * (1 + 2 / np.pi + 2.0)) <= 1e-5
+        assert {c.name for c in validate_environment(env).failures()} == {"valuation_separable"}
+        with pytest.raises(ep.InvalidEnvironmentError):
+            lipschitz_constant(env)
 
     def test_invalid_environment_rejected(self):
         env = ep.separable_screening(cost=lambda x: -np.asarray(x))
@@ -46,7 +47,7 @@ class TestValidateEnvironment:
     def test_linear_env_passes_all(self):
         report = validate_environment(ep.linear_unit_demand(0, 1, 1, 0.0), grid_size=50)
         assert report.passed
-        assert len(report.checks) == 8
+        assert len(report.checks) == 9
 
     def test_decreasing_cost_fails_monotonicity_only(self):
         env = ep.separable_screening(cost=lambda x: -np.asarray(x))
@@ -75,8 +76,9 @@ class TestValidateEnvironment:
         # and v decreases in each argument near the top of the rectangle
         v = lambda th, x: np.asarray(th) * np.asarray(x) * (2.0 - np.asarray(th) - np.asarray(x))
         v1 = lambda th, x: np.asarray(x) * (2.0 - 2.0 * np.asarray(th) - np.asarray(x))
-        env = ep.separable_screening(
-            cost=lambda x: 0.5 * np.asarray(x) ** 2, theta_max=2.0, x_max=1.5, valuation=v, valuation_d_theta=v1
+        env = ep.Environment(
+            types=ep.TypeSpace(0.0, 2.0), x_max=1.5, valuation=v, valuation_d_theta=v1,
+            cost=lambda x: 0.5 * np.asarray(x) ** 2, kind=ep.MarketKind.SEPARABLE_SCREENING,
         )
         g = 7
         th, xs = np.linspace(0.0, 2.0, g), np.linspace(0.0, 1.5, g)

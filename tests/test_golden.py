@@ -6,8 +6,8 @@ small configurations, the exact stdout of `emprice infer` for every target,
 and that of `emprice solve` and `emprice auction` for both environment kinds
 and every auction mode, on the committed sample and menu files. A performance change must
 leave every byte alone; a change that means to move these numbers
-regenerates the files with `python tests/test_golden.py` and says why in
-CHANGES.md.
+regenerates the files it moves with `python tests/test_golden.py NAME ...`
+(every file when no name is given) and says why in CHANGES.md.
 """
 
 import contextlib
@@ -115,11 +115,21 @@ def test_solve_auction_json_bytes_match_golden(name):
     assert _cli(SOLVE_AUCTION[name]) == (GOLDEN / name).read_text()
 
 
+def _render(name: str) -> str:
+    if name in CONFIGS:
+        return _run(CONFIGS[name])
+    if name in INFER:
+        return _infer(INFER[name])
+    return _cli(SOLVE_AUCTION[name])
+
+
 if __name__ == "__main__":
+    import sys
+
+    names = sys.argv[1:] or [*CONFIGS, *INFER, *SOLVE_AUCTION]
+    unknown = sorted(set(names) - {*CONFIGS, *INFER, *SOLVE_AUCTION})
+    if unknown:
+        sys.exit(f"unknown golden file(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, cfg in CONFIGS.items():
-        (GOLDEN / name).write_text(_run(cfg))
-    for name, argv in INFER.items():
-        (GOLDEN / name).write_text(_infer(argv))
-    for name, argv in SOLVE_AUCTION.items():
-        (GOLDEN / name).write_text(_cli(argv))
+    for name in names:
+        (GOLDEN / name).write_text(_render(name))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import emprice as ep
-from emprice.mechanisms import per_consumer_profit
+from emprice.mechanisms import _choice_ladder, per_consumer_profit
 
 from conftest import random_exact_cdf, random_menu
 
@@ -72,6 +72,86 @@ class TestExpectedProfit:
             assert exact == pytest.approx(approx, abs=2e-3)
 
 
+_THRESH_TOL = 1e-12
+
+
+def _reference_crossing(env, x_lo, p_lo, x_hi, p_hi):
+    """Threshold search before the closed form: scalar bisection on the
+    utility gap to 1e-12 (closed form only for the linear kind)."""
+    lo, hi = env.types.lower, env.types.upper
+    if env.kind is ep.MarketKind.LINEAR_UNIT_DEMAND:
+        t = (p_hi - p_lo) / (x_hi - x_lo)
+        if t > hi:
+            return None
+        return max(t, lo)
+
+    def gap(th):
+        return float(np.asarray(env.valuation(th, x_hi)) - np.asarray(env.valuation(th, x_lo))) - (p_hi - p_lo)
+
+    if gap(hi) < 0.0:
+        return None
+    if gap(lo) >= 0.0:
+        return lo
+    a, b = lo, hi
+    while b - a > _THRESH_TOL:
+        m = 0.5 * (a + b)
+        if gap(m) >= 0.0:
+            b = m
+        else:
+            a = m
+    return b
+
+
+def _reference_ladder(menu, env):
+    best_by_x = {}
+    for x, p in menu.items:
+        if x > 0.0 and (x not in best_by_x or p < best_by_x[x]):
+            best_by_x[x] = p
+    ladder, thresholds = [(0.0, 0.0)], []
+    for x in sorted(best_by_x):
+        p = best_by_x[x]
+        while True:
+            t = _reference_crossing(env, ladder[-1][0], ladder[-1][1], x, p)
+            if t is None:
+                break
+            prev_t = thresholds[-1] if thresholds else env.types.lower
+            if len(ladder) > 1 and t <= prev_t:
+                ladder.pop()
+                thresholds.pop()
+                continue
+            ladder.append((x, p))
+            thresholds.append(t)
+            break
+    return ladder, thresholds
+
+
+class TestChoiceLadder:
+    @pytest.mark.parametrize("theta_min,theta_max,utility", [
+        (0.0, 1.0, np.asarray),
+        (0.0, 1.0, np.sqrt),
+        (0.2, 2.0, np.sqrt),
+    ], ids=["x-unit", "sqrt-unit", "sqrt-wide"])
+    def test_closed_form_matches_bisection(self, theta_min, theta_max, utility):
+        env = ep.separable_screening(
+            cost=lambda x: 0.5 * np.asarray(x) ** 2, theta_min=theta_min, theta_max=theta_max, utility=utility
+        )
+        gen = np.random.default_rng(31)
+        for _ in range(3000):
+            menu = random_menu(gen, max_items=8)
+            items, thresholds = _choice_ladder(menu, env)
+            ref_items, ref_thresholds = _reference_ladder(menu, env)
+            assert items == ref_items
+            assert np.all(np.abs(np.subtract(thresholds, ref_thresholds)) <= _THRESH_TOL + 1e-15)
+
+    @pytest.mark.parametrize("theta_min,theta_max", [(0.0, 1.0), (0.2, 2.0)])
+    def test_linear_kind_bit_identical(self, theta_min, theta_max):
+        env = ep.linear_unit_demand(theta_min, theta_max, 1.0, 0.1)
+        gen = np.random.default_rng(32)
+        for _ in range(3000):
+            menu = random_menu(gen, max_items=8)
+            assert _choice_ladder(menu, env) == _reference_ladder(menu, env)
+
+
 class TestMenuValidation:
     def test_free_positive_quantity_rejected(self):
         with pytest.raises(ep.InvalidMenuError):
@@ -127,11 +207,7 @@ class TestMenuFromAllocation:
                 assert got == pytest.approx(want, abs=1e-9)
 
     def test_round_trip_nonlinear_valuation(self):
-        env = ep.separable_screening(
-            cost=lambda x: 0.25 * np.asarray(x) ** 2,
-            valuation=lambda th, x: np.asarray(th) * np.sqrt(np.asarray(x)),
-            valuation_d_theta=lambda th, x: np.sqrt(np.asarray(x)) * np.ones_like(np.asarray(th, dtype=float)),
-        )
+        env = ep.separable_screening(cost=lambda x: 0.25 * np.asarray(x) ** 2, utility=np.sqrt)
         alloc = ep.Allocation((0.3, 0.7), (0.25, 1.0))
         menu = ep.menu_from_allocation(alloc, env)
         for th in (0.1, 0.45, 0.6, 0.8, 0.95):

@@ -135,6 +135,22 @@ class TestScreeningSolver:
             ep.expected_profit(res.menu, ep.BetaCdf(2, 2), env), abs=1e-9
         )
 
+    @pytest.mark.parametrize("utility", [np.asarray, np.sqrt], ids=["u=x", "u=sqrt"])
+    def test_dominates_random_menus(self, utility):
+        # laws with a positive density, as the screening solver requires
+        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2, utility=utility)
+        gen = np.random.default_rng(11)
+        for _ in range(10):
+            if gen.integers(0, 2):
+                a = float(gen.uniform(0.0, 0.4))
+                F = ep.Uniform(a, float(gen.uniform(a + 0.2, 1.0)))
+            else:
+                F = ep.BetaCdf(float(gen.uniform(0.5, 5.0)), float(gen.uniform(0.5, 5.0)))
+            top = ep.optimal_profit(F, env).optimal_value
+            for _ in range(100):
+                menu = random_menu(gen)
+                assert top >= ep.expected_profit(menu, F, env) - 1e-6
+
 
 class TestDispatch:
     def test_empirical_step_linear(self, linear_env):
