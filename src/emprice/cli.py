@@ -128,6 +128,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.grid_size is not None and args.grid_size < 1:
+        raise UsageError(f"--grid-size must be at least 1, got {args.grid_size}")
     env = _env_from_args(args)
     if args.dist is not None:
         F = law_in_type_space(args.dist, env)

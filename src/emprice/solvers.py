@@ -17,8 +17,10 @@ where psi_bar irons the virtual value J(theta) = theta - (1 - F(theta)) / f(thet
 The environment enforces v = theta * u(x) with v_theta = u: its factories
 build only that model, and `validate_environment` checks it.
 Ironing happens in quantile space: per-segment virtual values are cumulated
-into a piecewise-linear function whose greatest convex minorant (the lower
-convex hull of its knots, built with a monotone chain) has slopes psi_bar.
+into a piecewise-linear function whose greatest convex minorant has slopes
+psi_bar. Pool-adjacent-violators (weighted isotonic regression of the knot
+slopes) finds the minorant's blocks; each block's slope is the chord of the
+cumulated knots at its ends.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from .distributions import Cdf, EmpiricalStep
 from .environment import Environment, MarketKind
@@ -83,11 +86,11 @@ class IronedTable:
     psi: np.ndarray            # per-segment virtual values (length G)
     psi_bar: np.ndarray        # per-segment ironed values (length G)
     cumulative: np.ndarray     # knots of the cumulated virtual value (length G+1)
-    hull: tuple[int, ...]      # knot indices of the greatest convex minorant
+    hull: tuple[int, ...]      # knot indices bounding the minorant's blocks
 
     def ironed_cumulative(self) -> np.ndarray:
-        """Minorant values at the grid; interpolates the hull vertices, so it
-        coincides with `cumulative` exactly at the endpoints."""
+        """Minorant values at the grid; interpolates the block boundaries, so
+        it coincides with `cumulative` exactly at the endpoints."""
         idx = np.asarray(self.hull)
         return np.interp(self.quantiles, self.quantiles[idx], self.cumulative[idx])
 
@@ -96,6 +99,8 @@ def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = 10_000) -> 
     """Best single full-quantity offer against F in the linear environment."""
     if env.kind is not MarketKind.LINEAR_UNIT_DEMAND:
         raise UnsupportedPairError("uniform pricing requires the linear unit-demand kind")
+    if grid_size < 1:
+        raise ValueError("grid_size must be at least 1")
     c_bar = float(env.c_bar)
     x_max = float(env.x_max)
 
@@ -126,39 +131,31 @@ def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = 10_000) -> 
     return SolveResult(menu, value, method, int(grid_size), iters)
 
 
-def _hull_slopes(x: np.ndarray, y: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Knot indices of the lower convex hull (monotone chain, left to right)
-    and the per-segment slopes of the minorant it spans."""
-    hull = [0]
-    for i in range(1, x.size):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
-            if cross <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    slopes = np.empty(x.size - 1)
-    for a, b in zip(hull[:-1], hull[1:]):
-        slopes[a:b] = (y[b] - y[a]) / (x[b] - x[a])
-    return hull, slopes
+def _minorant_slopes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block boundaries (knot indices) of the greatest convex minorant and its
+    per-segment slopes: PAVA on the knot slopes weighted by segment width
+    gives the blocks, and each block's slope is the chord across it."""
+    dx = np.diff(x)
+    blocks = isotonic_regression(np.diff(y) / dx, weights=dx).blocks
+    a, b = blocks[:-1], blocks[1:]
+    return blocks, np.repeat((y[b] - y[a]) / (x[b] - x[a]), b - a)
 
 
 def convex_minorant_slopes(knot_x: np.ndarray, knot_y: np.ndarray) -> np.ndarray:
     """Per-segment slopes of the greatest convex minorant of a piecewise-linear
-    function through the given knots (its lower convex hull, by monotone chain)."""
+    function through the given knots: chords across its PAVA blocks."""
     x = np.asarray(knot_x, dtype=float)
     y = np.asarray(knot_y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape or x.size < 2:
         raise ValueError("need matching 1-D knot arrays with at least two knots")
     if np.any(np.diff(x) <= 0):
         raise ValueError("knot abscissae must be strictly increasing")
-    return _hull_slopes(x, y)[1]
+    return _minorant_slopes(x, y)[1]
 
 
 def ironed_virtual_value(F: Cdf, grid_size: int = 2000) -> IronedTable:
-    """Virtual values on a uniform quantile grid, ironed by convex-hull slopes."""
+    """Virtual values on a uniform quantile grid, ironed by the chord slopes of
+    the cumulated virtual value's greatest convex minorant."""
     if not F.has_density:
         raise MissingDensityError("ironing requires an absolutely continuous distribution")
     G = int(grid_size)
@@ -175,8 +172,8 @@ def ironed_virtual_value(F: Cdf, grid_size: int = 2000) -> IronedTable:
 
     # cumulative virtual value: piecewise linear with slope psi per segment
     big_psi = np.concatenate([[0.0], np.cumsum(psi * np.diff(q))])
-    hull, psi_bar = _hull_slopes(q, big_psi)
-    return IronedTable(q, thetas, theta_mid, psi, psi_bar, big_psi, tuple(hull))
+    blocks, psi_bar = _minorant_slopes(q, big_psi)
+    return IronedTable(q, thetas, theta_mid, psi, psi_bar, big_psi, tuple(blocks.tolist()))
 
 
 def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = 2000) -> SolveResult:
@@ -184,35 +181,34 @@ def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = 2000) -> S
     if env.kind is not MarketKind.SEPARABLE_SCREENING:
         raise UnsupportedPairError("screening solver requires the separable screening kind")
     table = ironed_virtual_value(F, grid_size)
-    th = table.segment_thetas
-    w = table.psi_bar
+    # v_theta = u(x) ignores theta and every bracket is [0, x_max], so x*
+    # depends on psi_bar alone: solve once per distinct ironed value
+    w, first, seg = np.unique(table.psi_bar, return_index=True, return_inverse=True)
+    th = table.segment_thetas[first]
     x_max = float(env.x_max)
 
     def surplus(x: np.ndarray) -> np.ndarray:
         return w * np.asarray(env.valuation_d_theta(th, x)) - np.asarray(env.cost(x))
 
-    # golden section over all segments at once; the surplus is concave in x
-    # (u concave, c convex) wherever psi_bar > 0
+    # golden section over all distinct values at once; the surplus is concave
+    # in x (u concave, c convex) wherever psi_bar > 0
     x_star, best, iters = golden_max(surplus, np.zeros_like(w), np.full_like(w, x_max))
     # exact boundary when the surplus is monotone on [0, x_max]
     f_hi = surplus(np.full_like(w, x_max))
     x_star = np.where(f_hi >= best, x_max, x_star)
     best = np.maximum(best, f_hi)
-    zero = np.zeros_like(w)
-    f_lo = surplus(zero)
+    f_lo = surplus(np.zeros_like(w))
     x_star = np.where(f_lo >= best, 0.0, x_star)
     # nonpositive ironed values never trade
     x_star = np.where(w <= 0.0, 0.0, x_star)
     # ironing plus supermodularity make the allocation monotone; enforce
-    # against float noise from independent segment solves
-    x_star = np.maximum.accumulate(x_star)
+    # against float noise from independent solves
+    x_star = np.maximum.accumulate(x_star[seg])
 
-    breaks, levels = [], []
-    for t, x in zip(table.thetas[:-1], x_star):
-        if not levels or x != levels[-1]:
-            breaks.append(float(t))
-            levels.append(float(x))
-    menu = menu_from_allocation(Allocation(tuple(breaks), tuple(levels)), env) if levels else Menu.empty()
+    # one allocation step at the first segment and wherever x* rises
+    change = np.flatnonzero(np.diff(x_star, prepend=-np.inf))
+    allocation = Allocation(tuple(table.thetas[change].tolist()), tuple(x_star[change].tolist()))
+    menu = menu_from_allocation(allocation, env)
     value = expected_profit(menu, F, env)
     return SolveResult(menu, value, SolveMethod.SCREENING_IRONED, int(grid_size), iters)
 
@@ -220,7 +216,7 @@ def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = 2000) -> S
 def optimal_profit(F: Cdf, env: Environment, grid_size: int | None = None) -> SolveResult:
     """Value function: dispatch to the solver matching the environment kind."""
     if env.kind is MarketKind.LINEAR_UNIT_DEMAND:
-        return optimal_uniform_price(F, env, grid_size or 10_000)
+        return optimal_uniform_price(F, env, 10_000 if grid_size is None else grid_size)
     if env.kind is MarketKind.SEPARABLE_SCREENING:
         if not F.has_density:
             raise UnsupportedPairError(
@@ -228,5 +224,5 @@ def optimal_profit(F: Cdf, env: Environment, grid_size: int | None = None) -> So
                 "with a density (piecewise-linear or analytic); linear unit demand "
                 "accepts any distribution"
             )
-        return optimal_screening_menu(F, env, grid_size or 2000)
+        return optimal_screening_menu(F, env, 2000 if grid_size is None else grid_size)
     raise UnsupportedPairError(f"no solver for environment kind {env.kind}")

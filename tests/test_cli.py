@@ -70,6 +70,15 @@ class TestSolve:
         assert code == 2
         assert err.startswith(f"error: sample file {path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("env", ["linear", "screening"])
+    def test_nonpositive_grid_size_exits_2(self, capsys, env):
+        for size in ("0", "-5"):
+            code = main(["solve", "--dist", "uniform", "--env", env, "--grid-size", size])
+            out, err = capsys.readouterr()
+            assert code == 2
+            assert out == ""
+            assert err == f"error: --grid-size must be at least 1, got {size}\n"
+
     def test_unknown_flag_exits_2(self, capsys, sample_file):
         assert main(["solve", "--sample", sample_file, "--frobnicate"]) == 2
 

@@ -1,11 +1,74 @@
+"""Solvers: uniform price, ironing and the screening menu.
+
+`_hull_reference` is the monotone-chain lower hull that ironed before PAVA,
+and `_screening_reference` the screening solve that ran golden section on
+every quantile segment; the solvers must reproduce both bit for bit.
+"""
+
 import numpy as np
 import pytest
 
 import emprice as ep
+from emprice.numerics import golden_max
 from emprice.rng import substream
 from emprice.solvers import convex_minorant_slopes
 
 from conftest import random_exact_cdf, random_menu
+
+
+def _hull_reference(x, y):
+    hull = [0]
+    for i in range(1, x.size):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
+            if cross <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    slopes = np.empty(x.size - 1)
+    for a, b in zip(hull[:-1], hull[1:]):
+        slopes[a:b] = (y[b] - y[a]) / (x[b] - x[a])
+    return hull, slopes
+
+
+def _screening_reference(F, env, grid_size):
+    table = ep.ironed_virtual_value(F, grid_size)
+    th = table.segment_thetas
+    w = _hull_reference(table.quantiles, table.cumulative)[1]
+    x_max = float(env.x_max)
+
+    def surplus(x):
+        return w * np.asarray(env.valuation_d_theta(th, x)) - np.asarray(env.cost(x))
+
+    x_star, best, iters = golden_max(surplus, np.zeros_like(w), np.full_like(w, x_max))
+    f_hi = surplus(np.full_like(w, x_max))
+    x_star = np.where(f_hi >= best, x_max, x_star)
+    best = np.maximum(best, f_hi)
+    f_lo = surplus(np.zeros_like(w))
+    x_star = np.where(f_lo >= best, 0.0, x_star)
+    x_star = np.where(w <= 0.0, 0.0, x_star)
+    x_star = np.maximum.accumulate(x_star)
+    breaks, levels = [], []
+    for t, x in zip(table.thetas[:-1], x_star):
+        if not levels or x != levels[-1]:
+            breaks.append(float(t))
+            levels.append(float(x))
+    menu = ep.menu_from_allocation(ep.Allocation(tuple(breaks), tuple(levels)), env)
+    return menu, ep.expected_profit(menu, F, env), iters
+
+
+def _interp_law(n):
+    return ep.interp_ecdf(ep.Sample(substream(77, n).uniform(0.01, 1.0, n)), 0.0)
+
+
+_REFERENCE_LAWS = {
+    "beta-half": ep.BetaCdf(0.5, 0.5),
+    "beta-2-5": ep.BetaCdf(2, 5),
+    "beta-4-4": ep.BetaCdf(4, 4),
+    **{f"interp-{n}": _interp_law(n) for n in (10, 120, 500, 2000)},
+}
 
 
 class TestOptimalUniformPrice:
@@ -86,8 +149,52 @@ class TestIroning:
         with pytest.raises(ep.MissingDensityError):
             ep.ironed_virtual_value(ep.ecdf(ep.Sample(np.array([0.5]))), 10)
 
+    @pytest.mark.parametrize("law", sorted(_REFERENCE_LAWS))
+    def test_blocks_and_slopes_match_hull_reference(self, law):
+        for G in (64, 500, 2000):
+            table = ep.ironed_virtual_value(_REFERENCE_LAWS[law], G)
+            hull, slopes = _hull_reference(table.quantiles, table.cumulative)
+            assert table.hull == tuple(hull), G
+            assert table.psi_bar.tobytes() == slopes.tobytes(), G
+
+    def test_collinear_knots_close_to_hull_reference(self):
+        # rounding in the knot slopes can make PAVA keep a collinear run split
+        # where the hull merges it; the chords then agree to rounding only
+        for G in (8, 64, 500, 2000):
+            q = np.linspace(0.0, 1.0, G + 1)
+            for y in (0.7 * q, -0.3 * q, q / 3.0, np.maximum(0.2 * q, 1.5 * q - 0.65)):
+                assert np.allclose(convex_minorant_slopes(q, y), _hull_reference(q, y)[1], rtol=0, atol=1e-13)
+
 
 class TestScreeningSolver:
+    @pytest.mark.parametrize("utility", [np.asarray, np.sqrt], ids=["u=x", "u=sqrt"])
+    @pytest.mark.parametrize("law", sorted(_REFERENCE_LAWS))
+    def test_matches_per_segment_reference(self, law, utility):
+        F = _REFERENCE_LAWS[law]
+        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2, utility=utility)
+        for G in (64, 500, 2000):
+            res = ep.optimal_screening_menu(F, env, G)
+            menu, value, iters = _screening_reference(F, env, G)
+            assert res.menu.items == menu.items, G
+            assert res.optimal_value == value, G
+            assert res.refine_iterations == iters, G
+
+    @pytest.mark.parametrize("utility", [np.asarray, np.sqrt], ids=["u=x", "u=sqrt"])
+    @pytest.mark.parametrize("law", [(0.5, 0.5), (2, 5), (4, 4)], ids=str)
+    def test_brute_force_oracle(self, law, utility):
+        # dynamic programme over nondecreasing allocations on 801 quantities:
+        # maximize the unironed virtual surplus sum dq * (psi * u(x) - c(x))
+        # on the solver's 2000 quantile segments
+        F = ep.BetaCdf(*law)
+        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2, utility=utility)
+        table = ep.ironed_virtual_value(F, 2000)
+        xs = np.linspace(0.0, env.x_max, 801)
+        u, c = utility(xs), 0.5 * xs**2
+        best = np.zeros_like(xs)  # best surplus so far, ending at quantity xs[j]
+        for psi, dq in zip(table.psi, np.diff(table.quantiles)):
+            best = np.maximum.accumulate(best) + dq * (psi * u - c)
+        assert ep.optimal_screening_menu(F, env, 2000).optimal_value >= best.max() - 1e-6
+
     def test_uniform_zero_cost_matches_uniform_pricing(self):
         env = ep.separable_screening(cost=lambda x: 0.0 * np.asarray(x))
         res = ep.optimal_screening_menu(ep.Uniform(0, 1), env, 2000)
@@ -162,6 +269,12 @@ class TestDispatch:
 
     def test_point_mass_value(self, linear_env):
         assert ep.optimal_profit(ep.PointMass(0.7), linear_env).optimal_value == pytest.approx(0.7, abs=1e-12)
+
+    def test_nonpositive_grid_size_rejected(self, linear_env):
+        screening_env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2)
+        for env in (linear_env, screening_env):
+            with pytest.raises(ValueError, match="grid_size"):
+                ep.optimal_profit(ep.Uniform(0, 1), env, 0)
 
     def test_unsupported_pair_names_supported_ones(self):
         env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2)
