@@ -23,12 +23,19 @@ second-price auction with reserve r:
   That last integral is exact piecewise Gauss-Legendre when F is piecewise
   linear (the integrand is a polynomial per knot segment) and adaptive
   quadrature to 1e-10 otherwise.
+
+The best revenue reserve on a piecewise-linear F (every interpolated
+estimate) is exact: on each knot segment the revenue is unimodal, so its
+maximizer there is the clipped stationary point of the first-order
+condition, and one vectorized pass scores every segment's candidate. Analytic
+laws and the tail objective use a grid plus golden-section refinement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 from scipy import integrate
@@ -124,9 +131,24 @@ def second_order_distribution(F: Cdf, bidders: int) -> SecondOrderCdf:
     return SecondOrderCdf(F, bidders)
 
 
+@cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the `order`-point rule on [-1, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _gl_order(bidders: int) -> int:
+    # F_(2;M) is a polynomial of degree M per knot segment of a piecewise-linear
+    # F, which an order-k rule integrates exactly for M <= 2k - 1
+    return max(8, (bidders + 3) // 2)
+
+
 def _gl_integral_segments(f2_eval, lows: np.ndarray, highs: np.ndarray, order: int) -> np.ndarray:
     """Gauss-Legendre integral of the second-order CDF on each [low, high]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     mid = 0.5 * (lows + highs)
     half = 0.5 * (highs - lows)
     pts = mid[:, None] + half[:, None] * nodes[None, :]
@@ -142,14 +164,13 @@ def _integral_f2_above(F: Cdf, bidders: int, r: float) -> float:
         return 0.0
     a = max(r, lo)
     if isinstance(F, PiecewiseLinear):
-        # polynomial of degree `bidders` per knot segment: fixed-order GL is exact
         t = F.thetas
         start = int(np.searchsorted(t, a, side="right")) - 1
         start = max(start, 0)
         lows = np.maximum(t[start:-1], a)
         highs = t[start + 1 :]
         keep = highs > lows
-        order = max(8, (bidders + 3) // 2)
+        order = _gl_order(bidders)
         return float(np.sum(_gl_integral_segments(f2.cdf_array, lows[keep], highs[keep], order)))
     kinks = [p for p in F.special_points() if a < p < hi]
     points = kinks if 0 < len(kinks) <= 80 else None
@@ -180,17 +201,62 @@ def auction_profit(r: float, setting: AuctionSetting, mode: ProfitMode = ProfitM
     return reserve_term + expected_second - setting.seller_value * sale_prob
 
 
+def _exact_reserve(F: PiecewiseLinear, bidders: int, seller_value: float) -> float:
+    """Smallest maximizer of expected revenue over the support of F.
+
+    By parts, revenue is R(r) = (r - c)(1 - y^M) + int_r^{top} (1 - F_(2;M))
+    with y = F(r). On a knot segment y is linear with slope s, and
+    R'(r) = M y^{M-1} [(1 - y) - (r - c) s], whose bracket falls in r: the
+    segment's maximizer is the stationary point
+    r* = ((1 - y_k) / s + t_k + c) / 2 clipped to [t_k, t_{k+1}].
+    """
+    t, p = F.thetas, F.probs
+    m, c = bidders, seller_value
+    # a flat segment gives (1 - p) / 0: +inf (R rises where 0 < F < 1) clips
+    # to its right end, and nan (F = 1, R = 0) falls to its left end under
+    # fmax; where F = 0, R is constant
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stationary = 0.5 * ((1.0 - p[:-1]) / (np.diff(p) / np.diff(t)) + t[:-1] + c)
+    r = np.fmin(np.fmax(stationary, t[:-1]), t[1:])
+
+    order = _gl_order(m)
+
+    def survival(theta: np.ndarray) -> np.ndarray:
+        # 1 - phi(y), with phi(y) = y^{M-1} (M - (M-1) y); it is exactly 0
+        # where F = 1, so candidates there score exactly 0 and tie exactly
+        y = F.cdf_array(theta)
+        return 1.0 - y ** (m - 1) * (m - (m - 1) * y)
+
+    whole = _gl_integral_segments(survival, t[:-1], t[1:], order)
+    # the integral over the segments after each candidate's own
+    above_next = np.concatenate([np.cumsum(whole[:0:-1])[::-1], [0.0]])
+    y = F.cdf_array(r)
+    vals = (r - c) * (1.0 - y**m) + _gl_integral_segments(survival, r, t[1:], order) + above_next
+    best = float(r[np.argmax(vals)])
+    # R is constant where F = 0, so there the lowest type is the smallest maximizer
+    return float(t[0]) if F.cdf(best) == 0.0 else best
+
+
 def optimal_reserve(
     setting: AuctionSetting,
     mode: ProfitMode = ProfitMode.EXPECTED_REVENUE,
     grid_size: int = _RESERVE_GRID,
 ) -> tuple[float, float]:
-    """Best reserve price: grid search plus golden-section refinement.
+    """Best reserve price; returns (reserve, value) and the smallest maximizer
+    wins ties.
 
-    Returns (reserve, value); the smallest maximizer wins ties.
+    For expected revenue on a piecewise-linear F the reserve is exact: the
+    best of each knot segment's clipped first-order-condition solution. Other
+    laws, and the tail objective, take the best of a `grid_size`-point grid
+    plus the special points and refine it by golden section; `grid_size`
+    applies to those only. The value is `auction_profit` at the reserve.
     """
     F = setting.cdf
     m = setting.bidders
+    if mode is ProfitMode.EXPECTED_REVENUE and isinstance(F, PiecewiseLinear):
+        best_r = _exact_reserve(F, m, setting.seller_value)
+        return best_r, float(auction_profit(best_r, setting, mode))
+
     lo, hi = F.support
     grid = np.unique(np.concatenate([
         np.linspace(lo, hi, max(int(grid_size), 2) + 1),
@@ -201,8 +267,7 @@ def optimal_reserve(
     if mode is ProfitMode.SECOND_ORDER_TAIL:
         vals = 1.0 - f2.cdf_array(grid)
     else:
-        order = max(8, (m + 3) // 2)
-        seg = _gl_integral_segments(f2.cdf_array, grid[:-1], grid[1:], order)
+        seg = _gl_integral_segments(f2.cdf_array, grid[:-1], grid[1:], _gl_order(m))
         integral_above = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
         y = F.cdf_array(grid)
         f2_vals = _phi(y, m)

@@ -37,10 +37,12 @@ __all__ = [
     "separable_screening",
     "environment_from_config",
     "validate_environment",
+    "require_separable",
     "lipschitz_constant",
 ]
 
 _CHECK_TOL = 1e-9
+_SEPARABLE_GRID = np.linspace(0.0, 1.0, 4)
 
 
 @dataclass(frozen=True)
@@ -235,6 +237,22 @@ def validate_environment(env: Environment, grid_size: int = 50) -> ValidationRep
         _grid_check("cost_convex", np.diff(c, 2), xs[1:-1]),
     ]
     return ValidationReport(tuple(checks))
+
+
+def require_separable(env: Environment) -> None:
+    """Raise InvalidEnvironmentError unless v = theta * v_theta on a 4 x 4 grid.
+
+    This is `validate_environment`'s `valuation_separable` check alone, cheap
+    enough to run on every screening solve, whose derivation needs v_theta to
+    ignore theta.
+    """
+    th = env.types.lower + env.types.width * _SEPARABLE_GRID[:, None]
+    xs = env.x_max * _SEPARABLE_GRID
+    v = np.asarray(env.valuation(th, xs), dtype=float)
+    gap = v - th * np.asarray(env.valuation_d_theta(th, xs), dtype=float)
+    # a nan gap fails too
+    if not np.max(np.abs(gap)) <= _CHECK_TOL:
+        raise InvalidEnvironmentError("environment fails assumption checks: valuation_separable")
 
 
 def lipschitz_constant(env: Environment) -> float:

@@ -15,7 +15,8 @@ pointwise maximizes the ironed virtual surplus
 
 where psi_bar irons the virtual value J(theta) = theta - (1 - F(theta)) / f(theta).
 The environment enforces v = theta * u(x) with v_theta = u: its factories
-build only that model, and `validate_environment` checks it.
+build only that model, and the solver rejects a hand-built environment that
+fails `require_separable`.
 Ironing happens in quantile space: per-segment virtual values are cumulated
 into a piecewise-linear function whose greatest convex minorant has slopes
 psi_bar. Pool-adjacent-violators (weighted isotonic regression of the knot
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 from .distributions import Cdf, EmpiricalStep
-from .environment import Environment, MarketKind
+from .environment import Environment, MarketKind, require_separable
 from .errors import MissingDensityError, UnsupportedPairError
 from .mechanisms import Allocation, Menu, expected_profit, menu_from_allocation
 from .numerics import argmax_refine, golden_max
@@ -180,6 +181,7 @@ def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = 2000) -> S
     """Menu from pointwise maximization of the ironed virtual surplus."""
     if env.kind is not MarketKind.SEPARABLE_SCREENING:
         raise UnsupportedPairError("screening solver requires the separable screening kind")
+    require_separable(env)
     table = ironed_virtual_value(F, grid_size)
     # v_theta = u(x) ignores theta and every bracket is [0, x_max], so x*
     # depends on psi_bar alone: solve once per distinct ironed value

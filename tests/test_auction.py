@@ -1,13 +1,87 @@
+"""Auction: the second-order CDF, revenue, the reserve solvers and guarantees.
+
+`_grid_reserve_reference` is the grid-then-refine reserve search that ran on
+piecewise-linear laws before the exact per-segment solve; the exact reserve
+must score at least as well as it and as every point of its grid.
+"""
+
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import emprice as ep
-from emprice.auction import ProfitMode, SecondOrderCdf, second_order_distribution
+from emprice.auction import (
+    ProfitMode,
+    SecondOrderCdf,
+    _gl_integral_segments,
+    _gl_order,
+    _phi,
+    second_order_distribution,
+)
+from emprice.numerics import argmax_refine
 
 from conftest import random_exact_cdf
+
+# float64 rounding of a revenue value near 1 that sums up to 2e4 segments
+ROUNDING = 2e-15
+
+
+def _compensated_suffix_sums(x):
+    """Neumaier-compensated sums of x[k:] for every k, and 0 past the end."""
+    out = np.zeros(x.size + 1)
+    total = comp = 0.0
+    for k in range(x.size - 1, -1, -1):
+        term = float(x[k])
+        new = total + term
+        comp += (total - new) + term if abs(total) >= abs(term) else (term - new) + total
+        total = new
+        out[k] = total + comp
+    return out
+
+
+def _grid_reserve_reference(setting, grid_size=10_000):
+    """The grid-then-refine reserve search: (reserve, value, revenue on the
+    grid). The search keeps its plain cumulative sums; the returned grid
+    revenue uses compensated ones, so its rounding does not grow with n."""
+    F, m, c = setting.cdf, setting.bidders, setting.seller_value
+    lo, hi = F.support
+    grid = np.unique(np.concatenate([np.linspace(lo, hi, grid_size + 1), F.special_points()]))
+    seg = _gl_integral_segments(SecondOrderCdf(F, m).cdf_array, grid[:-1], grid[1:], _gl_order(m))
+    y = F.cdf_array(grid)
+
+    def revenue(above):
+        return grid * m * y ** (m - 1) * (1.0 - y) + (hi - grid * _phi(y, m) - above) - c * (1.0 - y**m)
+
+    vals = revenue(np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]))
+
+    def profit(rs):
+        return np.asarray([ep.auction_profit(r, setting) for r in rs])
+
+    r, _, _ = argmax_refine(grid, vals, profit, lo, hi)
+    return r, ep.auction_profit(r, setting), revenue(_compensated_suffix_sums(seg))
+
+
+def _random_flat_law(gen, segments, widen):
+    """Piecewise-linear law with `segments` knot segments on a random support,
+    F = 0 on a leading run of knots, F = 1 on a trailing run, and interior
+    plateaus where a knot repeats its predecessor's level. `widen` is added
+    to every knot from the last one with F = 0 on: the F = 0 run gets longer
+    (the whole law moves right when the run is one knot), which puts the
+    optimum on it for many (M, c)."""
+    lo = float(gen.uniform(0.0, 0.3))
+    thetas = np.unique(np.concatenate([[lo], lo + np.sort(gen.uniform(0.05, 1.2, segments))]))
+    k = thetas.size
+    probs = np.sort(gen.uniform(0.0, 1.0, k))
+    idx = np.arange(k)
+    probs = probs[np.maximum.accumulate(np.where(gen.random(k) < 0.2, 0, idx))]
+    zeros = int(gen.integers(1, max(2, k // 4)))
+    probs[:zeros] = 0.0
+    probs[k - int(gen.integers(1, max(2, k // 4))):] = 1.0
+    thetas = thetas + np.where(idx >= zeros - 1, widen, 0.0)
+    return ep.PiecewiseLinear(thetas, probs)
 
 
 class TestSecondOrderCdf:
@@ -124,6 +198,73 @@ class TestOptimalReserve:
             ep.AuctionSetting(1, 0.0, ep.Uniform(0, 1))
         with pytest.raises(ValueError):
             ep.AuctionSetting(2, -0.1, ep.Uniform(0, 1))
+
+
+class TestExactReserve:
+    def test_oracle_on_random_piecewise_linear_laws(self):
+        gen = np.random.default_rng(71)
+        sizes = [1, 2, 3, 5, 9, 40, 200, 1500, 6000, 19_999]
+        for i, segments in enumerate(sizes):
+            F = _random_flat_law(gen, segments, 1.0 * (i % 2))
+            knots_at_one = F.thetas[F.probs == 1.0]
+            for m in (2, 3, 5, 8):
+                for c in (0.0, 0.1, 0.25, 0.9):
+                    setting = ep.AuctionSetting(m, c, F)
+                    r, v = ep.optimal_reserve(setting)
+                    case = (segments, m, c)
+                    assert v == ep.auction_profit(r, setting), case
+                    _, ref_v, grid_vals = _grid_reserve_reference(setting)
+                    tol = ROUNDING * max(1.0, abs(v))
+                    assert v >= ref_v - tol, case
+                    assert v >= grid_vals.max() - tol, case
+                    # R is constant where F = 0 and where F = 1: the smallest
+                    # maximizer is the lowest type, or the first knot at 1
+                    if F.cdf(r) == 0.0:
+                        assert r == F.thetas[0], case
+                    if F.cdf(r) == 1.0:
+                        assert r == knots_at_one[0], case
+
+    @pytest.mark.parametrize(
+        "thetas,probs,c,want",
+        [
+            # F = 0 up to 0.5, then steep: revenue falls past 0.5
+            ([0.0, 0.5, 0.6, 0.8], [0.0, 0.0, 0.9, 1.0], 0.0, 0.0),
+            ([0.0, 0.2, 0.5, 0.6, 0.8], [0.0, 0.0, 0.0, 0.9, 1.0], 0.0, 0.0),
+            # the seller values the item above every type: revenue is 0 from
+            # the first knot where F = 1 on, and negative below it
+            ([0.0, 0.3, 0.6, 0.8], [0.0, 0.5, 1.0, 1.0], 0.9, 0.6),
+            ([0.1, 0.3, 0.6, 0.7, 0.8], [0.0, 0.5, 1.0, 1.0, 1.0], 0.9, 0.6),
+        ],
+    )
+    def test_smallest_maximizer_on_flat_segment(self, thetas, probs, c, want):
+        setting = ep.AuctionSetting(2, c, ep.PiecewiseLinear(np.asarray(thetas), np.asarray(probs)))
+        r, v = ep.optimal_reserve(setting)
+        assert r == want
+        assert v == ep.auction_profit(want, setting)
+        _, ref_v, _ = _grid_reserve_reference(setting)
+        assert v >= ref_v - ROUNDING
+
+    def test_interior_optimum_is_the_stationary_point(self):
+        # the golden pin auction-revenue-5-interior.json solves this setting
+        sample = ep.read_sample(Path(__file__).parent / "golden" / "infer-sample.txt")
+        F = ep.interp_ecdf(sample, 0.0)
+        r, _ = ep.optimal_reserve(ep.AuctionSetting(5, 0.6, F))
+        t, p = F.thetas, F.probs
+        k = int(np.searchsorted(t, r)) - 1
+        assert t[k] < r < t[k + 1]
+        s = (p[k + 1] - p[k]) / (t[k + 1] - t[k])
+        assert r == 0.5 * ((1.0 - p[k]) / s + t[k] + 0.6)
+
+    def test_analytic_law_keeps_grid_search(self):
+        # grid_size reaches the grid-then-refine search on analytic laws only
+        setting = ep.AuctionSetting(2, 0.2, ep.Uniform(0, 1))
+        coarse, _ = ep.optimal_reserve(setting, grid_size=7)
+        fine, _ = ep.optimal_reserve(setting, grid_size=10_000)
+        assert coarse != fine
+        assert coarse == pytest.approx(0.6, abs=1e-6)
+        F = ep.PiecewiseLinear(np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.3, 1.0]))
+        interp = ep.AuctionSetting(2, 0.2, F)
+        assert ep.optimal_reserve(interp, grid_size=7) == ep.optimal_reserve(interp)
 
 
 class TestAuctionGuarantees:

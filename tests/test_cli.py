@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +212,18 @@ class TestAuction:
         sample = ep.read_sample(path)
         setting = ep.AuctionSetting(2, 0.0, ep.interp_ecdf(sample, 0.0))
         assert payload["value"] == ep.auction_profit(0.5, setting)
+
+    def test_solve_value_matches_evaluated_reserve(self, capsys):
+        # on this sample the optimum lies strictly inside a knot segment
+        path = Path(__file__).parent / "golden" / "infer-sample.txt"
+        argv = ["auction", "--sample", str(path), "--bidders", "5", "--seller-value", "0.6"]
+        assert main(argv) == 0
+        solved = capsys.readouterr().out
+        reserve = json.loads(solved)["reserve"]
+        assert main([*argv, "--reserve", repr(reserve)]) == 0
+        evaluated = capsys.readouterr().out
+        assert solved.splitlines()[2] == evaluated.splitlines()[2]
+        assert solved.splitlines()[2].startswith('  "value": ')
 
     def test_guarantee_mode(self, capsys):
         _, payload = run_json(

@@ -64,7 +64,8 @@ INFER = {
 }
 
 
-# linear and auction cases run the grid-then-refine searches; the screening
+# linear cases and the auction tail case run the grid-then-refine searches,
+# the auction revenue cases the exact per-segment reserve, and the screening
 # cases the vectorized golden section over every quantile segment
 SOLVE_AUCTION = {
     "solve-beta-4-4.json": ["solve", "--dist", "beta:4:4"],
@@ -79,6 +80,10 @@ SOLVE_AUCTION = {
     "auction-revenue-3-seller.json": ["auction", "--sample", SAMPLE, "--bidders", "3", "--seller-value", "0.1"],
     "auction-tail.json": ["auction", "--sample", SAMPLE, "--bidders", "3", "--mode", "tail"],
     "auction-reserve.json": ["auction", "--sample", SAMPLE, "--bidders", "2", "--reserve", "0.4"],
+    # the optimum lies strictly inside a knot segment, at its stationary point
+    "auction-revenue-5-interior.json": [
+        "auction", "--sample", SAMPLE, "--bidders", "5", "--seller-value", "0.6",
+    ],
 }
 
 

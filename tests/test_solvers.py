@@ -258,6 +258,19 @@ class TestScreeningSolver:
                 menu = random_menu(gen)
                 assert top >= ep.expected_profit(menu, F, env) - 1e-6
 
+    def test_non_separable_valuation_rejected(self):
+        # v = theta^2 x is not theta * u(x); solving it anyway priced below
+        # the empty menu (value -0.0192 at G = 200)
+        env = ep.Environment(
+            types=ep.TypeSpace(0.0, 1.0), x_max=1.0,
+            valuation=lambda th, x: np.asarray(th) ** 2 * np.asarray(x),
+            valuation_d_theta=lambda th, x: 2.0 * np.asarray(th) * np.asarray(x),
+            cost=lambda x: 0.5 * np.asarray(x) ** 2, kind=ep.MarketKind.SEPARABLE_SCREENING,
+        )
+        for solve in (ep.optimal_screening_menu, ep.optimal_profit):
+            with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
+                solve(ep.Uniform(0.0, 1.0), env, 200)
+
 
 class TestDispatch:
     def test_empirical_step_linear(self, linear_env):
