@@ -9,6 +9,7 @@ round-trip to the exact library value. Exit codes: 0 success, 1 domain error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -287,7 +288,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = argparse.ArgumentParser(prog="emprice", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

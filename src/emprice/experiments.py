@@ -9,8 +9,13 @@ reductions run in replication order.
 Ground truth is computed once per distribution, in the calling process: each
 law is parsed once and its true optimum (regret) or true value (coverage) is
 passed to the chunk tasks as a float. A regret task covers one distribution
-and a run of replications across every sample size; it inverts all of their
-uniforms in one quantile call and regroups the results per cell.
+and a run of replications across every sample size, in blocks of about 2^18
+draws. Each block takes one quantile call for all of its uniforms and one
+vectorized solve over the sorted rows of every cell: the first-argmax ECDF
+price of each row (`solvers.ecdf_uniform_prices`) and the realized profit of
+each resulting offer from one CDF evaluation (`mechanisms.one_offer_profits`),
+the routines that `optimal_profit` on one sample and `expected_profit` on one
+offer run.
 
 CSV schemas (17 significant digits for round-tripping):
 
@@ -28,13 +33,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import BetaCdf, Cdf, EmpiricalStep, Mixture, PointMass, Sample, Uniform
+from .distributions import BetaCdf, Cdf, Mixture, PointMass, Sample, Uniform
 from .environment import Environment, linear_unit_demand
 from .errors import EmpriceError
 from .inference import bootstrap_roots, mean_statistic, optimal_value_statistic
-from .mechanisms import Menu, expected_profit, per_consumer_profit
+from .mechanisms import Menu, expected_profit, one_offer_profits, per_consumer_profit
 from .rng import substream
-from .solvers import optimal_profit
+from .solvers import ecdf_uniform_prices, optimal_profit, posts_offer
 
 __all__ = [
     "McTarget",
@@ -234,19 +239,25 @@ def _coverage_chunk(args) -> np.ndarray:
 
 def _regret_chunk(args) -> np.ndarray:
     """Regret shares of replications rep_lo..rep_hi-1 of one distribution:
-    one row per sample size, one column per replication."""
+    one row per sample size, one column per replication.
+
+    Each block of replications is solved in one pass over the sorted rows of
+    every cell, with the solver's and the profit functional's own routines.
+    """
     (F, opt_true, d_idx, rep_lo, rep_hi, cfg) = args
     env = cfg.environment()
+    x_max = float(env.x_max)
     cells = list(enumerate(cfg.sample_sizes))
     shares = np.empty((len(cells), rep_hi - rep_lo))
     block = max(1, _BATCH_POINTS // sum(cfg.sample_sizes))
     for b_lo in range(rep_lo, rep_hi, block):
         reps = range(b_lo, min(b_lo + block, rep_hi))
-        for (i, _), thetas in zip(cells, _draw_samples(F, cfg.seed, d_idx, cells, reps)):
-            for j, theta in enumerate(thetas):
-                menu_hat = optimal_profit(EmpiricalStep(Sample(theta)), env).menu
-                realized = expected_profit(menu_hat, F, env)
-                shares[i, b_lo - rep_lo + j] = (opt_true - realized) / opt_true
+        rows = _draw_samples(F, cfg.seed, d_idx, cells, reps)
+        starts = np.cumsum([0] + [n for _, n in cells for _ in reps][:-1])
+        rho, value = ecdf_uniform_prices(np.concatenate([r.ravel() for r in rows]), starts, env)
+        realized = np.where(posts_offer(rho, value), one_offer_profits(x_max, rho * x_max, F, env), 0.0)
+        cols = slice(b_lo - rep_lo, b_lo - rep_lo + len(reps))
+        shares[:, cols] = ((opt_true - realized) / opt_true).reshape(len(cells), len(reps))
     return shares
 
 

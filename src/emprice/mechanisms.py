@@ -40,6 +40,7 @@ __all__ = [
     "consumer_choice",
     "per_consumer_profit",
     "expected_profit",
+    "one_offer_profits",
     "menu_from_allocation",
     "menu_to_dict",
     "menu_from_dict",
@@ -123,10 +124,14 @@ def consumer_choice(menu: Menu, theta: float, env: Environment) -> ChoiceOutcome
     return ChoiceOutcome(best[0], best[1], best_u)
 
 
+def _check_quantity(x: float, env: Environment) -> None:
+    if x > env.x_max + 1e-12:
+        raise InvalidMenuError(f"menu quantity {x} exceeds x_max {env.x_max}")
+
+
 def _validate_menu(menu: Menu, env: Environment) -> None:
     for x, _ in menu.items:
-        if x > env.x_max + 1e-12:
-            raise InvalidMenuError(f"menu quantity {x} exceeds x_max {env.x_max}")
+        _check_quantity(x, env)
 
 
 def _choice_ladder(menu: Menu, env: Environment) -> tuple[list[tuple[float, float]], list[float]]:
@@ -194,10 +199,14 @@ def expected_profit(menu: Menu, F: Cdf, env: Environment) -> float:
     """Expected firm profit of the menu against type distribution F.
 
     Exact average over the observations for an empirical step distribution;
-    exact interval/atom integration over the choice regions otherwise.
+    exact interval/atom integration over the choice regions otherwise, by
+    `one_offer_profits` for a one-item menu.
     """
     if isinstance(F, EmpiricalStep):
         return float(per_consumer_profit(menu, F.sample.values, env).mean())
+    if len(menu.items) == 1:
+        ((x, p),) = menu.items
+        return float(one_offer_profits(x, np.array([p]), F, env)[0])
 
     ladder, thresholds = _choice_ladder(menu, env)
     if not thresholds:
@@ -218,6 +227,39 @@ def expected_profit(menu: Menu, F: Cdf, env: Environment) -> float:
         if mass > 0.0:
             total += mass * max(margins[k], margins[k + 1])
     return total
+
+
+def one_offer_profits(x: float, prices: np.ndarray, F: Cdf, env: Environment) -> np.ndarray:
+    """Expected profit of each one-item menu {(x, p)}, p in `prices`, against
+    a distribution F that is not an empirical step, from one evaluation of F
+    at all the thresholds: the rules of `expected_profit`, vectorized.
+
+    Types from t = p / (u(x) - u(0)) up buy the item, and an atom at t goes to
+    the firm-preferred side. Where t lies above the type space, or x is 0,
+    nobody buys and the profit is 0.
+    """
+    prices = np.asarray(prices, dtype=float)
+    _check_quantity(x, env)
+    if x <= 0.0:
+        return np.zeros(prices.shape)
+    lo, hi = env.types.lower, env.types.upper
+    u_0, u_x = np.asarray(env.valuation_d_theta(hi, np.array([0.0, x])), dtype=float).tolist()
+    du = u_x - u_0
+    if du > 0.0:
+        t = prices / du
+    else:
+        t = np.where(prices <= 0.0, -np.inf, np.inf)
+    sold = t <= hi
+    t = np.maximum(t, lo)
+    right = F.cdf_array(t)
+    left = right if F.is_continuous else F.cdf_left_array(t)
+    outside = _profit_of(0.0, 0.0, env)
+    margin = prices - float(np.asarray(env.cost(x)))
+    # summed onto 0.0 like the ladder's total, so a zero profit is +0.0
+    total = 0.0 + margin * (1.0 - right)
+    mass = right - left
+    total = np.where(mass > 0.0, total + mass * np.maximum(outside, margin), total)
+    return np.where(sold, total, 0.0)
 
 
 def menu_from_allocation(allocation: Allocation, env: Environment) -> Menu:

@@ -4,8 +4,9 @@ Linear unit demand (v = theta * x, cost c_bar * x): the optimal mechanism is a
 single take-it-or-leave-it offer of the full quantity, and the optimal type
 threshold maximizes (rho - c_bar) * (1 - F(rho-)). For an empirical step
 distribution the maximizer sits on a sample point, so exact enumeration
-applies; for other distributions a 10^4-point grid (plus every atom and kink)
-is refined by golden section to 1e-10.
+applies (`ecdf_uniform_prices`, vectorized over many samples); for other
+distributions a 10^4-point grid (plus every atom and kink) is refined by
+golden section to 1e-10.
 
 Separable screening (v = theta * u(x) with u concave, convex cost): with an
 absolutely continuous estimate with positive density, the optimal allocation
@@ -43,6 +44,8 @@ __all__ = [
     "SolveResult",
     "IronedTable",
     "convex_minorant_slopes",
+    "posts_offer",
+    "ecdf_uniform_prices",
     "optimal_uniform_price",
     "ironed_virtual_value",
     "optimal_screening_menu",
@@ -96,6 +99,40 @@ class IronedTable:
         return np.interp(self.quantiles, self.quantiles[idx], self.cumulative[idx])
 
 
+def posts_offer(rho, value):
+    """Whether the best uniform threshold rho is posted as an offer: only a
+    positive price with positive profit is; otherwise the menu is empty."""
+    return (value > 0.0) & (rho > 0.0)
+
+
+def ecdf_uniform_prices(values: np.ndarray, starts: np.ndarray, env: Environment) -> tuple[np.ndarray, np.ndarray]:
+    """Best uniform type threshold and its profit against each of several
+    empirical distributions, in one vectorized pass.
+
+    `values` holds the sorted samples back to back and `starts` the index
+    where each (non-empty) sample begins. The candidates are a sample's
+    distinct values: at the first occurrence of a value at position j of a
+    sample of n, F(rho-) = j / n, and repeats are skipped. The first maximizer
+    wins, so ties go to the smallest price.
+    """
+    values = np.asarray(values, dtype=float)
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.diff(starts, append=values.size)
+    if starts.size == 0 or starts[0] != 0 or np.any(lengths < 1):
+        raise ValueError("need non-empty samples starting at index 0")
+    c_bar, x_max = float(env.c_bar), float(env.x_max)
+    index = np.arange(values.size)
+    j = index - np.repeat(starts, lengths)
+    objective = x_max * (values - c_bar) * (1.0 - j / np.repeat(lengths, lengths))
+    repeat = np.zeros(values.size, dtype=bool)
+    repeat[1:] = values[1:] == values[:-1]
+    repeat[starts] = False
+    objective[repeat] = -np.inf
+    best = np.maximum.reduceat(objective, starts)
+    first = np.minimum.reduceat(np.where(objective == np.repeat(best, lengths), index, values.size), starts)
+    return values[first], best
+
+
 def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = 10_000) -> SolveResult:
     """Best single full-quantity offer against F in the linear environment."""
     if env.kind is not MarketKind.LINEAR_UNIT_DEMAND:
@@ -110,10 +147,8 @@ def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = 10_000) -> 
         return x_max * (rho - c_bar) * (1.0 - F.cdf_left_array(rho))
 
     if isinstance(F, EmpiricalStep):
-        cand = np.unique(F.sample.values)
-        vals = objective(cand)
-        k = int(np.argmax(vals))  # first max = smallest price on ties
-        best_rho, best_val = float(cand[k]), float(vals[k])
+        rho, val = ecdf_uniform_prices(F.sample.values, np.zeros(1, dtype=np.intp), env)
+        best_rho, best_val = float(rho[0]), float(val[0])
         method, iters = SolveMethod.UNIFORM_PRICE_ENUMERATION, 0
     else:
         lo, hi = F.support
@@ -124,10 +159,10 @@ def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = 10_000) -> 
         best_rho, best_val, iters = argmax_refine(cand, objective(cand), objective, lo, hi, F.atoms()[0])
         method = SolveMethod.UNIFORM_PRICE_GRID
 
-    if best_val <= 0.0 or best_rho <= 0.0:
-        menu = Menu.empty()
-    else:
+    if posts_offer(best_rho, best_val):
         menu = Menu(((x_max, best_rho * x_max),))
+    else:
+        menu = Menu.empty()
     value = expected_profit(menu, F, env)
     return SolveResult(menu, value, method, int(grid_size), iters)
 

@@ -83,6 +83,21 @@ class TestSolve:
     def test_unknown_flag_exits_2(self, capsys, sample_file):
         assert main(["solve", "--sample", sample_file, "--frobnicate"]) == 2
 
+    def test_malformed_sample_line_message(self, capsys, tmp_path):
+        # the message is the general loop's, whichever path read the file
+        path = tmp_path / "bad.csv"
+        path.write_text("0.3\n0.5\n0.7x\n")
+        assert main(["solve", "--sample", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: sample file {path}: could not convert string to float: '0.7x'\n"
+
+    def test_comma_column_sample(self, capsys, tmp_path, sample_file, linear_env):
+        path = tmp_path / "cols.csv"
+        path.write_text("theta,id\r\n0.3,1\r\n\r\n0.5,2\r\n0.9,3\r\n")
+        _, with_cols = run_json(capsys, ["solve", "--sample", str(path), "--header"])
+        _, bare = run_json(capsys, ["solve", "--sample", sample_file])
+        assert with_cols == bare
+
 
 class TestBound:
     def test_dkw_example(self, capsys):

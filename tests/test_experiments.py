@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import emprice as ep
-from emprice.experiments import McConfig, McTarget, parse_distribution
+import emprice.experiments as experiments
+from emprice.experiments import McConfig, McResult, McRow, McTarget, parse_distribution
+from emprice.solvers import ecdf_uniform_prices
 
 
 def small_coverage_cfg(**kw):
@@ -143,6 +145,112 @@ class TestRunRegret:
     def test_worker_count_invariance(self):
         cfg = McConfig(("uniform",), (30,), McTarget.REGRET_SHARE, replications=24, seed=9)
         assert ep.run_regret(cfg).to_csv() == ep.run_regret(replace(cfg, workers=3)).to_csv()
+
+
+def one_offer_reference(rho, F, env):
+    """Realized profit of the ECDF-optimal offer as the menu ladder computed
+    it for one item: threshold p / (u(x) - u(0)) clipped below at theta_min,
+    no sale above theta_max, an atom at the threshold to the firm's side."""
+    x_max = float(env.x_max)
+    p = rho * x_max
+    u0, ux = (float(np.asarray(env.valuation_d_theta(env.types.upper, x))) for x in (0.0, x_max))
+    t = (p - 0.0) / (ux - u0)
+    if t > env.types.upper:
+        return 0.0
+    t = max(t, env.types.lower)
+    outside = 0.0 - float(np.asarray(env.cost(0.0)))
+    margin = p - float(np.asarray(env.cost(x_max)))
+    right, left = F.cdf(t), F.cdf_left(t)
+    total = 0.0 + margin * (1.0 - right)
+    if right - left > 0.0:
+        total += (right - left) * max(outside, margin)
+    return total
+
+
+def regret_shares_reference(F, opt_true, d_idx, cfg):
+    """The per-replication loop: draw, enumerate the distinct sample values
+    for the first-argmax price, score the offer against F."""
+    env = cfg.environment()
+    c_bar, x_max = float(env.c_bar), float(env.x_max)
+    shares = np.empty((len(cfg.sample_sizes), cfg.replications))
+    empty = 0
+    for i, n in enumerate(cfg.sample_sizes):
+        for r in range(cfg.replications):
+            sample = ep.Sample(F.quantile_array(ep.substream(cfg.seed, d_idx, i, r).random(n)))
+            cand = np.unique(sample.values)
+            vals = x_max * (cand - c_bar) * (1.0 - ep.ecdf(sample).cdf_left_array(cand))
+            k = int(np.argmax(vals))
+            rho, val = float(cand[k]), float(vals[k])
+            offered = val > 0.0 and rho > 0.0
+            realized = one_offer_reference(rho, F, env) if offered else 0.0
+            empty += not offered
+            # the library's per-replication calls agree with the loop
+            menu = ep.optimal_profit(ep.ecdf(sample), env).menu
+            assert menu.items == (((x_max, rho * x_max),) if offered else ())
+            assert ep.expected_profit(menu, F, env) == realized
+            shares[i, r] = (opt_true - realized) / opt_true
+    return shares, empty
+
+
+class TestBatchedRegretParity:
+    """Each block of replications is solved in one vectorized pass; shares
+    match the per-replication loop bit for bit."""
+
+    @pytest.mark.parametrize("theta_max", [1.0, 2.0])
+    @pytest.mark.parametrize("c_bar", [0.0, 0.3])
+    @pytest.mark.parametrize("spec", ["beta:0.25:0.25", "uniform", "beta:4:4", "pointmass:0.7"])
+    def test_matches_per_replication_loop(self, monkeypatch, spec, c_bar, theta_max):
+        sizes = (1, 2, 7, 30)
+        # blocks of two replications: seven replications span four blocks
+        monkeypatch.setattr(experiments, "_BATCH_POINTS", 2 * sum(sizes))
+        cfg = McConfig((spec,), sizes, McTarget.REGRET_SHARE, replications=7, seed=31,
+                       c_bar=c_bar, theta_max=theta_max)
+        F = parse_distribution(spec)
+        opt_true = ep.optimal_profit(F, cfg.environment()).optimal_value
+        want, empty = regret_shares_reference(F, opt_true, 0, cfg)
+        if c_bar > 0.0 and spec != "pointmass:0.7":
+            assert empty > 0  # some rows have no positive margin
+        got = experiments._regret_chunk((F, opt_true, 0, 0, cfg.replications, cfg))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # a worker's run of replications starts mid-block
+        part = experiments._regret_chunk((F, opt_true, 0, 3, 6, cfg))
+        assert np.array_equal(part.view(np.int64), want[:, 3:6].view(np.int64))
+        rows = tuple(
+            McRow(spec, n, None, float(row.mean()), float(row.std(ddof=1) / math.sqrt(7)), cfg.seed)
+            for n, row in zip(sizes, want)
+        )
+        csv = McResult(McTarget.REGRET_SHARE, 7, cfg.bootstrap_draws, rows).to_csv()
+        assert ep.run_regret(cfg).to_csv() == csv
+        assert ep.run_regret(replace(cfg, workers=3)).to_csv() == csv
+
+    @pytest.mark.parametrize("c_bar, x_max", [(0.0, 1.0), (0.3, 1.0), (0.1, 2.5)])
+    def test_first_argmax_rows_brute_force(self, c_bar, x_max):
+        env = ep.linear_unit_demand(0.0, 3.0, x_max, c_bar)
+        gen = np.random.default_rng(8)
+        lengths = [1, 1, 2, 2, 3, 5, 8, 13, 40, 1, 6]
+        # few distinct values, so rows carry ties, all-tied rows included
+        rows = [np.sort(gen.choice([0.1, 0.2, 0.3, 0.5, 0.8, 2.0], size=m)) for m in lengths]
+        rows += [np.full(4, 0.6), np.full(3, 0.2), np.array([0.5, 0.5, 1.0, 1.0])]
+        starts = np.cumsum([0] + [r.size for r in rows[:-1]])
+        rho, value = ecdf_uniform_prices(np.concatenate(rows), starts, env)
+        for k, row in enumerate(rows):
+            best = None
+            for v in sorted(set(row.tolist())):  # ascending: the first max wins
+                below = sum(1 for w in row if w < v)
+                obj = x_max * (v - c_bar) * (1.0 - below / row.size)
+                if best is None or obj > best[1]:
+                    best = (v, obj)
+            assert (rho[k], value[k]) == best
+        if c_bar == 0.0:
+            # 0.5 * (1 - 0) == 1.0 * (1 - 2/4): the tie goes to the smaller price
+            assert rho[-1] == 0.5
+
+    def test_rows_must_be_nonempty(self):
+        env = ep.linear_unit_demand()
+        with pytest.raises(ValueError):
+            ecdf_uniform_prices(np.array([0.1, 0.2]), np.array([0, 2]), env)
+        with pytest.raises(ValueError):
+            ecdf_uniform_prices(np.array([0.1, 0.2]), np.array([1]), env)
 
 
 class TestCsvSchemas:

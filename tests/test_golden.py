@@ -120,6 +120,21 @@ def test_solve_auction_json_bytes_match_golden(name):
     assert _cli(SOLVE_AUCTION[name]) == (GOLDEN / name).read_text()
 
 
+def test_usage_error_leaves_later_calls_alone():
+    # the parser is built once per process: a failed parse must not change
+    # what later calls print
+    from emprice.cli import build_parser
+
+    assert build_parser() is build_parser()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", "--sample", SAMPLE, "--frobnicate"]) == 2
+        assert main(["auction", "--sample", SAMPLE]) == 2
+    assert "--frobnicate" in err.getvalue() and "--bidders" in err.getvalue()
+    for name in ("solve-ecdf.json", "solve-beta-4-4.json", "auction-revenue-2.json", "auction-reserve.json"):
+        assert _cli(SOLVE_AUCTION[name]) == (GOLDEN / name).read_text()
+
+
 def _render(name: str) -> str:
     if name in CONFIGS:
         return _run(CONFIGS[name])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import emprice as ep
-from emprice.mechanisms import _choice_ladder, per_consumer_profit
+from emprice.mechanisms import _choice_ladder, one_offer_profits, per_consumer_profit
 
 from conftest import random_exact_cdf, random_menu
 
@@ -123,6 +123,44 @@ def _reference_ladder(menu, env):
             thresholds.append(t)
             break
     return ladder, thresholds
+
+
+class TestOneOfferProfits:
+    """One-item menus skip the ladder: the vectorized routine must equal the
+    ladder's answer, which a dominated duplicate item forces (the ladder keeps
+    the cheaper item of each quantity)."""
+
+    @pytest.mark.parametrize(
+        "env",
+        [
+            ep.linear_unit_demand(0.0, 1.0, 1.0, 0.0),
+            ep.linear_unit_demand(0.2, 1.5, 2.0, 0.3),
+            ep.separable_screening(lambda x: 0.5 * np.asarray(x) ** 2, 0.1, 1.2, 1.0, np.sqrt),
+        ],
+        ids=["linear", "linear-cost-shifted", "screening-sqrt"],
+    )
+    def test_matches_ladder(self, env):
+        gen = np.random.default_rng(17)
+        laws = [ep.Uniform(0, 1), ep.BetaCdf(0.25, 0.25), ep.PointMass(0.7),
+                ep.Mixture(np.array([0.5, 0.5]), (ep.PointMass(0.2), ep.BetaCdf(2, 5)))]
+        laws += [random_exact_cdf(gen) for _ in range(6)]
+        x_max = float(env.x_max)
+        for F in laws:
+            for x in (x_max, 0.5 * x_max, 0.0):
+                u = float(np.asarray(env.valuation_d_theta(1.0, x)))
+                # thresholds below, at and above the type space, and on atoms
+                prices = np.concatenate([gen.uniform(0.01, 2.5, 12), [0.05, 5.0], np.array([0.2, 0.7, 1.5]) * u])
+                prices = prices[prices > 0.0]
+                got = one_offer_profits(x, prices, F, env)
+                for p, profit in zip(prices, got):
+                    ladder = ep.expected_profit(ep.Menu(((x, p), (x, p + 1.0))), F, env)
+                    one = ep.expected_profit(ep.Menu(((x, p),)), F, env)
+                    # bit for bit: a zero profit is +0.0 on every path
+                    assert np.float64(one).tobytes() == np.float64(profit).tobytes() == np.float64(ladder).tobytes()
+
+    def test_quantity_beyond_x_max_rejected(self, linear_env):
+        with pytest.raises(ep.InvalidMenuError):
+            one_offer_profits(1.5, np.array([0.5]), ep.Uniform(0, 1), linear_env)
 
 
 class TestChoiceLadder:
