@@ -12,17 +12,15 @@ mixtures) are found by bisection to 1e-12, which keeps sampling deterministic
 for a given stream. The Beta CDF itself is the regularized incomplete beta
 function (continued-fraction evaluation via scipy.special.betainc).
 
-Beta quantiles start the bisection from a dyadic table: the first L levels
-of the bisection's own midpoints (2^L - 1 nodes, built by the same
-0.5*(lo+hi) recursion, so the same floats) and F at each node. When those
-values are nondecreasing, a binary search over the table takes exactly the
-path the first L steps would take, so the result is the same lattice point
-bit for bit, whatever the accuracy of betainc; when they are not, the plain
-bisection runs. L is 12 (4095 nodes), or 18 (262,143 nodes, about 4 MB) for
-a call that inverts at least 2^17 levels, where a 12-level table is used if
-the 18-level one is unavailable. Tables are keyed by the law's parameters
-(alpha, beta, lo, hi) and L, in a cache of at most 8 tables shared by every
-instance of the law.
+Beta quantiles start the bisection from a dyadic table: the first 12 levels
+of the bisection's own midpoints (4095 nodes, built by the same 0.5*(lo+hi)
+recursion, so the same floats) and F at each node. When those values are
+nondecreasing, a binary search over the table takes exactly the path the
+first 12 steps would take, so the result is the same lattice point bit for
+bit, whatever the accuracy of betainc; when they are not, the plain bisection
+runs. Tables are keyed by the law's parameters (alpha, beta, lo, hi), in a
+cache of at most 8 tables shared by every instance of the law, so a law
+parsed again reuses its table.
 """
 
 from __future__ import annotations
@@ -56,10 +54,6 @@ __all__ = [
 
 _BISECT_TOL = 1e-12
 _TABLE_LEVELS = 12
-# a quantile call inverting at least _DEEP_TABLE_POINTS levels starts from
-# _DEEP_TABLE_LEVELS levels (2^18 - 1 nodes, about 4 MB per law)
-_DEEP_TABLE_LEVELS = 18
-_DEEP_TABLE_POINTS = 1 << 17
 _SUP_GRID = 10_000
 
 
@@ -151,19 +145,19 @@ def _bisect_steps(F: Cdf) -> int:
     return max(8, int(np.ceil(np.log2(max(hi_s - lo_s, 1e-300) / _BISECT_TOL))) + 2)
 
 
-def _dyadic_table(F: Cdf, levels: int = _TABLE_LEVELS) -> tuple[np.ndarray, np.ndarray] | None:
-    """(edges, values): the bisection's first `levels` levels of midpoints.
+def _dyadic_table(F: Cdf) -> tuple[np.ndarray, np.ndarray] | None:
+    """(edges, values): the bisection's first _TABLE_LEVELS levels of midpoints.
 
-    edges holds the support edges and the 2^levels - 1 midpoints in order,
+    edges holds the support edges and the 4095 midpoints in order,
     each made by the bisection's own 0.5 * (lo + hi); values holds F at the
     midpoints. None when the bisection runs fewer steps than the table covers,
     or when the values are not nondecreasing (NaN included): only a monotone
     table guarantees the bisection's path.
     """
-    if _bisect_steps(F) < levels:
+    if _bisect_steps(F) < _TABLE_LEVELS:
         return None
     edges = np.asarray(F.support, dtype=float)
-    for _ in range(levels):
+    for _ in range(_TABLE_LEVELS):
         finer = np.empty(2 * edges.size - 1)
         finer[0::2] = edges
         finer[1::2] = 0.5 * (edges[:-1] + edges[1:])
@@ -194,7 +188,7 @@ def _bisect_quantile(
         edges, values = table
         k = np.searchsorted(values, q, side="left")
         lo, hi = edges[k], edges[k + 1]
-        steps -= (edges.size - 1).bit_length() - 1
+        steps -= _TABLE_LEVELS
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         ge = F.cdf_array(mid) >= q
@@ -271,22 +265,19 @@ class BetaCdf(Cdf):
         out[inside] = np.exp(ln) / (self.hi - self.lo)
         return out
 
-    def _quantile_table(self, levels: int = _TABLE_LEVELS) -> tuple[np.ndarray, np.ndarray] | None:
-        return _beta_table(self.alpha, self.beta, self.lo, self.hi, levels)
+    @property
+    def _quantile_table(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return _beta_table(self.alpha, self.beta, self.lo, self.hi)
 
     def quantile_array(self, q):
-        q = np.asarray(q, dtype=float)
-        table = self._quantile_table(_DEEP_TABLE_LEVELS) if q.size >= _DEEP_TABLE_POINTS else None
-        if table is None:
-            table = self._quantile_table()
-        return _bisect_quantile(self, q, table)
+        return _bisect_quantile(self, np.asarray(q, dtype=float), self._quantile_table)
 
 
 @lru_cache(maxsize=8)
-def _beta_table(alpha: float, beta: float, lo: float, hi: float, levels: int):
+def _beta_table(alpha: float, beta: float, lo: float, hi: float):
     """The `_dyadic_table` of Beta(alpha, beta) on [lo, hi], shared by every
     instance of that law; read-only, since every caller gets the same arrays."""
-    table = _dyadic_table(BetaCdf(alpha, beta, lo, hi), levels)
+    table = _dyadic_table(BetaCdf(alpha, beta, lo, hi))
     if table is not None:
         for a in table:
             a.flags.writeable = False

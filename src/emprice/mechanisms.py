@@ -232,7 +232,8 @@ def expected_profit(menu: Menu, F: Cdf, env: Environment) -> float:
 def one_offer_profits(x: float, prices: np.ndarray, F: Cdf, env: Environment) -> np.ndarray:
     """Expected profit of each one-item menu {(x, p)}, p in `prices`, against
     a distribution F that is not an empirical step, from one evaluation of F
-    at all the thresholds: the rules of `expected_profit`, vectorized.
+    and of its left limits at all the thresholds: the rules of
+    `expected_profit`, vectorized.
 
     Types from t = p / (u(x) - u(0)) up buy the item, and an atom at t goes to
     the firm-preferred side. Where t lies above the type space, or x is 0,
@@ -252,7 +253,7 @@ def one_offer_profits(x: float, prices: np.ndarray, F: Cdf, env: Environment) ->
     sold = t <= hi
     t = np.maximum(t, lo)
     right = F.cdf_array(t)
-    left = right if F.is_continuous else F.cdf_left_array(t)
+    left = F.cdf_left_array(t)
     outside = _profit_of(0.0, 0.0, env)
     margin = prices - float(np.asarray(env.cost(x)))
     # summed onto 0.0 like the ladder's total, so a zero profit is +0.0

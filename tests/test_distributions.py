@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emprice as ep
-import emprice.distributions as dist_module
 from emprice.distributions import _bisect_quantile, _dyadic_table
 
 from conftest import random_exact_cdf
@@ -70,87 +69,42 @@ class TestQuantile:
                 assert F.quantile(F.cdf(th)) <= th + 1e-9
 
 
-BETA_LAWS = pytest.mark.parametrize(
-    "F",
-    [ep.BetaCdf(0.25, 0.25), ep.BetaCdf(4, 4), ep.BetaCdf(2, 5), ep.BetaCdf(2, 2, 0.5, 3)],
-    ids=["beta-quarter", "beta-4-4", "beta-2-5", "beta-2-2-rescaled"],
-)
-
-
-def warm_start_levels(values):
-    """Random levels, the edges of [0, 1], NaN, and every table value with
-    both its float neighbours."""
-    return np.concatenate([
-        np.random.default_rng(2024).random(200_000),
-        [0.0, 1.0, 1e-300, 1.0 - 1e-16, np.nan],
-        values,
-        np.nextafter(values, 0.0),
-        np.nextafter(values, 1.0),
-    ])
-
-
 def same_bits(a, b):
     return np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-def table_levels_used(monkeypatch, F, points):
-    """Depth of the table F.quantile_array hands the bisection for a call of
-    `points` levels (None for no table); the bisection itself is skipped."""
-    seen = []
-
-    def record(F, q, table=None):
-        seen.append(None if table is None else (table[0].size - 1).bit_length() - 1)
-        return np.zeros(q.shape)
-
-    monkeypatch.setattr(dist_module, "_bisect_quantile", record)
-    F.quantile_array(np.full(points, 0.5))
-    (levels,) = seen
-    return levels
 
 
 class TestDyadicWarmStart:
     """Beta quantiles start from the bisection's own dyadic table: bit for bit
     the plain bisection's result."""
 
-    @BETA_LAWS
+    @pytest.mark.parametrize(
+        "F",
+        [ep.BetaCdf(0.25, 0.25), ep.BetaCdf(4, 4), ep.BetaCdf(2, 5), ep.BetaCdf(2, 2, 0.5, 3)],
+        ids=["beta-quarter", "beta-4-4", "beta-2-5", "beta-2-2-rescaled"],
+    )
     def test_matches_plain_bisection_bit_for_bit(self, F):
-        table = F._quantile_table()
+        table = F._quantile_table
         assert table is not None
         edges, values = table
         assert edges.size == 4097 and values.size == 4095
-        q = warm_start_levels(values)
-        got = _bisect_quantile(F, q, table)
+        q = np.concatenate([
+            np.random.default_rng(2024).random(200_000),
+            [0.0, 1.0, 1e-300, 1.0 - 1e-16, np.nan],
+            values,
+            np.nextafter(values, 0.0),
+            np.nextafter(values, 1.0),
+        ])
+        got = F.quantile_array(q)
         want = _bisect_quantile(F, q)
         assert same_bits(got, want)
-
-    @BETA_LAWS
-    def test_deep_table_matches_plain_bisection_bit_for_bit(self, F):
-        table = F._quantile_table(18)
-        assert table is not None
-        edges, values = table
-        assert edges.size == 2**18 + 1 and values.size == 2**18 - 1
-        # every node of the 12-level table is a node of the deep one
-        assert np.array_equal(edges[::64], F._quantile_table()[0])
-        q = warm_start_levels(values)
-        got = F.quantile_array(q)  # large enough to take the deep table
-        want = _bisect_quantile(F, q)
-        assert same_bits(got, want)
-
-    @pytest.mark.parametrize(
-        "points, levels",
-        [(9_300, 12), (2**17 - 1, 12), (2**17, 18), (200_000, 18), (223_200, 18), (260_400, 18)],
-    )
-    def test_table_depth_follows_call_size(self, monkeypatch, points, levels):
-        assert table_levels_used(monkeypatch, ep.BetaCdf(4, 4), points) == levels
 
     def test_instances_of_one_law_share_tables(self):
         a, b = ep.BetaCdf(4, 4), ep.BetaCdf(4, 4)
         assert a is not b
-        for levels in (12, 18):
-            assert a._quantile_table(levels) is b._quantile_table(levels)
-        edges, values = a._quantile_table()
+        assert a._quantile_table is b._quantile_table
+        edges, values = a._quantile_table
         assert not edges.flags.writeable and not values.flags.writeable
-        assert ep.BetaCdf(4, 5)._quantile_table() is not a._quantile_table()
+        assert ep.BetaCdf(4, 5)._quantile_table is not a._quantile_table
 
     def test_nonmonotone_values_fall_back(self):
         class Wobbly(ep.Uniform):
@@ -158,21 +112,12 @@ class TestDyadicWarmStart:
                 return np.cos(40.0 * np.asarray(theta)) ** 2
 
         assert _dyadic_table(Wobbly(0.0, 1.0)) is None
-        assert _dyadic_table(Wobbly(0.0, 1.0), 18) is None
 
     def test_short_bisection_has_no_table(self):
         # a 1e-10-wide support needs fewer halvings than the table holds
         F = ep.BetaCdf(2, 2, 0.3, 0.3 + 1e-10)
-        assert F._quantile_table() is None
+        assert F._quantile_table is None
         assert 0.3 <= F.quantile(0.5) <= 0.3 + 1e-10
-
-    def test_deep_call_falls_back_to_shallow_table(self, monkeypatch):
-        # 14 halvings: enough for the 12-level table, not for the deep one
-        F = ep.BetaCdf(2, 2, 0.3, 0.3 + 4e-9)
-        assert F._quantile_table(18) is None and F._quantile_table() is not None
-        q = np.random.default_rng(5).random(2**17)
-        assert same_bits(F.quantile_array(q), _bisect_quantile(F, q))
-        assert table_levels_used(monkeypatch, F, q.size) == 12
 
 
 class TestDrawSample:
