@@ -28,7 +28,8 @@ The best revenue reserve on a piecewise-linear F (every interpolated
 estimate) is exact: on each knot segment the revenue is unimodal, so its
 maximizer there is the clipped stationary point of the first-order
 condition, and one vectorized pass scores every segment's candidate. Analytic
-laws and the tail objective use a grid plus golden-section refinement.
+laws use a grid plus golden-section refinement; the tail objective's reserve
+is the lowest type of the support.
 """
 
 from __future__ import annotations
@@ -245,15 +246,19 @@ def optimal_reserve(
     """Best reserve price; returns (reserve, value) and the smallest maximizer
     wins ties.
 
+    The tail objective is nonincreasing, so its reserve is the lowest type.
     For expected revenue on a piecewise-linear F the reserve is exact: the
     best of each knot segment's clipped first-order-condition solution. Other
-    laws, and the tail objective, take the best of a `grid_size`-point grid
-    plus the special points and refine it by golden section; `grid_size`
-    applies to those only. The value is `auction_profit` at the reserve.
+    laws take the best of a `grid_size`-point grid plus the special points and
+    refine it by golden section; `grid_size` applies to those only. The value
+    is `auction_profit` at the reserve.
     """
     F = setting.cdf
     m = setting.bidders
-    if mode is ProfitMode.EXPECTED_REVENUE and isinstance(F, PiecewiseLinear):
+    if mode is ProfitMode.SECOND_ORDER_TAIL:
+        best_r = float(F.support[0])
+        return best_r, float(auction_profit(best_r, setting, mode))
+    if isinstance(F, PiecewiseLinear):
         best_r = _exact_reserve(F, m, setting.seller_value)
         return best_r, float(auction_profit(best_r, setting, mode))
 
@@ -262,20 +267,14 @@ def optimal_reserve(
         np.linspace(lo, hi, max(int(grid_size), 2) + 1),
         np.asarray([p for p in F.special_points() if lo <= p <= hi]),
     ]))
-
-    f2 = SecondOrderCdf(F, m)
-    if mode is ProfitMode.SECOND_ORDER_TAIL:
-        vals = 1.0 - f2.cdf_array(grid)
-    else:
-        seg = _gl_integral_segments(f2.cdf_array, grid[:-1], grid[1:], _gl_order(m))
-        integral_above = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-        y = F.cdf_array(grid)
-        f2_vals = _phi(y, m)
-        vals = (
-            grid * m * y ** (m - 1) * (1.0 - y)
-            + (hi - grid * f2_vals - integral_above)
-            - setting.seller_value * (1.0 - y**m)
-        )
+    seg = _gl_integral_segments(SecondOrderCdf(F, m).cdf_array, grid[:-1], grid[1:], _gl_order(m))
+    integral_above = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+    y = F.cdf_array(grid)
+    vals = (
+        grid * m * y ** (m - 1) * (1.0 - y)
+        + (hi - grid * _phi(y, m) - integral_above)
+        - setting.seller_value * (1.0 - y**m)
+    )
 
     def profit(rs: np.ndarray) -> np.ndarray:
         return np.asarray([auction_profit(r, setting, mode) for r in rs])

@@ -98,6 +98,8 @@ def _bound_kind(args) -> guarantees.BoundKind:
 
 
 def _cmd_estimate(args) -> int:
+    if args.grid_points < 0:
+        raise UsageError(f"--grid-points must be nonnegative, got {args.grid_points}")
     sample = _load_sample(args)
     if args.estimator == "ecdf":
         F = estimators.ecdf(sample)
@@ -183,6 +185,10 @@ def _cmd_bound(args) -> int:
 def _cmd_infer(args) -> int:
     if args.target != "optimal" and args.menu is None:
         raise UsageError(f"--target {args.target} requires --menu")
+    if args.bootstrap < 100:
+        raise UsageError(f"--bootstrap must be at least 100, got {args.bootstrap}")
+    if not 0.0 < args.level < 1.0:
+        raise UsageError(f"--level must lie in (0, 1), got {args.level}")
     env = _env_from_args(args)
     sample = _load_sample(args)
     kwargs = dict(b_draws=args.bootstrap, level=args.level, seed=args.seed, percentile=args.percentile)
@@ -389,10 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EmpriceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (EmpriceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

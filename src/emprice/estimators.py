@@ -49,7 +49,7 @@ def interp_ecdf(sample: Sample, theta_lower: float) -> PiecewiseLinear:
         raise TiedSampleError("interpolated ECDF requires distinct observations")
     if not theta_lower < v[0]:
         raise ValueError(
-            f"theta_lower must lie strictly below the smallest observation ({v[0]!r})"
+            f"theta_lower must lie strictly below the smallest observation ({float(v[0])!r})"
         )
     n = v.size
     thetas = np.concatenate([[theta_lower], v])

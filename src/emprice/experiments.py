@@ -12,10 +12,10 @@ passed to the chunk tasks as a float. A regret task covers one distribution
 and a run of replications across every sample size, in blocks of about 2^18
 draws. Each block takes one quantile call for all of its uniforms and one
 vectorized solve over the sorted rows of every cell: the first-argmax ECDF
-price of each row (`solvers.ecdf_uniform_prices`) and the realized profit of
-each resulting offer from one evaluation of F and its left limits
-(`mechanisms.one_offer_profits`), the routines that `optimal_profit` on one
-sample and `expected_profit` on one offer run.
+price of each row (`solvers.ecdf_uniform_prices`, which `optimal_profit` on
+one sample runs too) and the realized profit of each resulting offer from one
+evaluation of F and its left limits (`mechanisms.one_offer_profits`, which
+sums the choice regions with the same routine as `expected_profit`).
 
 CSV schemas (17 significant digits for round-tripping):
 

@@ -44,7 +44,7 @@ import numpy as np
 from scipy import stats as sp_stats
 
 from .distributions import PiecewiseLinear, Sample
-from .environment import Environment, MarketKind
+from .environment import Environment
 from .estimators import ecdf, interp_ecdf
 from .mechanisms import Menu, per_consumer_profit
 from .rng import resample_indices, seed_path, substream_states
@@ -235,26 +235,22 @@ def optimal_value_statistic(
     values = sample.values
     n = values.size
     if estimator == "ecdf":
+        # only the linear kind solves on a step law: any other raises here
         point = float(optimal_profit(ecdf(sample), env, grid_size).optimal_value)
-        if env.kind is MarketKind.LINEAR_UNIT_DEMAND:
-            c_bar, x_max = float(env.c_bar), float(env.x_max)
-            margins = x_max * (values - c_bar)
+        c_bar, x_max = float(env.c_bar), float(env.x_max)
+        margins = x_max * (values - c_bar)
 
-            def on_resamples(idx: np.ndarray) -> np.ndarray:
-                k = idx.shape[0]
-                counts = np.bincount((idx + n * np.arange(k)[:, None]).ravel(), minlength=k * n)
-                tails = np.cumsum(counts.reshape(k, n)[:, ::-1], axis=1)[:, ::-1]
-                # the maximizer over resample support equals the max over all
-                # original order statistics, zero-count prices included
-                best = np.max(margins * (tails / n), axis=1)
-                return np.where(best < 0.0, 0.0, best)
+        def on_resamples(idx: np.ndarray) -> np.ndarray:
+            k = idx.shape[0]
+            counts = np.bincount((idx + n * np.arange(k)[:, None]).ravel(), minlength=k * n)
+            tails = np.cumsum(counts.reshape(k, n)[:, ::-1], axis=1)[:, ::-1]
+            # the maximizer over resample support equals the max over all
+            # original order statistics, zero-count prices included
+            best = np.max(margins * (tails / n), axis=1)
+            return np.where(best < 0.0, 0.0, best)
 
-            return Statistic(point, n, on_resamples)
-
-        def solve(row: np.ndarray) -> float:
-            return optimal_profit(ecdf(Sample(values[row])), env, grid_size).optimal_value
-
-    elif estimator == "interp":
+        return Statistic(point, n, on_resamples)
+    if estimator == "interp":
         lower = env.types.lower if theta_lower is None else float(theta_lower)
 
         def interp_of(vals: np.ndarray) -> PiecewiseLinear:
@@ -269,9 +265,8 @@ def optimal_value_statistic(
         def solve(row: np.ndarray) -> float:
             return optimal_profit(interp_of(values[row]), env, grid_size).optimal_value
 
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}; use 'ecdf' or 'interp'")
-    return Statistic(point, n, lambda idx: np.array([solve(row) for row in idx], dtype=float))
+        return Statistic(point, n, lambda idx: np.array([solve(row) for row in idx], dtype=float))
+    raise ValueError(f"unknown estimator {estimator!r}; use 'ecdf' or 'interp'")
 
 
 def bootstrap_ci_optimal_profit(

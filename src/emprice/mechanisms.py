@@ -8,8 +8,11 @@ nondecreasing in theta, so the choice regions are intervals: expected profit
 against any distribution reduces to locating the indifference thresholds and
 summing item margins weighted by the distribution's mass on each region, with
 an atom sitting exactly on a threshold assigned to the firm-preferred side.
-With v = theta * u(x), the type indifferent between (x_lo, p_lo) and
-(x_hi, p_hi) is (p_hi - p_lo) / (u(x_hi) - u(x_lo)).
+One routine does that sum, for `expected_profit` on any menu and for
+`one_offer_profits` on many one-item menus at once; `per_consumer_profit`
+applies the same tie rule type by type. With v = theta * u(x), the type
+indifferent between (x_lo, p_lo) and (x_hi, p_hi) is
+(p_hi - p_lo) / (u(x_hi) - u(x_lo)).
 
 Payments come from the standard envelope characterization: for a nondecreasing
 allocation x(.) with x(theta_min) = 0,
@@ -107,8 +110,9 @@ class ChoiceOutcome:
     utility: float
 
 
-def _profit_of(x: float, p: float, env: Environment) -> float:
-    return p - float(np.asarray(env.cost(x)))
+def _profit_of(x, p, env: Environment):
+    """Firm margin p - c(x), elementwise over quantity and price arrays."""
+    return p - np.asarray(env.cost(x), dtype=float)
 
 
 def consumer_choice(menu: Menu, theta: float, env: Environment) -> ChoiceOutcome:
@@ -177,72 +181,58 @@ def _choice_ladder(menu: Menu, env: Environment) -> tuple[list[tuple[float, floa
     return [(x, p) for x, p, _ in ladder], thresholds
 
 
+def _region_profits(margins: np.ndarray, thresholds: np.ndarray, F: Cdf) -> np.ndarray:
+    """Expected profit of choice ladders against F, over any leading axes.
+
+    margins (..., L+1) lists a ladder's margins, the outside option first, and
+    thresholds (..., L) its activation thresholds: item k >= 1 is sold on
+    (t_k, t_{k+1}), and an atom at t_k goes to the firm-preferred neighbour.
+    The interval terms, then the atom terms, are summed in ladder order onto
+    +0.0 one at a time, so every ladder gets the same bits on any path.
+    """
+    right = F.cdf_array(thresholds)
+    left = F.cdf_left_array(thresholds)
+    upper = np.concatenate([left, np.ones(left.shape[:-1] + (1,))], axis=-1)[..., 1:]
+    mass = right - left
+    atoms = np.where(mass > 0.0, mass * np.maximum(margins[..., :-1], margins[..., 1:]), 0.0)
+    terms = [np.zeros(left.shape[:-1] + (1,)), margins[..., 1:] * (upper - right), atoms]
+    return np.add.accumulate(np.concatenate(terms, axis=-1), axis=-1)[..., -1]
+
+
 def per_consumer_profit(menu: Menu, thetas: np.ndarray, env: Environment) -> np.ndarray:
     """Vectorized firm profit p - c(x) at each consumer's chosen item."""
     ladder, thresholds = _choice_ladder(menu, env)
     th = np.asarray(thetas, dtype=float)
-    margins = np.asarray([_profit_of(x, p, env) for x, p in ladder])
-    if not thresholds:
-        return np.zeros(th.shape, dtype=float)
-    tarr = np.asarray(thresholds)
+    margins = _profit_of(*np.asarray(ladder).T, env)
+    tarr = np.asarray(thresholds, dtype=float)
     idx = np.searchsorted(tarr, th, side="right")
     # types sitting exactly on a threshold go to the firm-preferred side
-    on_edge = np.nonzero(np.isin(th, tarr))[0]
-    for i in on_edge:
-        k = int(idx[i])
-        if k >= 1 and margins[k - 1] >= margins[k]:
-            idx[i] = k - 1
-    return margins[idx]
+    return margins[idx - (np.isin(th, tarr) & (margins[idx - 1] >= margins[idx]))]
 
 
 def expected_profit(menu: Menu, F: Cdf, env: Environment) -> float:
     """Expected firm profit of the menu against type distribution F.
 
     Exact average over the observations for an empirical step distribution;
-    exact interval/atom integration over the choice regions otherwise, by
-    `one_offer_profits` for a one-item menu.
+    exact interval/atom integration over the choice regions otherwise.
     """
     if isinstance(F, EmpiricalStep):
         return float(per_consumer_profit(menu, F.sample.values, env).mean())
-    if len(menu.items) == 1:
-        ((x, p),) = menu.items
-        return float(one_offer_profits(x, np.array([p]), F, env)[0])
-
     ladder, thresholds = _choice_ladder(menu, env)
-    if not thresholds:
-        return 0.0
-    margins = [_profit_of(x, p, env) for x, p in ladder]
-    t = np.asarray(thresholds)
-    right = F.cdf_array(t)
-    left = F.cdf_left_array(t)
-
-    total = 0.0
-    # open-interval masses: item k >= 1 is chosen on (t_k, t_{k+1})
-    for k in range(1, len(ladder)):
-        upper = left[k] if k < len(thresholds) else 1.0
-        total += margins[k] * (upper - right[k - 1])
-    # atoms at thresholds: firm-favored assignment between the two neighbors
-    for k in range(len(thresholds)):
-        mass = right[k] - left[k]
-        if mass > 0.0:
-            total += mass * max(margins[k], margins[k + 1])
-    return total
+    margins = _profit_of(*np.asarray(ladder).T, env)
+    return float(_region_profits(margins, np.asarray(thresholds, dtype=float), F))
 
 
 def one_offer_profits(x: float, prices: np.ndarray, F: Cdf, env: Environment) -> np.ndarray:
-    """Expected profit of each one-item menu {(x, p)}, p in `prices`, against
+    """`expected_profit` of each one-item menu {(x, p)}, p in `prices`, against
     a distribution F that is not an empirical step, from one evaluation of F
-    and of its left limits at all the thresholds: the rules of
-    `expected_profit`, vectorized.
+    and of its left limits at all the thresholds.
 
-    Types from t = p / (u(x) - u(0)) up buy the item, and an atom at t goes to
-    the firm-preferred side. Where t lies above the type space, or x is 0,
-    nobody buys and the profit is 0.
+    Types from t = p / (u(x) - u(0)) up buy the item. Where t lies above the
+    type space nobody buys and the profit is 0.
     """
     prices = np.asarray(prices, dtype=float)
     _check_quantity(x, env)
-    if x <= 0.0:
-        return np.zeros(prices.shape)
     lo, hi = env.types.lower, env.types.upper
     u_0, u_x = np.asarray(env.valuation_d_theta(hi, np.array([0.0, x])), dtype=float).tolist()
     du = u_x - u_0
@@ -250,17 +240,9 @@ def one_offer_profits(x: float, prices: np.ndarray, F: Cdf, env: Environment) ->
         t = prices / du
     else:
         t = np.where(prices <= 0.0, -np.inf, np.inf)
-    sold = t <= hi
-    t = np.maximum(t, lo)
-    right = F.cdf_array(t)
-    left = F.cdf_left_array(t)
-    outside = _profit_of(0.0, 0.0, env)
-    margin = prices - float(np.asarray(env.cost(x)))
-    # summed onto 0.0 like the ladder's total, so a zero profit is +0.0
-    total = 0.0 + margin * (1.0 - right)
-    mass = right - left
-    total = np.where(mass > 0.0, total + mass * np.maximum(outside, margin), total)
-    return np.where(sold, total, 0.0)
+    # one ladder per price: the outside option (0, 0), then (x, p)
+    margins = _profit_of(np.array([0.0, x]), np.stack([np.zeros_like(prices), prices], axis=-1), env)
+    return np.where(t <= hi, _region_profits(margins, np.maximum(t, lo)[:, None], F), 0.0)
 
 
 def menu_from_allocation(allocation: Allocation, env: Environment) -> Menu:

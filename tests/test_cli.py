@@ -150,6 +150,13 @@ class TestEstimate:
         assert payload["bandwidth"] == pytest.approx(3 ** (-1 / 3))
         assert len(payload["grid"]) == 5
 
+    def test_negative_grid_points_exits_2(self, capsys, sample_file):
+        code = main(["estimate", "--sample", sample_file, "--estimator", "kernel", "--grid-points", "-3"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: --grid-points must be nonnegative, got -3\n"
+
 
 class TestInfer:
     def test_seed_required(self, capsys, sample_file, menu_file):
@@ -180,6 +187,27 @@ class TestInfer:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: --target profit requires --menu\n"
+
+    def test_too_few_bootstrap_draws_exits_2(self, capsys, sample_file):
+        code = main(["infer", "--target", "optimal", "--sample", sample_file, "--bootstrap", "50", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: --bootstrap must be at least 100, got 50\n"
+
+    def test_level_outside_unit_interval_exits_2(self, capsys, sample_file):
+        code = main(["infer", "--target", "optimal", "--sample", sample_file, "--level", "1.5", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: --level must lie in (0, 1), got 1.5\n"
+
+    def test_optimal_screening_on_ecdf_exits_1(self, capsys, sample_file):
+        code = main(["infer", "--target", "optimal", "--sample", sample_file, "--env", "screening", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no solver for this pair: ") and err.count("\n") == 1
 
     def test_compare_requires_second_menu(self, capsys, sample_file, menu_file):
         code = main(

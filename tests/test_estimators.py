@@ -58,6 +58,13 @@ class TestInterpEcdf:
         with pytest.raises(ValueError):
             ep.interp_ecdf(ep.Sample(np.array([0.3, 0.6])), 0.3)
 
+    def test_bad_lower_anchor_message_names_plain_float(self):
+        with pytest.raises(ValueError) as info:
+            ep.interp_ecdf(ep.Sample(np.array([0.025376259513222976, 0.6])), 0.5)
+        assert str(info.value) == (
+            "theta_lower must lie strictly below the smallest observation (0.025376259513222976)"
+        )
+
     def test_valid_continuous_cdf(self):
         s = ep.draw_sample(ep.Uniform(0.1, 1.0), 25, 3)
         F = ep.interp_ecdf(s, 0.0)

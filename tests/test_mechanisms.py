@@ -125,24 +125,107 @@ def _reference_ladder(menu, env):
     return ladder, thresholds
 
 
-class TestOneOfferProfits:
-    """One-item menus skip the ladder: the vectorized routine must equal the
-    ladder's answer, which a dominated duplicate item forces (the ladder keeps
-    the cheaper item of each quantity)."""
+_ENVS = pytest.mark.parametrize(
+    "env",
+    [
+        ep.linear_unit_demand(0.0, 1.0, 1.0, 0.0),
+        ep.linear_unit_demand(0.2, 1.5, 2.0, 0.3),
+        ep.separable_screening(lambda x: 0.5 * np.asarray(x) ** 2, 0.1, 1.2, 1.0, np.sqrt),
+    ],
+    ids=["linear", "linear-cost-shifted", "screening-sqrt"],
+)
 
-    @pytest.mark.parametrize(
-        "env",
-        [
-            ep.linear_unit_demand(0.0, 1.0, 1.0, 0.0),
-            ep.linear_unit_demand(0.2, 1.5, 2.0, 0.3),
-            ep.separable_screening(lambda x: 0.5 * np.asarray(x) ** 2, 0.1, 1.2, 1.0, np.sqrt),
-        ],
-        ids=["linear", "linear-cost-shifted", "screening-sqrt"],
-    )
+
+def _reference_total(menu, F, env):
+    """Expected profit as a scalar loop over the choice ladder: the interval
+    terms, then the atom terms, added one at a time onto 0.0."""
+    ladder, thresholds = _choice_ladder(menu, env)
+    if not thresholds:
+        return 0.0
+    margins = [p - float(np.asarray(env.cost(x))) for x, p in ladder]
+    t = np.asarray(thresholds)
+    right = F.cdf_array(t)
+    left = F.cdf_left_array(t)
+    total = 0.0
+    for k in range(1, len(ladder)):
+        upper = left[k] if k < len(thresholds) else 1.0
+        total += margins[k] * (upper - right[k - 1])
+    for k in range(len(thresholds)):
+        mass = right[k] - left[k]
+        if mass > 0.0:
+            total += mass * max(margins[k], margins[k + 1])
+    return total
+
+
+def _reference_per_consumer(menu, thetas, env):
+    """Per-type profit with the firm-side tie rule as a loop over edge types."""
+    ladder, thresholds = _choice_ladder(menu, env)
+    margins = np.asarray([p - float(np.asarray(env.cost(x))) for x, p in ladder])
+    if not thresholds:
+        return np.zeros(thetas.shape)
+    tarr = np.asarray(thresholds)
+    idx = np.searchsorted(tarr, thetas, side="right")
+    for i in np.nonzero(np.isin(thetas, tarr))[0]:
+        k = int(idx[i])
+        if k >= 1 and margins[k - 1] >= margins[k]:
+            idx[i] = k - 1
+    return margins[idx]
+
+
+def _ladder_menu(gen, env, max_levels=8):
+    """Menu of up to `max_levels` items, every one of them chosen by some type."""
+    k = int(gen.integers(1, max_levels + 1))
+    bps = np.unique(gen.uniform(env.types.lower, env.types.upper, size=k))
+    qs = np.sort(gen.uniform(0.05, env.x_max, size=bps.size))
+    return ep.menu_from_allocation(ep.Allocation(tuple(bps), tuple(qs)), env)
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+class TestRegionProfits:
+    """The array routine behind `expected_profit` and `per_consumer_profit`
+    gives the scalar ladder loop's bits, atoms on thresholds included."""
+
+    @_ENVS
+    def test_expected_profit_matches_ladder_loop(self, env):
+        gen = np.random.default_rng(41)
+        for i in range(400):
+            menu = random_menu(gen, max_items=8) if i % 2 else _ladder_menu(gen, env)
+            _, thresholds = _choice_ladder(menu, env)
+            laws = [random_exact_cdf(gen), ep.Uniform(env.types.lower, env.types.upper)]
+            if thresholds:
+                t = thresholds[int(gen.integers(len(thresholds)))]
+                laws.append(ep.Mixture(np.array([0.4, 0.6]), (ep.PointMass(t), random_exact_cdf(gen))))
+            for F in laws:
+                if isinstance(F, ep.EmpiricalStep):
+                    continue  # averaged over the observations instead
+                assert _same_bits(ep.expected_profit(menu, F, env), _reference_total(menu, F, env))
+
+    @_ENVS
+    def test_per_consumer_matches_edge_loop(self, env):
+        gen = np.random.default_rng(43)
+        for i in range(200):
+            menu = random_menu(gen, max_items=8) if i % 2 else _ladder_menu(gen, env)
+            _, thresholds = _choice_ladder(menu, env)
+            thetas = np.concatenate([gen.uniform(env.types.lower, env.types.upper, 20), thresholds])
+            got = per_consumer_profit(menu, thetas, env)
+            assert _same_bits(got, _reference_per_consumer(menu, thetas, env))
+
+
+class TestOneOfferProfits:
+    """The vectorized one-offer routine must equal `expected_profit` on the
+    one-item menu and on a ladder with a dominated duplicate item (the ladder
+    keeps the cheaper item of each quantity)."""
+
+    @_ENVS
     def test_matches_ladder(self, env):
         gen = np.random.default_rng(17)
         laws = [ep.Uniform(0, 1), ep.BetaCdf(0.25, 0.25), ep.PointMass(0.7),
-                ep.Mixture(np.array([0.5, 0.5]), (ep.PointMass(0.2), ep.BetaCdf(2, 5)))]
+                ep.Mixture(np.array([0.5, 0.5]), (ep.PointMass(0.2), ep.BetaCdf(2, 5))),
+                # mass above the type space, where nobody is counted as buying
+                ep.Uniform(0, 2)]
         laws += [random_exact_cdf(gen) for _ in range(6)]
         x_max = float(env.x_max)
         for F in laws:
