@@ -39,7 +39,6 @@ from enum import Enum
 from functools import cache
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import Cdf, PiecewiseLinear
 from .errors import EmpriceError
@@ -173,6 +172,9 @@ def _integral_f2_above(F: Cdf, bidders: int, r: float) -> float:
         keep = highs > lows
         order = _gl_order(bidders)
         return float(np.sum(_gl_integral_segments(f2.cdf_array, lows[keep], highs[keep], order)))
+    # imported here, so that start-up loads no scipy
+    from scipy import integrate
+
     kinks = [p for p in F.special_points() if a < p < hi]
     points = kinks if 0 < len(kinks) <= 80 else None
     val, _ = integrate.quad(

@@ -71,7 +71,13 @@ def _add_env_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x-max", type=float, default=1.0)
 
 
+# the flag that stands in for --sample, where --sample is optional
+_SAMPLE_ALTERNATIVE = {"solve": "--dist", "auction": "--bound-n"}
+
+
 def _load_sample(args):
+    if args.sample is None:
+        raise UsageError(f"{args.command} needs --sample or {_SAMPLE_ALTERNATIVE[args.command]}")
     try:
         return read_sample(args.sample, header=args.header)
     except ValueError as exc:
@@ -152,6 +158,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
+    if args.alpha is not None and not 0.0 < args.alpha < 1.0:
+        raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
     kind = _bound_kind(args)
     if args.samples_needed:
         if args.alpha is None:
@@ -215,6 +225,12 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_auction(args) -> int:
+    if args.bidders < 2:
+        raise UsageError(f"--bidders must be at least 2, got {args.bidders}")
+    if args.seller_value < 0:
+        raise UsageError(f"--seller-value must be nonnegative, got {args.seller_value}")
+    if args.bound_n is not None and args.bound_n < 1:
+        raise UsageError(f"--bound-n must be at least 1, got {args.bound_n}")
     mode = ProfitMode.SECOND_ORDER_TAIL if args.mode == "tail" else ProfitMode.EXPECTED_REVENUE
     if args.bound_n is not None:
         profit, regret = auction_regret_guarantee(_bound_kind(args), args.bound_n, args.delta, args.bidders)

@@ -31,7 +31,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .errors import EmpriceError
 from .rng import substream
@@ -251,10 +250,16 @@ class BetaCdf(Cdf):
         return True
 
     def cdf_array(self, theta):
+        # imported here, so that start-up loads no scipy
+        from scipy import special
+
         x = np.clip((np.asarray(theta, dtype=float) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
         return special.betainc(self.alpha, self.beta, x)
 
     def density_array(self, theta):
+        # imported here, so that start-up loads no scipy
+        from scipy import special
+
         th = np.asarray(theta, dtype=float)
         x = (th - self.lo) / (self.hi - self.lo)
         out = np.zeros_like(x)

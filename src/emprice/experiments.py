@@ -26,7 +26,6 @@ CSV schemas (17 significant digits for round-tripping):
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -133,6 +132,8 @@ class McConfig:
             raise ValueError("need at least one distribution and one sample size")
         if min(self.sample_sizes) < 1:
             raise ValueError("sample sizes must be at least 1")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
     def environment(self) -> Environment:
         return linear_unit_demand(0.0, self.theta_max, 1.0, self.c_bar)
@@ -270,6 +271,9 @@ def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
 def _map_chunks(fn, tasks, workers: int):
     if workers <= 1:
         return [fn(t) for t in tasks]
+    # imported here: serial runs never load the process pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 

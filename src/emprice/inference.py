@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .distributions import PiecewiseLinear, Sample
 from .environment import Environment
@@ -52,12 +51,15 @@ from .solvers import optimal_profit
 
 # Resample indices scored per block: a block holds the largest whole number
 # of resamples (at least one) that fits. The budget bounds the engine's memory
-# for any n, and keeps each block's (k, n) index and work arrays just under
-# glibc's default 128 KiB mmap threshold (2^14 8-byte values), so they reuse
-# heap memory instead of faulting in fresh pages every block. Blocks of 64
-# resamples at n = 500 (256 KiB arrays) did fault, and all B rows at once
-# (4 MB) raised peak memory without running faster.
-_BLOCK_INDICES = 16_000
+# for any n, and keeps each block's (k, n) index and work arrays of 8-byte
+# values under 64 KiB: glibc's free() returns the top of the heap to the
+# system only when it frees a chunk of at least 64 KiB, so smaller arrays
+# reuse heap memory instead of faulting in fresh pages every block. At 16,000
+# indices (125 KiB arrays) a B = 1000 bootstrap at n = 500 took about 2,400
+# page faults in a process that had not imported scipy, and none in one that
+# had (its import leaves glibc's thresholds raised). All B rows at once (4 MB)
+# raised peak memory without running faster.
+_BLOCK_INDICES = 8_000
 
 __all__ = [
     "CiMethod",
@@ -201,11 +203,14 @@ def plugin_variance(menu: Menu, sample: Sample, env: Environment) -> float:
 
 def plugin_normal_ci(menu: Menu, sample: Sample, env: Environment, level: float = 0.95) -> ProfitEstimate:
     """Normal interval from the plug-in variance (fixed menus only)."""
+    # imported here, so that start-up loads no scipy
+    from scipy import special
+
     _check_level(level)
     w = per_consumer_profit(menu, sample.values, env)
     point = float(w.mean())
     se = math.sqrt(plugin_variance(menu, sample, env) / sample.n)
-    z = float(sp_stats.norm.ppf(1.0 - (1.0 - level) / 2.0))
+    z = float(special.ndtri(1.0 - (1.0 - level) / 2.0))
     return ProfitEstimate(point, se, point - z * se, point + z * se, level, CiMethod.PLUGIN_NORMAL, 0, None)
 
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .distributions import Cdf, EmpiricalStep
 from .environment import Environment, MarketKind, require_separable
@@ -171,6 +170,9 @@ def _minorant_slopes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Block boundaries (knot indices) of the greatest convex minorant and its
     per-segment slopes: PAVA on the knot slopes weighted by segment width
     gives the blocks, and each block's slope is the chord across it."""
+    # imported here, so that start-up loads no scipy
+    from scipy.optimize import isotonic_regression
+
     dx = np.diff(x)
     blocks = isotonic_regression(np.diff(y) / dx, weights=dx).blocks
     a, b = blocks[:-1], blocks[1:]

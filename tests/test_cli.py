@@ -80,6 +80,10 @@ class TestSolve:
             assert out == ""
             assert err == f"error: --grid-size must be at least 1, got {size}\n"
 
+    def test_neither_sample_nor_dist_exits_2(self, capsys):
+        assert main(["solve"]) == 2
+        assert capsys.readouterr().err == "error: solve needs --sample or --dist\n"
+
     def test_unknown_flag_exits_2(self, capsys, sample_file):
         assert main(["solve", "--sample", sample_file, "--frobnicate"]) == 2
 
@@ -274,6 +278,28 @@ class TestAuction:
             ["auction", "--bidders", "3", "--bound-n", "500", "--delta", "0.6", "--kind", "dkw"],
         )
         assert payload["profit"]["lipschitz"] == 12.0
+
+    def test_neither_sample_nor_bound_n_exits_2(self, capsys):
+        assert main(["auction", "--bidders", "2"]) == 2
+        assert capsys.readouterr().err == "error: auction needs --sample or --bound-n\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["auction", "--bidders", "1"], "--bidders must be at least 2, got 1"),
+        (["auction", "--bidders", "2", "--seller-value", "-1"], "--seller-value must be nonnegative, got -1.0"),
+        (["auction", "--bidders", "2", "--bound-n", "0"], "--bound-n must be at least 1, got 0"),
+        (["bound", "--n", "0", "--delta", "0.1"], "--n must be at least 1, got 0"),
+        (["bound", "--samples-needed", "--alpha", "1.5", "--delta", "0.1"], "--alpha must lie in (0, 1), got 1.5"),
+        (["simulate", "--workers", "0", "--reps", "2", "--seed", "1"], "workers must be at least 1"),
+        (["simulate", "--workers", "-3", "--reps", "2", "--seed", "1"], "workers must be at least 1"),
+    ],
+)
+def test_flag_out_of_range_exits_2(capsys, sample_file, argv, message):
+    # each range fault is caught before any sample is read or any work runs
+    assert main([*argv, *(["--sample", sample_file] if argv[0] == "auction" else [])]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSimulate:

@@ -177,6 +177,21 @@ class TestPluginNormal:
         assert est.method is ep.CiMethod.PLUGIN_NORMAL
         assert est.ci_high - est.point == pytest.approx(est.point - est.ci_low, abs=1e-15)
 
+    def test_z_matches_scipy_norm_ppf(self):
+        from scipy import stats
+
+        # per-consumer profits -1/4, -1/4, 1/4, 1/4: the point is 0 and the
+        # plug-in standard error 1/8, so ci_high = z/8 holds z's every bit
+        env = ep.linear_unit_demand(0.0, 3.0, 1.0, 1.0)
+        menu = ep.Menu(((0.5, 0.25), (1.0, 1.25)))
+        s = ep.Sample(np.array([0.6, 0.7, 2.5, 2.6]))
+        gen = np.random.default_rng(10)
+        levels = [*gen.uniform(0.0, 1.0, size=10_000), 0.90, 0.95, 0.99]
+        for level in levels:
+            est = ep.plugin_normal_ci(menu, s, env, level)
+            assert est.point == 0.0 and est.std_error == 0.125
+            assert est.ci_high * 8 == stats.norm.ppf(1.0 - (1.0 - level) / 2.0)
+
     def test_estimate_serialization(self, linear_env, fixed_menu):
         s = ep.draw_sample(ep.Uniform(0, 1), 50, 1)
         est = ep.bootstrap_ci_profit(fixed_menu, s, linear_env, 200, 0.95, 5)

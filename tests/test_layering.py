@@ -4,9 +4,17 @@ Every module under src/emprice is parsed with `ast`; an import of an
 underscore-prefixed name from another package module fails the test. Tests
 themselves may import private helpers. The numerics core is a leaf: it
 imports numpy and nothing from the package.
+
+Start-up cost: scipy subpackages and the process pool load only on the paths
+that call them. A fresh interpreter runs one command and reports which modules
+it loaded.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +54,62 @@ def test_numerics_is_a_leaf():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." if node.level else node.module.split(".")[0])
     assert imported <= {"__future__", "numpy"}
+
+
+SAMPLE = str(Path(__file__).parent / "golden" / "infer-sample.txt")
+
+_RUN_AND_LIST_MODULES = """
+import contextlib, io, json, sys
+from emprice.cli import main
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def modules_loaded_by(argv: list[str]) -> set[str]:
+    """Modules in sys.modules after `import emprice.cli` and, if given, one CLI call."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, json.dumps(argv)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return set(json.loads(proc.stdout))
+
+
+def scipy_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_import_loads_no_scipy_and_no_process_pool():
+    loaded = modules_loaded_by([])
+    assert scipy_modules(loaded) == set()
+    assert "concurrent.futures.process" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["auction", "--sample", SAMPLE, "--bidders", "2"],
+        ["solve", "--sample", SAMPLE, "--estimator", "interp"],
+        ["infer", "--target", "optimal", "--sample", SAMPLE, "--bootstrap", "100", "--seed", "1"],
+    ],
+    ids=["auction", "solve-interp", "infer-optimal"],
+)
+def test_sample_commands_load_no_scipy(argv):
+    assert scipy_modules(modules_loaded_by(argv)) == set()
+
+
+def test_beta_solve_loads_only_special():
+    loaded = modules_loaded_by(["solve", "--dist", "beta:4:4"])
+    assert "scipy.special" in loaded
+    assert not {"scipy.stats", "scipy.optimize", "scipy.integrate"} & loaded
+
+
+def test_screening_solve_loads_optimize_without_stats_or_integrate():
+    argv = ["solve", "--sample", SAMPLE, "--estimator", "interp", "--env", "screening", "--grid-size", "500"]
+    loaded = modules_loaded_by(argv)
+    assert "scipy.optimize" in loaded
+    assert not {"scipy.stats", "scipy.integrate"} & loaded
