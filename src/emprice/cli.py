@@ -97,7 +97,7 @@ def _bound_kind(args) -> guarantees.BoundKind:
     if args.kind == "interp":
         return guarantees.InterpEcdfBound()
     if args.tv_bound is None or args.bandwidth is None:
-        raise EmpriceError("kernel bound needs --tv-bound and --bandwidth")
+        raise UsageError("kernel bound needs --tv-bound and --bandwidth")
     return guarantees.KernelDeterministicBound(
         args.tv_bound, KernelSpec(_KERNELS[args.kernel]), args.bandwidth
     )
@@ -165,7 +165,7 @@ def _cmd_bound(args) -> int:
     kind = _bound_kind(args)
     if args.samples_needed:
         if args.alpha is None:
-            raise EmpriceError("--samples-needed requires --alpha")
+            raise UsageError("--samples-needed requires --alpha")
         lipschitz = 1.0 if args.lipschitz is None else args.lipschitz
         n = guarantees.sample_complexity(kind, args.delta, args.alpha, lipschitz)
         _emit({
@@ -218,7 +218,7 @@ def _cmd_infer(args) -> int:
         _emit(est.to_dict())
     else:
         if args.menu_b is None:
-            raise EmpriceError("--target compare requires --menu-b")
+            raise UsageError("--target compare requires --menu-b")
         res = bootstrap_compare(_load_menu(args.menu), _load_menu(args.menu_b), sample, env, **kwargs)
         _emit(res.to_dict())
     return 0

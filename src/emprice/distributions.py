@@ -12,22 +12,20 @@ mixtures) are found by bisection to 1e-12, which keeps sampling deterministic
 for a given stream. The Beta CDF itself is the regularized incomplete beta
 function (continued-fraction evaluation via scipy.special.betainc).
 
-Beta quantiles start the bisection from a dyadic table: the first 12 levels
-of the bisection's own midpoints (4095 nodes, built by the same 0.5*(lo+hi)
-recursion, so the same floats) and F at each node. When those values are
-nondecreasing, a binary search over the table takes exactly the path the
-first 12 steps would take, so the result is the same lattice point bit for
-bit, whatever the accuracy of betainc; when they are not, the plain bisection
-runs. Tables are keyed by the law's parameters (alpha, beta, lo, hi), in a
-cache of at most 8 tables shared by every instance of the law, so a law
-parsed again reuses its table.
+Beta quantiles take the bisection's own path without evaluating the CDF at
+each step: `scipy.special.betaincinv` gives an approximate inverse, and the
+descent compares each of the bisection's midpoints 0.5*(lo+hi) with it.
+Two CDF evaluations then check the final cell; a level whose cell fails the
+check goes through the plain bisection. While F is nondecreasing on the
+midpoints, only one final cell has F(lo) < q <= F(hi), and the plain
+bisection ends in it, so a checked cell is the plain result bit for bit,
+whatever the accuracy of betaincinv: a poor guess costs only fallbacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +50,6 @@ __all__ = [
 ]
 
 _BISECT_TOL = 1e-12
-_TABLE_LEVELS = 12
 _SUP_GRID = 10_000
 
 
@@ -144,55 +141,32 @@ def _bisect_steps(F: Cdf) -> int:
     return max(8, int(np.ceil(np.log2(max(hi_s - lo_s, 1e-300) / _BISECT_TOL))) + 2)
 
 
-def _dyadic_table(F: Cdf) -> tuple[np.ndarray, np.ndarray] | None:
-    """(edges, values): the bisection's first _TABLE_LEVELS levels of midpoints.
-
-    edges holds the support edges and the 4095 midpoints in order,
-    each made by the bisection's own 0.5 * (lo + hi); values holds F at the
-    midpoints. None when the bisection runs fewer steps than the table covers,
-    or when the values are not nondecreasing (NaN included): only a monotone
-    table guarantees the bisection's path.
-    """
-    if _bisect_steps(F) < _TABLE_LEVELS:
-        return None
-    edges = np.asarray(F.support, dtype=float)
-    for _ in range(_TABLE_LEVELS):
-        finer = np.empty(2 * edges.size - 1)
-        finer[0::2] = edges
-        finer[1::2] = 0.5 * (edges[:-1] + edges[1:])
-        edges = finer
-    values = F.cdf_array(edges[1:-1])
-    if not np.all(values[1:] >= values[:-1]):
-        return None
-    return edges, values
-
-
-def _bisect_quantile(
-    F: Cdf, q: np.ndarray, table: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
+def _bisect_quantile(F: Cdf, q: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
     """Generalized inverse by elementwise bisection.
 
     Invariant: F(hi) >= q everywhere, F(lo) < q (or lo is the support edge),
     so the limit is inf{theta : F(theta) >= q}. Elementwise, hence identical
-    results whether calls are batched or not. A `_dyadic_table` of F replaces
-    the first steps: the first node with F >= q is where they would end.
+    results whether calls are batched or not.
+
+    With `guess`, an approximate inverse, each step compares the midpoint
+    with the guess instead of evaluating F. The final cell is then checked,
+    F(lo) < q <= F(hi), and the levels that fail go through the plain
+    bisection. Where F is nondecreasing on the midpoints, the only cell that
+    can pass is the one the plain bisection ends in, so the bits are the same.
     """
     _check_levels(q)
-    steps = _bisect_steps(F)
-    if table is None:
-        lo_s, hi_s = F.support
-        lo = np.full(q.shape, lo_s, dtype=float)
-        hi = np.full(q.shape, hi_s, dtype=float)
-    else:
-        edges, values = table
-        k = np.searchsorted(values, q, side="left")
-        lo, hi = edges[k], edges[k + 1]
-        steps -= _TABLE_LEVELS
-    for _ in range(steps):
+    lo_s, hi_s = F.support
+    lo = np.full(q.shape, lo_s, dtype=float)
+    hi = np.full(q.shape, hi_s, dtype=float)
+    for _ in range(_bisect_steps(F)):
         mid = 0.5 * (lo + hi)
-        ge = F.cdf_array(mid) >= q
+        ge = F.cdf_array(mid) >= q if guess is None else mid >= guess
         hi = np.where(ge, mid, hi)
         lo = np.where(ge, lo, mid)
+    if guess is not None:
+        miss = ~((F.cdf_array(hi) >= q) & (F.cdf_array(lo) < q))
+        if miss.any():
+            hi[miss] = _bisect_quantile(F, q[miss])
     return hi
 
 
@@ -270,23 +244,13 @@ class BetaCdf(Cdf):
         out[inside] = np.exp(ln) / (self.hi - self.lo)
         return out
 
-    @property
-    def _quantile_table(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return _beta_table(self.alpha, self.beta, self.lo, self.hi)
-
     def quantile_array(self, q):
-        return _bisect_quantile(self, np.asarray(q, dtype=float), self._quantile_table)
+        # imported here, so that start-up loads no scipy
+        from scipy import special
 
-
-@lru_cache(maxsize=8)
-def _beta_table(alpha: float, beta: float, lo: float, hi: float):
-    """The `_dyadic_table` of Beta(alpha, beta) on [lo, hi], shared by every
-    instance of that law; read-only, since every caller gets the same arrays."""
-    table = _dyadic_table(BetaCdf(alpha, beta, lo, hi))
-    if table is not None:
-        for a in table:
-            a.flags.writeable = False
-    return table
+        q = np.asarray(q, dtype=float)
+        guess = self.lo + (self.hi - self.lo) * special.betaincinv(self.alpha, self.beta, q)
+        return _bisect_quantile(self, q, guess)
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,7 @@ class McConfig:
         return linear_unit_demand(0.0, self.theta_max, 1.0, self.c_bar)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class McRow:
     distribution: str
     n: int

@@ -21,7 +21,7 @@ resamples.
 
 One engine, `bootstrap_roots`, serves every target and the Monte Carlo
 harness. It takes the PCG64 states of all B streams from
-`rng.substream_states` in one vectorized pass, and `rng.resample_indices`
+`rng.substream_states` in one vectorized pass, and `rng.resample_blocks`
 draws each resample's indices exactly as
 ``substream(*path(s), b).integers(0, n, size=n)`` would. A `Statistic` then
 scores the resamples a block at a time, as a function of a (k, n) index
@@ -46,7 +46,7 @@ from .distributions import PiecewiseLinear, Sample
 from .environment import Environment
 from .estimators import ecdf, interp_ecdf
 from .mechanisms import Menu, per_consumer_profit
-from .rng import resample_indices, seed_path, substream_states
+from .rng import resample_blocks, seed_path, substream_states
 from .solvers import optimal_profit
 
 # Resample indices scored per block: a block holds the largest whole number
@@ -179,8 +179,8 @@ def bootstrap_roots(stat: Statistic, b_draws: int, seed: int | tuple[int, ...]) 
     states = substream_states(seed_path(seed), b_draws)
     values = np.empty(b_draws)
     block = max(1, _BLOCK_INDICES // stat.n)
-    for lo in range(0, b_draws, block):
-        values[lo:lo + block] = stat.on_resamples(resample_indices(states[lo:lo + block], stat.n))
+    for lo, idx in zip(range(0, b_draws, block), resample_blocks(states, stat.n, block)):
+        values[lo:lo + block] = stat.on_resamples(idx)
     return BootstrapRoots(stat.point, stat.n, math.sqrt(stat.n) * (values - stat.point))
 
 

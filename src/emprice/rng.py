@@ -21,16 +21,19 @@ computes the PCG64 state of every ``substream(*path, b)``, ``b < count``, in
 one vectorized pass: numpy's documented ``SeedSequence`` algorithm (4-word
 pool, ``hashmix``/``mix``, ``generate_state(4, uint64)``) in uint32
 arithmetic over the draw indices, then PCG64's ``srandom`` step.
-:func:`resample_indices` loads those states one at a time into a single
-reused generator and calls ``integers(0, n, size=n)``, so each row of indices
-is exactly the one ``substream(*path, b).integers(0, n, size=n)`` gives.
+:func:`resample_blocks` loads those states one at a time into a single
+generator, built once per call, and calls ``integers(0, n, size=n)``, so each
+row of indices is exactly the one ``substream(*path, b).integers(0, n,
+size=n)`` gives.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
-__all__ = ["substream", "seed_path", "substream_states", "resample_indices"]
+__all__ = ["substream", "seed_path", "substream_states", "resample_blocks"]
 
 _U32 = (1 << 32) - 1
 _U64 = (1 << 64) - 1
@@ -148,15 +151,18 @@ def substream_states(path: tuple[int, ...], count: int) -> list[dict]:
     return states
 
 
-def resample_indices(states: list[dict], n: int) -> np.ndarray:
-    """One row of n indices in [0, n) per PCG64 state, shape (len(states), n).
+def resample_blocks(states: list[dict], n: int, block: int) -> Iterator[np.ndarray]:
+    """One row of n indices in [0, n) per PCG64 state, ``block`` rows at a time.
 
-    Row j equals ``Generator(PCG64 in states[j]).integers(0, n, size=n)``.
+    Row j equals ``Generator(PCG64 in states[j]).integers(0, n, size=n)``. One
+    generator serves every block: each state is loaded into it in turn.
     """
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
-    out = np.empty((len(states), n), dtype=np.int64)
-    for row, state in zip(out, states):
-        bit_gen.state = state
-        row[:] = gen.integers(0, n, size=n)
-    return out
+    for lo in range(0, len(states), block):
+        chunk = states[lo:lo + block]
+        out = np.empty((len(chunk), n), dtype=np.int64)
+        for row, state in zip(out, chunk):
+            bit_gen.state = state
+            row[:] = gen.integers(0, n, size=n)
+        yield out

@@ -133,7 +133,14 @@ class TestBound:
         assert payload["samples_needed"] == 185
 
     def test_kernel_needs_extra_flags(self, capsys):
-        assert main(["bound", "--kind", "kernel", "--n", "100", "--delta", "0.1"]) == 1
+        assert main(["bound", "--kind", "kernel", "--n", "100", "--delta", "0.1"]) == 2
+        assert capsys.readouterr().err == "error: kernel bound needs --tv-bound and --bandwidth\n"
+
+    def test_samples_needed_requires_alpha(self, capsys):
+        assert main(["bound", "--kind", "dkw", "--delta", "0.4", "--samples-needed"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --samples-needed requires --alpha\n"
 
 
 class TestEstimate:
@@ -217,7 +224,8 @@ class TestInfer:
         code = main(
             ["infer", "--target", "compare", "--sample", sample_file, "--menu", menu_file, "--seed", "1"]
         )
-        assert code == 1
+        assert code == 2
+        assert capsys.readouterr().err == "error: --target compare requires --menu-b\n"
 
     def test_regret_target(self, capsys, sample_file, menu_file, linear_env):
         _, payload = run_json(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emprice as ep
-from emprice.distributions import _bisect_quantile, _dyadic_table
+from emprice.distributions import _bisect_quantile, _bisect_steps
 
 from conftest import random_exact_cdf
 
@@ -73,50 +73,68 @@ def same_bits(a, b):
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-class TestDyadicWarmStart:
-    """Beta quantiles start from the bisection's own dyadic table: bit for bit
-    the plain bisection's result."""
+LAWS = [
+    ep.BetaCdf(0.25, 0.25),
+    ep.BetaCdf(4, 4),
+    ep.BetaCdf(2, 5),
+    ep.BetaCdf(0.5, 0.5),
+    ep.BetaCdf(2, 2),
+    ep.BetaCdf(2, 2, 0.5, 3),
+]
+LAW_IDS = ["beta-quarter", "beta-4-4", "beta-2-5", "beta-half", "beta-2-2", "beta-2-2-rescaled"]
 
-    @pytest.mark.parametrize(
-        "F",
-        [ep.BetaCdf(0.25, 0.25), ep.BetaCdf(4, 4), ep.BetaCdf(2, 5), ep.BetaCdf(2, 2, 0.5, 3)],
-        ids=["beta-quarter", "beta-4-4", "beta-2-5", "beta-2-2-rescaled"],
-    )
+# where float F is flat or steep: levels near 1, tiny levels, and the edges
+HARD_LEVELS = np.concatenate([
+    1.0 - np.logspace(-16, -1, 5_000),
+    np.logspace(-300, -1, 5_000),
+    [0.0, 1.0, 1.0 - 2.0**-53, 2.0**-1074, 0.5, np.nan],
+])
+
+
+class TestDyadicWarmStart:
+    """Beta quantiles walk the bisection's dyadic cells by a betaincinv guess
+    and check the final cell: bit for bit the plain bisection's result."""
+
+    @pytest.mark.parametrize("F", LAWS, ids=LAW_IDS)
     def test_matches_plain_bisection_bit_for_bit(self, F):
-        table = F._quantile_table
-        assert table is not None
-        edges, values = table
-        assert edges.size == 4097 and values.size == 4095
+        # F at the bisection's level-12 nodes puts q on a cell edge
+        at_nodes = F.cdf_array(np.linspace(*F.support, 4097)[1:-1])
         q = np.concatenate([
             np.random.default_rng(2024).random(200_000),
-            [0.0, 1.0, 1e-300, 1.0 - 1e-16, np.nan],
-            values,
-            np.nextafter(values, 0.0),
-            np.nextafter(values, 1.0),
+            HARD_LEVELS,
+            at_nodes,
+            np.nextafter(at_nodes, 0.0),
+            np.nextafter(at_nodes, 1.0),
         ])
-        got = F.quantile_array(q)
+        assert same_bits(F.quantile_array(q), _bisect_quantile(F, q))
+
+    @pytest.mark.parametrize("F", [LAWS[0], LAWS[2], LAWS[5]], ids=[LAW_IDS[0], LAW_IDS[2], LAW_IDS[5]])
+    def test_wrong_guess_falls_back(self, F):
+        q = np.concatenate([np.random.default_rng(7).random(2_000), HARD_LEVELS[::10]])
         want = _bisect_quantile(F, q)
-        assert same_bits(got, want)
+        lo_s, hi_s = F.support
+        cell = (hi_s - lo_s) * 2.0 ** -_bisect_steps(F)
+        # a guess one cell off lands the descent in a neighbouring cell
+        for guess in (want + cell, want - cell, np.zeros_like(q)):
+            assert same_bits(_bisect_quantile(F, q, guess), want)
 
-    def test_instances_of_one_law_share_tables(self):
-        a, b = ep.BetaCdf(4, 4), ep.BetaCdf(4, 4)
-        assert a is not b
-        assert a._quantile_table is b._quantile_table
-        edges, values = a._quantile_table
-        assert not edges.flags.writeable and not values.flags.writeable
-        assert ep.BetaCdf(4, 5)._quantile_table is not a._quantile_table
+    def test_guide_spares_cdf_evaluations(self):
+        points = []
 
-    def test_nonmonotone_values_fall_back(self):
-        class Wobbly(ep.Uniform):
+        class Counted(ep.BetaCdf):
             def cdf_array(self, theta):
-                return np.cos(40.0 * np.asarray(theta)) ** 2
+                points.append(np.size(theta))
+                return super().cdf_array(theta)
 
-        assert _dyadic_table(Wobbly(0.0, 1.0)) is None
+        q = np.random.default_rng(3).random(10_000)
+        Counted(2, 5).quantile_array(q)
+        # the two checks of the final cell, and a plain bisection on few levels
+        assert points[:2] == [q.size, q.size]
+        assert sum(points[2:]) <= 0.01 * q.size * _bisect_steps(ep.BetaCdf(2, 5))
 
-    def test_short_bisection_has_no_table(self):
-        # a 1e-10-wide support needs fewer halvings than the table holds
+    def test_short_support(self):
+        # a 1e-10-wide support needs only a few halvings
         F = ep.BetaCdf(2, 2, 0.3, 0.3 + 1e-10)
-        assert F._quantile_table is None
         assert 0.3 <= F.quantile(0.5) <= 0.3 + 1e-10
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import emprice as ep
-from emprice.rng import resample_indices, substream_states
+from emprice.rng import resample_blocks, substream_states
 
 # int seeds, tuples with negative (masked to 64 bits) and multi-word (>= 2**32)
 # components, paths shorter and longer than SeedSequence's 4-word pool
@@ -31,8 +31,10 @@ def test_states_equal_seed_sequence_pcg64(path):
 @pytest.mark.parametrize("path", [(7,), (3, -5), (2**40 + 3, 11, -1)])
 def test_resample_rows_equal_substream_draws(path, n):
     draws = range(60, 130)  # crosses 64
-    idx = resample_indices(substream_states(path, 130)[60:], n)
-    assert idx.shape == (len(draws), n)
+    # blocks of 16 rows, the last one short, all from one generator
+    blocks = list(resample_blocks(substream_states(path, 130)[60:], n, 16))
+    assert [b.shape for b in blocks] == [(16, n)] * 4 + [(6, n)]
+    idx = np.concatenate(blocks)
     for row, b in zip(idx, draws):
         assert np.array_equal(row, ep.substream(*path, b).integers(0, n, size=n))
 
