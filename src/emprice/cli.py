@@ -84,6 +84,25 @@ def _load_sample(args):
         raise UsageError(f"sample file {args.sample}: {exc}") from exc
 
 
+def _sample_in_type_space(args, env):
+    """The --sample observations, which must lie in the type space."""
+    sample, a, b = _load_sample(args), env.types.lower, env.types.upper
+    lo, hi = sample.values[[0, -1]].tolist()
+    if lo < a or hi > b:
+        raise EmpriceError(
+            f"sample {args.sample} has observations in [{lo:g}, {hi:g}] outside the type space [{a:g}, {b:g}]"
+        )
+    return sample
+
+
+def _require_positive(args, *names: str) -> None:
+    """Exit 2 on a numeric flag that is given but not positive."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not value > 0:
+            raise UsageError(f"--{name.replace('_', '-')} must be positive, got {value}")
+
+
 def _load_menu(path: str) -> Menu:
     try:
         return read_menu(path)
@@ -106,6 +125,7 @@ def _bound_kind(args) -> guarantees.BoundKind:
 def _cmd_estimate(args) -> int:
     if args.grid_points < 0:
         raise UsageError(f"--grid-points must be nonnegative, got {args.grid_points}")
+    _require_positive(args, "bandwidth")
     sample = _load_sample(args)
     if args.estimator == "ecdf":
         F = estimators.ecdf(sample)
@@ -143,7 +163,7 @@ def _cmd_solve(args) -> int:
     if args.dist is not None:
         F = law_in_type_space(args.dist, env)
     else:
-        sample = _load_sample(args)
+        sample = _sample_in_type_space(args, env)
         if args.estimator == "interp":
             F = estimators.interp_ecdf(sample, args.theta_min)
         else:
@@ -162,6 +182,7 @@ def _cmd_bound(args) -> int:
         raise UsageError(f"--n must be at least 1, got {args.n}")
     if args.alpha is not None and not 0.0 < args.alpha < 1.0:
         raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
+    _require_positive(args, "delta", "lipschitz", "tv_bound", "bandwidth")
     kind = _bound_kind(args)
     if args.samples_needed:
         if args.alpha is None:
@@ -200,27 +221,24 @@ def _cmd_infer(args) -> int:
     if not 0.0 < args.level < 1.0:
         raise UsageError(f"--level must lie in (0, 1), got {args.level}")
     env = _env_from_args(args)
-    sample = _load_sample(args)
+    sample = _sample_in_type_space(args, env)
     kwargs = dict(b_draws=args.bootstrap, level=args.level, seed=args.seed, percentile=args.percentile)
     if args.target == "profit":
         est = bootstrap_ci_profit(_load_menu(args.menu), sample, env, **kwargs)
-        _emit(est.to_dict())
     elif args.target == "optimal":
         est = bootstrap_ci_optimal_profit(
             sample, env, estimator=args.estimator, theta_lower=args.theta_min, **kwargs
         )
-        _emit(est.to_dict())
     elif args.target == "regret":
         est = bootstrap_ci_regret(
             _load_menu(args.menu), sample, env,
             estimator=args.estimator, theta_lower=args.theta_min, **kwargs,
         )
-        _emit(est.to_dict())
     else:
         if args.menu_b is None:
             raise UsageError("--target compare requires --menu-b")
-        res = bootstrap_compare(_load_menu(args.menu), _load_menu(args.menu_b), sample, env, **kwargs)
-        _emit(res.to_dict())
+        est = bootstrap_compare(_load_menu(args.menu), _load_menu(args.menu_b), sample, env, **kwargs)
+    _emit(est.to_dict())
     return 0
 
 
@@ -231,6 +249,7 @@ def _cmd_auction(args) -> int:
         raise UsageError(f"--seller-value must be nonnegative, got {args.seller_value}")
     if args.bound_n is not None and args.bound_n < 1:
         raise UsageError(f"--bound-n must be at least 1, got {args.bound_n}")
+    _require_positive(args, "delta", "tv_bound", "bandwidth")
     mode = ProfitMode.SECOND_ORDER_TAIL if args.mode == "tail" else ProfitMode.EXPECTED_REVENUE
     if args.bound_n is not None:
         profit, regret = auction_regret_guarantee(_bound_kind(args), args.bound_n, args.delta, args.bidders)
@@ -253,7 +272,7 @@ def _cmd_auction(args) -> int:
 
 
 def _simulate_config(args) -> McConfig:
-    """The run's configuration, from the --config file or the inline flags."""
+    """The run's configuration: the --config file or the flags fill one mapping."""
     if args.config is not None:
         try:
             raw = json.loads(Path(args.config).read_text())
@@ -264,36 +283,29 @@ def _simulate_config(args) -> McConfig:
             raise UsageError(f"config file {args.config} lacks {', '.join(map(repr, missing))}")
         # InvalidMenuError is a ValueError, which _cmd_simulate maps to exit 2
         menu = menu_from_dict(raw.get("menu", {"items": []}))
-        return McConfig(
-            distributions=tuple(raw["distributions"]),
-            sample_sizes=tuple(int(n) for n in raw["sample_sizes"]),
-            target=McTarget(raw["target"]),
-            replications=int(raw.get("replications", 1000)),
-            bootstrap_draws=int(raw.get("bootstrap_draws", 1000)),
-            levels=tuple(float(v) for v in raw.get("levels", (0.9, 0.95, 0.99))),
-            seed=int(raw["seed"]),
-            fixed_menu=menu if menu.items else Menu(((1.0, 0.5),)),
-            c_bar=float(raw.get("c_bar", 0.0)),
-            theta_max=float(raw.get("theta_max", 1.0)),
-            workers=args.workers,
-        )
+        menu = menu if menu.items else Menu.uniform_price(0.5)
     else:
         if args.seed is None:
             raise UsageError("simulate requires --seed (or a config file with a seed)")
-        menu = _load_menu(args.menu) if args.menu else Menu.uniform_price(args.menu_price)
-        return McConfig(
-            distributions=tuple(args.dist.split(",")),
-            sample_sizes=tuple(int(n) for n in args.sizes.split(",")),
-            target=McTarget(args.target),
-            replications=args.reps,
-            bootstrap_draws=args.bootstrap,
-            levels=tuple(float(v) for v in args.levels.split(",")),
-            seed=args.seed,
-            fixed_menu=menu,
-            c_bar=args.cost,
-            theta_max=args.theta_max,
-            workers=args.workers,
+        raw = dict(
+            distributions=args.dist.split(","), sample_sizes=args.sizes.split(","), target=args.target,
+            replications=args.reps, bootstrap_draws=args.bootstrap, levels=args.levels.split(","),
+            seed=args.seed, c_bar=args.cost, theta_max=args.theta_max,
         )
+        menu = _load_menu(args.menu) if args.menu else Menu.uniform_price(args.menu_price)
+    return McConfig(
+        distributions=tuple(raw["distributions"]),
+        sample_sizes=tuple(int(n) for n in raw["sample_sizes"]),
+        target=McTarget(raw["target"]),
+        replications=int(raw.get("replications", 1000)),
+        bootstrap_draws=int(raw.get("bootstrap_draws", 1000)),
+        levels=tuple(float(v) for v in raw.get("levels", (0.9, 0.95, 0.99))),
+        seed=int(raw["seed"]),
+        fixed_menu=menu,
+        c_bar=float(raw.get("c_bar", 0.0)),
+        theta_max=float(raw.get("theta_max", 1.0)),
+        workers=args.workers,
+    )
 
 
 def _cmd_simulate(args) -> int:

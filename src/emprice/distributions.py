@@ -301,26 +301,22 @@ class Mixture(Cdf):
     def has_density(self) -> bool:
         return all(c.has_density for c in self.components)
 
-    def cdf_array(self, theta):
+    def _weighted(self, method: str, theta) -> np.ndarray:
+        """sum_i w_i * component_i.method(theta), added in component order."""
         th = np.asarray(theta, dtype=float)
         out = np.zeros(th.shape, dtype=float)
         for w, c in zip(self.weights, self.components):
-            out += w * c.cdf_array(th)
+            out += w * getattr(c, method)(th)
         return out
+
+    def cdf_array(self, theta):
+        return self._weighted("cdf_array", theta)
 
     def cdf_left_array(self, theta):
-        th = np.asarray(theta, dtype=float)
-        out = np.zeros(th.shape, dtype=float)
-        for w, c in zip(self.weights, self.components):
-            out += w * c.cdf_left_array(th)
-        return out
+        return self._weighted("cdf_left_array", theta)
 
     def density_array(self, theta):
-        th = np.asarray(theta, dtype=float)
-        out = np.zeros(th.shape, dtype=float)
-        for w, c in zip(self.weights, self.components):
-            out += w * c.density_array(th)
-        return out
+        return self._weighted("density_array", theta)
 
     def atoms(self):
         locs: dict[float, float] = {}
@@ -501,7 +497,6 @@ class KernelSmoothed(Cdf):
     def _reduce(self, theta, fn):
         th = np.asarray(theta, dtype=float)
         v = self.sample.values
-        out = np.zeros(th.shape, dtype=float)
         # chunk the outer product so huge (eval x sample) grids stay bounded
         chunk = max(1, int(2e7) // max(v.size, 1))
         flat = th.reshape(-1)
@@ -509,8 +504,7 @@ class KernelSmoothed(Cdf):
         for s in range(0, flat.size, chunk):
             block = flat[s : s + chunk, None]
             res[s : s + chunk] = fn((block - v[None, :]) / self.h).mean(axis=1)
-        out[...] = res.reshape(th.shape)
-        return out
+        return res.reshape(th.shape)
 
     def cdf_array(self, theta):
         return self._reduce(theta, self.kernel.integrated)

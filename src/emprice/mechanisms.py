@@ -20,7 +20,9 @@ allocation x(.) with x(theta_min) = 0,
     p(theta) = v(theta, x(theta)) - int_{theta_min}^{theta} v1(s, x(s)) ds,
 
 which is constant on each constant segment of x and therefore yields one menu
-item per distinct quantity level.
+item per distinct quantity level. `menu_from_allocation` prices all levels in
+one array pass: two valuation calls per menu, and a cumulative sum of the
+lower levels' rent in level order.
 """
 
 from __future__ import annotations
@@ -250,31 +252,22 @@ def menu_from_allocation(allocation: Allocation, env: Environment) -> Menu:
 
     On a constant segment the information-rent integral telescopes into
     valuation increments, so each distinct quantity level gets the price
-    p_k = v(t_k, q_k) - sum_{j<k} [v(t_{j+1}, q_j) - v(t_j, q_j)].
+    p_k = v(t_k, q_k) - sum_{j<k} [v(t_{j+1}, q_j) - v(t_j, q_j)],
+    with t_K = theta_max. v is called once on every level's lower breakpoint
+    and once on its upper one; the rent adds one term at a time in level order.
     """
-    bps = list(allocation.breakpoints)
-    qs = list(allocation.quantities)
-    # merge consecutive equal quantity levels and drop leading zeros
-    merged: list[tuple[float, float]] = []
-    for b, q in zip(bps, qs):
-        if merged and q == merged[-1][1]:
-            continue
-        merged.append((b, q))
-    merged = [(b, q) for b, q in merged if q > 0.0]
-    if not merged:
+    b = np.asarray(allocation.breakpoints, dtype=float)
+    q = np.asarray(allocation.quantities, dtype=float)
+    # the first breakpoint of each run of equal quantities; zero levels go
+    keep = q > 0.0
+    keep[1:] &= q[1:] != q[:-1]
+    b, q = b[keep], q[keep]
+    if not q.size:
         return Menu.empty()
-
-    def v(th: float, x: float) -> float:
-        return float(np.asarray(env.valuation(th, x)))
-
-    items = []
-    rent = 0.0  # accumulated information rent of lower levels
-    for k, (b, q) in enumerate(merged):
-        price = v(b, q) - rent
-        items.append((q, price))
-        upper = merged[k + 1][0] if k + 1 < len(merged) else env.types.upper
-        rent += v(upper, q) - v(b, q)
-    return Menu(tuple(items))
+    v_lo = np.asarray(env.valuation(b, q), dtype=float)
+    rise = np.asarray(env.valuation(np.append(b[1:], env.types.upper), q), dtype=float) - v_lo
+    rent = np.add.accumulate(np.concatenate([[0.0], rise[:-1]]))
+    return Menu(tuple(zip(q.tolist(), (v_lo - rent).tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 from .distributions import Cdf, EmpiricalStep
 from .environment import Environment, MarketKind, require_separable
 from .errors import MissingDensityError, UnsupportedPairError
-from .mechanisms import Allocation, Menu, expected_profit, menu_from_allocation
+from .mechanisms import Allocation, Menu, expected_profit, menu_from_allocation, menu_to_dict
 from .numerics import argmax_refine, golden_max
 
 __all__ = [
@@ -67,8 +67,6 @@ class SolveResult:
     refine_iterations: int = 0
 
     def to_dict(self) -> dict:
-        from .mechanisms import menu_to_dict
-
         out = menu_to_dict(self.menu)
         out.update(
             optimal_value=self.optimal_value,

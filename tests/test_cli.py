@@ -22,6 +22,13 @@ def menu_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def high_sample_file(tmp_path):
+    path = tmp_path / "high.csv"
+    path.write_text("0.6\n0.7\n0.8\n0.9\n")
+    return str(path)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -52,6 +59,17 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err == "error: law beta:2:2:0.5:3 has support [0.5, 3] outside the type space [0, 1]\n"
+
+    @pytest.mark.parametrize(
+        "flags, space",
+        [(["--theta-max", "0.5"], "[0, 0.5]"), (["--theta-min", "0.65", "--estimator", "interp"], "[0.65, 1]")],
+    )
+    def test_sample_outside_type_space_exits_1(self, capsys, high_sample_file, flags, space):
+        code = main(["solve", "--sample", high_sample_file, *flags])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: sample {high_sample_file} has observations in [0.6, 0.9] outside the type space {space}\n"
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code = main(["solve", "--sample", str(tmp_path / "missing.csv")])
@@ -135,6 +153,10 @@ class TestBound:
     def test_kernel_needs_extra_flags(self, capsys):
         assert main(["bound", "--kind", "kernel", "--n", "100", "--delta", "0.1"]) == 2
         assert capsys.readouterr().err == "error: kernel bound needs --tv-bound and --bandwidth\n"
+
+    def test_interp_delta_at_most_one_over_n_exits_1(self, capsys):
+        assert main(["bound", "--kind", "interp", "--n", "5", "--delta", "0.2"]) == 1
+        assert capsys.readouterr().err == "error: interpolated-ECDF bound requires delta > 1/n\n"
 
     def test_samples_needed_requires_alpha(self, capsys):
         assert main(["bound", "--kind", "dkw", "--delta", "0.4", "--samples-needed"]) == 2
@@ -220,6 +242,17 @@ class TestInfer:
         assert out == ""
         assert err.startswith("error: no solver for this pair: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("target", ["profit", "optimal", "regret", "compare"])
+    def test_sample_outside_type_space_exits_1(self, capsys, high_sample_file, menu_file, target):
+        code = main(
+            ["infer", "--target", target, "--sample", high_sample_file, "--menu", menu_file, "--menu-b", menu_file,
+             "--seed", "1", "--theta-max", "0.5"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: sample {high_sample_file} has observations in [0.6, 0.9] outside the type space [0, 0.5]\n"
+
     def test_compare_requires_second_menu(self, capsys, sample_file, menu_file):
         code = main(
             ["infer", "--target", "compare", "--sample", sample_file, "--menu", menu_file, "--seed", "1"]
@@ -302,11 +335,22 @@ class TestAuction:
         (["bound", "--samples-needed", "--alpha", "1.5", "--delta", "0.1"], "--alpha must lie in (0, 1), got 1.5"),
         (["simulate", "--workers", "0", "--reps", "2", "--seed", "1"], "workers must be at least 1"),
         (["simulate", "--workers", "-3", "--reps", "2", "--seed", "1"], "workers must be at least 1"),
+        (["bound", "--delta", "0"], "--delta must be positive, got 0.0"),
+        (["bound", "--delta", "-0.5"], "--delta must be positive, got -0.5"),
+        (["bound", "--delta", "0.1", "--lipschitz", "0"], "--lipschitz must be positive, got 0.0"),
+        (["bound", "--kind", "kernel", "--delta", "0.1", "--tv-bound", "1", "--bandwidth", "0"],
+         "--bandwidth must be positive, got 0.0"),
+        (["bound", "--kind", "kernel", "--delta", "0.1", "--tv-bound", "-1", "--bandwidth", "0.1"],
+         "--tv-bound must be positive, got -1.0"),
+        (["auction", "--bidders", "2", "--bound-n", "10", "--delta", "0"], "--delta must be positive, got 0.0"),
+        (["auction", "--bidders", "2", "--bound-n", "10", "--kind", "kernel", "--tv-bound", "1", "--bandwidth", "0"],
+         "--bandwidth must be positive, got 0.0"),
+        (["estimate", "--estimator", "kernel", "--bandwidth", "0"], "--bandwidth must be positive, got 0.0"),
     ],
 )
 def test_flag_out_of_range_exits_2(capsys, sample_file, argv, message):
     # each range fault is caught before any sample is read or any work runs
-    assert main([*argv, *(["--sample", sample_file] if argv[0] == "auction" else [])]) == 2
+    assert main([*argv, *(["--sample", sample_file] if argv[0] in ("auction", "estimate") else [])]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,98 @@ class TestMenuFromAllocation:
         for th in (0.1, 0.45, 0.6, 0.8, 0.95):
             want = 0.0 if th < 0.3 else (0.25 if th < 0.7 else 1.0)
             assert ep.consumer_choice(menu, th, env).quantity == pytest.approx(want, abs=1e-9)
+
+
+def _menu_from_allocation_reference(allocation, env):
+    """The envelope prices as a scalar loop: merge equal levels, drop zero
+    ones, then three valuation calls and one running-rent update per level."""
+    merged = []
+    for b, q in zip(allocation.breakpoints, allocation.quantities):
+        if merged and q == merged[-1][1]:
+            continue
+        merged.append((b, q))
+    merged = [(b, q) for b, q in merged if q > 0.0]
+    if not merged:
+        return ep.Menu.empty()
+
+    def v(th, x):
+        return float(np.asarray(env.valuation(th, x)))
+
+    items = []
+    rent = 0.0
+    for k, (b, q) in enumerate(merged):
+        items.append((q, v(b, q) - rent))
+        upper = merged[k + 1][0] if k + 1 < len(merged) else env.types.upper
+        rent += v(upper, q) - v(b, q)
+    return ep.Menu(tuple(items))
+
+
+def _random_allocation(gen, env):
+    """Up to 12 levels drawn with repetition from {0, x_max} and three random
+    quantities, so zero, leading-zero and repeated levels all occur; a third
+    of them start at theta_min."""
+    bps = np.unique(gen.uniform(env.types.lower, env.types.upper, size=int(gen.integers(0, 13))))
+    if bps.size and gen.random() < 1 / 3:
+        bps[0] = env.types.lower
+    pool = np.concatenate([[0.0, env.x_max], gen.uniform(0.0, env.x_max, size=3)])
+    return ep.Allocation(tuple(bps), tuple(np.sort(gen.choice(pool, size=bps.size))))
+
+
+def _menu_or_error(build, allocation, env):
+    try:
+        return build(allocation, env).items
+    except ep.InvalidMenuError as exc:
+        return str(exc)
+
+
+class TestMenuFromAllocationParity:
+    """The array pricing gives the scalar loop's bits, level for level."""
+
+    @pytest.mark.parametrize(
+        "env",
+        [
+            ep.separable_screening(lambda x: 0.5 * np.asarray(x) ** 2),
+            ep.separable_screening(lambda x: 0.5 * np.asarray(x) ** 2, 0.2, 2.0, 1.5, np.sqrt),
+            ep.linear_unit_demand(0.2, 1.5, 2.0, 0.3),
+        ],
+        ids=["screening-identity", "screening-sqrt", "linear"],
+    )
+    def test_matches_loop_bit_for_bit(self, env):
+        gen = np.random.default_rng(61)
+        seen = set()
+        for _ in range(3000):
+            alloc = _random_allocation(gen, env)
+            q = np.asarray(alloc.quantities)
+            seen.update(
+                kind
+                for kind, hit in (
+                    ("empty", q.size == 0),
+                    ("leading-zero", q.size > 1 and q[0] == 0.0 < q[-1]),
+                    ("repeated", np.any((q[1:] == q[:-1]) & (q[1:] > 0.0))),
+                )
+                if hit
+            )
+            got = _menu_or_error(ep.menu_from_allocation, alloc, env)
+            want = _menu_or_error(_menu_from_allocation_reference, alloc, env)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert isinstance(got, tuple) and _same_bits(got, want)
+        assert seen == {"empty", "leading-zero", "repeated"}
+
+    def test_two_valuation_calls_per_menu(self):
+        calls = []
+        base = ep.separable_screening(lambda x: 0.5 * np.asarray(x) ** 2, utility=np.sqrt)
+
+        def valuation(th, x):
+            calls.append(np.shape(x))
+            return base.valuation(th, x)
+
+        env = dataclasses.replace(base, valuation=valuation)
+        alloc = ep.Allocation(tuple(np.linspace(0.0, 0.9, 41)), tuple(np.linspace(0.0, 1.0, 41)))
+        menu = ep.menu_from_allocation(alloc, env)
+        assert len(menu.items) == 40
+        assert calls == [(40,), (40,)]
 
 
 class TestIncentiveProperties:

@@ -2,7 +2,8 @@
 
 `_hull_reference` is the monotone-chain lower hull that ironed before PAVA,
 and `_screening_reference` the screening solve that ran golden section on
-every quantile segment; the solvers must reproduce both bit for bit.
+every quantile segment and priced the levels by the scalar envelope loop;
+the solvers must reproduce both bit for bit.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from emprice.rng import substream
 from emprice.solvers import convex_minorant_slopes
 
 from conftest import random_exact_cdf, random_menu
+from test_mechanisms import _menu_from_allocation_reference
 
 
 def _hull_reference(x, y):
@@ -55,7 +57,7 @@ def _screening_reference(F, env, grid_size):
         if not levels or x != levels[-1]:
             breaks.append(float(t))
             levels.append(float(x))
-    menu = ep.menu_from_allocation(ep.Allocation(tuple(breaks), tuple(levels)), env)
+    menu = _menu_from_allocation_reference(ep.Allocation(tuple(breaks), tuple(levels)), env)
     return menu, ep.expected_profit(menu, F, env), iters
 
 
