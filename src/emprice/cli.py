@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -259,15 +260,10 @@ def _cmd_auction(args) -> int:
     F = estimators.interp_ecdf(sample, args.theta_min)
     setting = AuctionSetting(args.bidders, args.seller_value, F)
     if args.reserve is not None:
-        _emit({
-            "reserve": args.reserve,
-            "value": auction_profit(args.reserve, setting, mode),
-            "mode": mode.value,
-            "bidders": args.bidders,
-        })
-        return 0
-    r_star, value = optimal_reserve(setting, mode)
-    _emit({"reserve": r_star, "value": value, "mode": mode.value, "bidders": args.bidders})
+        reserve, value = args.reserve, auction_profit(args.reserve, setting, mode)
+    else:
+        reserve, value = optimal_reserve(setting, mode)
+    _emit({"reserve": reserve, "value": value, "mode": mode.value, "bidders": args.bidders})
     return 0
 
 
@@ -419,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.fn(args)
     except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

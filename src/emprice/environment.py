@@ -94,8 +94,8 @@ class Environment:
         if not (math.isfinite(self.x_max) and self.x_max > 0):
             raise InvalidEnvironmentError("x_max must be positive and finite")
         if self.kind is MarketKind.LINEAR_UNIT_DEMAND:
-            if self.c_bar is None or self.c_bar < 0:
-                raise InvalidEnvironmentError("linear kind requires c_bar >= 0")
+            if self.c_bar is None or not (math.isfinite(self.c_bar) and self.c_bar >= 0):
+                raise InvalidEnvironmentError("linear kind requires a finite c_bar >= 0")
 
 
 def _identity(x: np.ndarray) -> np.ndarray:
@@ -172,8 +172,8 @@ def environment_from_config(cfg: dict) -> Environment:
     if kind == "screening":
         spec = cfg.get("cost", {"scale": 0.5, "power": 2.0})
         scale, power = float(spec["scale"]), float(spec["power"])
-        if scale < 0 or power < 1:
-            raise InvalidEnvironmentError("screening cost needs scale >= 0 and power >= 1 for convexity")
+        if not (math.isfinite(scale) and math.isfinite(power) and scale >= 0 and power >= 1):
+            raise InvalidEnvironmentError("screening cost needs finite scale >= 0 and power >= 1 for convexity")
         return separable_screening(
             cost=lambda x, a=scale, p=power: a * np.asarray(x) ** p,
             theta_min=theta_min,

@@ -10,8 +10,8 @@ Estimator deviation bounds p(n, delta) on P(sup|F_hat - F0| > delta):
 Profit is L-Lipschitz in the distribution, so an empirically optimal mechanism
 satisfies P(|profit gap| > delta) <= p(n, delta / L) and
 P(regret > 2 delta) <= p(n, delta / L); the kernel bound gives deterministic
-radii instead. Inverting n yields the sample size needed for a target
-confidence level. Probability bounds are clamped at 1.
+radii instead. The sample size for a target confidence level inverts either
+probabilistic bound in closed form. Probability bounds are clamped at 1.
 """
 
 from __future__ import annotations
@@ -117,14 +117,13 @@ def deviation_bound(kind: BoundKind, n: int, delta: float) -> float:
         )
     if not delta > 0:
         raise ValueError("delta must be positive")
-    if isinstance(kind, DkwBound):
-        return min(1.0, 2.0 * math.exp(-2.0 * n * delta * delta))
     if isinstance(kind, InterpEcdfBound):
         if delta <= 1.0 / n:
             raise ValueError("interpolated-ECDF bound requires delta > 1/n")
-        eff = delta - 1.0 / n
-        return min(1.0, 2.0 * math.exp(-2.0 * n * eff * eff))
-    raise TypeError(f"unknown bound kind {kind!r}")
+        delta -= 1.0 / n
+    elif not isinstance(kind, DkwBound):
+        raise TypeError(f"unknown bound kind {kind!r}")
+    return min(1.0, 2.0 * math.exp(-2.0 * n * delta * delta))
 
 
 def regret_guarantee(
@@ -160,10 +159,12 @@ def regret_guarantee(
 
 
 def sample_complexity(kind: BoundKind, delta: float, alpha: float, lipschitz: float) -> int:
-    """Smallest N with p(N, delta / L) <= alpha.
+    """Smallest N with p(N, eps) <= alpha, eps = delta / L.
 
-    Closed form for the DKW kind, cross-checked by a scan; the interpolated
-    kind is scanned upward from the DKW answer (its bound is never smaller).
+    With s = 0 (DKW) or 1 (interpolated ECDF) and l = ln(2/alpha)/2, the
+    bound holds iff n > s/eps and n (eps - s/n)^2 >= l, that is from the root
+    (l + 2 s eps + sqrt(l (l + 4 s eps))) / (2 eps^2) on; single steps from
+    its ceiling reach the boundary of the floating-point p.
     """
     if isinstance(kind, KernelDeterministicBound):
         raise ValueError("no sample-size inversion for the kernel bound at fixed bandwidth")
@@ -172,19 +173,13 @@ def sample_complexity(kind: BoundKind, delta: float, alpha: float, lipschitz: fl
     if not delta > 0 or not lipschitz > 0:
         raise ValueError("delta and lipschitz must be positive")
     eff = delta / lipschitz
-
-    n_dkw = max(1, math.ceil(math.log(2.0 / alpha) / (2.0 * eff * eff)))
-    # guard against float edge effects in the ceiling
-    while deviation_bound(DkwBound(), n_dkw, eff) > alpha:
-        n_dkw += 1
-    while n_dkw > 1 and deviation_bound(DkwBound(), n_dkw - 1, eff) <= alpha:
-        n_dkw -= 1
-    if isinstance(kind, DkwBound):
-        return n_dkw
-
-    n = max(n_dkw, math.floor(1.0 / eff) + 1)
+    s = 1.0 if isinstance(kind, InterpEcdfBound) else 0.0
+    log_term = math.log(2.0 / alpha) / 2.0
+    root = (log_term + 2.0 * s * eff + math.sqrt(log_term * (log_term + 4.0 * s * eff))) / (2.0 * eff * eff)
+    lowest = math.floor(s / eff) + 1
+    n = max(lowest, math.ceil(root))
     while deviation_bound(kind, n, eff) > alpha:
         n += 1
-        if n > 10**9:
-            raise RuntimeError("sample-complexity scan did not terminate")
+    while n > lowest and deviation_bound(kind, n - 1, eff) <= alpha:
+        n -= 1
     return n

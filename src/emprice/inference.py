@@ -209,7 +209,7 @@ def plugin_normal_ci(menu: Menu, sample: Sample, env: Environment, level: float 
     _check_level(level)
     w = per_consumer_profit(menu, sample.values, env)
     point = float(w.mean())
-    se = math.sqrt(plugin_variance(menu, sample, env) / sample.n)
+    se = math.sqrt(float(np.var(w)) / sample.n)
     z = float(special.ndtri(1.0 - (1.0 - level) / 2.0))
     return ProfitEstimate(point, se, point - z * se, point + z * se, level, CiMethod.PLUGIN_NORMAL, 0, None)
 

@@ -97,10 +97,10 @@ class Allocation:
         q = tuple(float(x) for x in self.quantities)
         if len(b) != len(q):
             raise ValueError("one quantity per breakpoint required")
-        if any(b2 <= b1 for b1, b2 in zip(b, b[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if any(q2 < q1 for q1, q2 in zip(q, q[1:])) or (q and q[0] < 0):
-            raise ValueError("quantities must be nonnegative and nondecreasing")
+        if not all(map(math.isfinite, b)) or any(b2 <= b1 for b1, b2 in zip(b, b[1:])):
+            raise ValueError("breakpoints must be finite and strictly increasing")
+        if not all(map(math.isfinite, q)) or any(q2 < q1 for q1, q2 in zip(q, q[1:])) or (q and q[0] < 0):
+            raise ValueError("quantities must be finite, nonnegative and nondecreasing")
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "quantities", q)
 

@@ -51,6 +51,9 @@ __all__ = [
     "optimal_profit",
 ]
 
+_PRICE_GRID = 10_000
+_SCREENING_GRID = 2000
+
 
 class SolveMethod(Enum):
     UNIFORM_PRICE_ENUMERATION = "uniform_price_enumeration"
@@ -130,7 +133,7 @@ def ecdf_uniform_prices(values: np.ndarray, starts: np.ndarray, env: Environment
     return values[first], best
 
 
-def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = 10_000) -> SolveResult:
+def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = _PRICE_GRID) -> SolveResult:
     """Best single full-quantity offer against F in the linear environment."""
     if env.kind is not MarketKind.LINEAR_UNIT_DEMAND:
         raise UnsupportedPairError("uniform pricing requires the linear unit-demand kind")
@@ -189,7 +192,7 @@ def convex_minorant_slopes(knot_x: np.ndarray, knot_y: np.ndarray) -> np.ndarray
     return _minorant_slopes(x, y)[1]
 
 
-def ironed_virtual_value(F: Cdf, grid_size: int = 2000) -> IronedTable:
+def ironed_virtual_value(F: Cdf, grid_size: int = _SCREENING_GRID) -> IronedTable:
     """Virtual values on a uniform quantile grid, ironed by the chord slopes of
     the cumulated virtual value's greatest convex minorant."""
     if not F.has_density:
@@ -212,7 +215,7 @@ def ironed_virtual_value(F: Cdf, grid_size: int = 2000) -> IronedTable:
     return IronedTable(q, thetas, theta_mid, psi, psi_bar, big_psi, tuple(blocks.tolist()))
 
 
-def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = 2000) -> SolveResult:
+def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = _SCREENING_GRID) -> SolveResult:
     """Menu from pointwise maximization of the ironed virtual surplus."""
     if env.kind is not MarketKind.SEPARABLE_SCREENING:
         raise UnsupportedPairError("screening solver requires the separable screening kind")
@@ -253,7 +256,7 @@ def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = 2000) -> S
 def optimal_profit(F: Cdf, env: Environment, grid_size: int | None = None) -> SolveResult:
     """Value function: dispatch to the solver matching the environment kind."""
     if env.kind is MarketKind.LINEAR_UNIT_DEMAND:
-        return optimal_uniform_price(F, env, 10_000 if grid_size is None else grid_size)
+        return optimal_uniform_price(F, env, _PRICE_GRID if grid_size is None else grid_size)
     if env.kind is MarketKind.SEPARABLE_SCREENING:
         if not F.has_density:
             raise UnsupportedPairError(
@@ -261,5 +264,5 @@ def optimal_profit(F: Cdf, env: Environment, grid_size: int | None = None) -> So
                 "with a density (piecewise-linear or analytic); linear unit demand "
                 "accepts any distribution"
             )
-        return optimal_screening_menu(F, env, 2000 if grid_size is None else grid_size)
+        return optimal_screening_menu(F, env, _SCREENING_GRID if grid_size is None else grid_size)
     raise UnsupportedPairError(f"no solver for environment kind {env.kind}")

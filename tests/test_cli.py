@@ -158,6 +158,13 @@ class TestBound:
         assert main(["bound", "--kind", "interp", "--n", "5", "--delta", "0.2"]) == 1
         assert capsys.readouterr().err == "error: interpolated-ECDF bound requires delta > 1/n\n"
 
+    def test_interp_samples_needed_for_small_delta(self, capsys):
+        # the scan that preceded the closed form gave up past n = 10**9
+        argv = ["bound", "--kind", "interp", "--delta", "0.0001", "--lipschitz", "4", "--samples-needed"]
+        code, payload = run_json(capsys, [*argv, "--alpha", "0.05"])
+        assert code == 0
+        assert payload["samples_needed"] == 2951183563
+
     def test_samples_needed_requires_alpha(self, capsys):
         assert main(["bound", "--kind", "dkw", "--delta", "0.4", "--samples-needed"]) == 2
         out, err = capsys.readouterr()
@@ -346,12 +353,27 @@ class TestAuction:
         (["auction", "--bidders", "2", "--bound-n", "10", "--kind", "kernel", "--tv-bound", "1", "--bandwidth", "0"],
          "--bandwidth must be positive, got 0.0"),
         (["estimate", "--estimator", "kernel", "--bandwidth", "0"], "--bandwidth must be positive, got 0.0"),
+        (["solve", "--cost", "nan"], "--cost must be finite, got nan"),
+        (["solve", "--cost", "inf"], "--cost must be finite, got inf"),
+        (["infer", "--target", "optimal", "--seed", "1", "--cost", "nan"], "--cost must be finite, got nan"),
+        (["infer", "--target", "profit", "--menu", "menu.json", "--seed", "1", "--cost", "nan"],
+         "--cost must be finite, got nan"),
+        (["solve", "--env", "screening", "--estimator", "interp", "--cost-power", "nan"],
+         "--cost-power must be finite, got nan"),
+        (["bound", "--kind", "kernel", "--n", "10", "--delta", "0.1", "--tv-bound", "inf", "--bandwidth", "0.1"],
+         "--tv-bound must be finite, got inf"),
+        (["auction", "--bidders", "2", "--reserve", "inf"], "--reserve must be finite, got inf"),
+        (["simulate", "--cost", "nan", "--reps", "2", "--seed", "1"], "--cost must be finite, got nan"),
+        (["bound", "--delta", "nan"], "--delta must be finite, got nan"),
+        (["bound", "--delta", "0.1", "--samples-needed", "--alpha", "nan"], "--alpha must be finite, got nan"),
+        (["auction", "--bidders", "2", "--theta-min=-inf"], "--theta-min must be finite, got -inf"),
     ],
 )
 def test_flag_out_of_range_exits_2(capsys, sample_file, argv, message):
     # each range fault is caught before any sample is read or any work runs
-    assert main([*argv, *(["--sample", sample_file] if argv[0] in ("auction", "estimate") else [])]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    with_sample = argv[0] in ("auction", "estimate", "infer", "solve")
+    assert main([*argv, *(["--sample", sample_file] if with_sample else [])]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestSimulate:

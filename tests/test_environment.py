@@ -130,3 +130,13 @@ class TestEnvironmentConfig:
     def test_unknown_kind(self):
         with pytest.raises(ep.InvalidEnvironmentError):
             ep.environment_from_config({"kind": "nonlinear"})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("cfg", [
+        lambda v: {"kind": "linear", "c_bar": v},
+        lambda v: {"kind": "screening", "cost": {"scale": v, "power": 2.0}},
+        lambda v: {"kind": "screening", "cost": {"scale": 0.5, "power": v}},
+    ], ids=["c_bar", "cost_scale", "cost_power"])
+    def test_non_finite_cost_rejected(self, cfg, value):
+        with pytest.raises(ep.InvalidEnvironmentError):
+            ep.environment_from_config(cfg(value))

@@ -3,8 +3,9 @@ JSON bytes pinned against files in tests/golden.
 
 The files hold the exact bytes `run_regret` and `run_coverage` printed for
 small configurations, the exact stdout of `emprice infer` for every target,
-and that of `emprice solve` and `emprice auction` for both environment kinds
-and every auction mode, on the committed sample and menu files. A performance change must
+that of `emprice solve` and `emprice auction` for both environment kinds
+and every auction mode, on the committed sample and menu files, and that of
+`emprice bound` and `auction --bound-n` for every bound kind. A performance change must
 leave every byte alone; a change that means to move these numbers
 regenerates the files it moves with `python tests/test_golden.py NAME ...`
 (every file when no name is given) and says why in CHANGES.md.
@@ -83,6 +84,20 @@ SOLVE_AUCTION = {
     # the optimum lies strictly inside a knot segment, at its stationary point
     "auction-revenue-5-interior.json": [
         "auction", "--sample", SAMPLE, "--bidders", "5", "--seller-value", "0.6",
+    ],
+    "auction-bound-interp.json": [
+        "auction", "--bound-n", "1000", "--bidders", "3", "--delta", "1.0", "--kind", "interp",
+    ],
+    "bound-dkw-samples.json": [
+        "bound", "--kind", "dkw", "--delta", "0.4", "--lipschitz", "4", "--samples-needed", "--alpha", "0.05",
+    ],
+    "bound-interp-samples.json": [
+        "bound", "--kind", "interp", "--delta", "0.01", "--lipschitz", "4", "--samples-needed", "--alpha", "0.01",
+    ],
+    "bound-interp.json": ["bound", "--kind", "interp", "--n", "500", "--delta", "0.4", "--lipschitz", "4"],
+    "bound-kernel.json": [
+        "bound", "--kind", "kernel", "--n", "500", "--delta", "0.1", "--tv-bound", "1", "--bandwidth", "0.1",
+        "--lipschitz", "4",
     ],
 }
 

@@ -16,6 +16,25 @@ from emprice.guarantees import (
 )
 
 
+def _sample_complexity_scan_reference(kind, delta, alpha, lipschitz):
+    """The scan the closed form replaced: DKW by its closed form pushed to the
+    float boundary, the interpolated kind by an upward scan from there."""
+    eff = delta / lipschitz
+    n_dkw = max(1, math.ceil(math.log(2.0 / alpha) / (2.0 * eff * eff)))
+    while deviation_bound(DkwBound(), n_dkw, eff) > alpha:
+        n_dkw += 1
+    while n_dkw > 1 and deviation_bound(DkwBound(), n_dkw - 1, eff) <= alpha:
+        n_dkw -= 1
+    if isinstance(kind, DkwBound):
+        return n_dkw
+    n = max(n_dkw, math.floor(1.0 / eff) + 1)
+    while deviation_bound(kind, n, eff) > alpha:
+        n += 1
+        if n > 10**9:
+            raise RuntimeError("sample-complexity scan did not terminate")
+    return n
+
+
 class TestDeviationBound:
     def test_dkw_value(self):
         assert deviation_bound(DkwBound(), 100, 0.1) == pytest.approx(0.270671, abs=1e-6)
@@ -109,6 +128,38 @@ class TestSampleComplexity:
         assert deviation_bound(kind, n, eff) <= alpha
         if n > 1 and (not isinstance(kind, InterpEcdfBound) or eff > 1.0 / (n - 1)):
             assert deviation_bound(kind, n - 1, eff) > alpha
+
+    @pytest.mark.parametrize("kind", [DkwBound(), InterpEcdfBound()])
+    def test_matches_scan_reference(self, kind):
+        gen = np.random.default_rng(13)
+        effs = 10.0 ** gen.uniform(-3.0, math.log10(5.0), 2000)
+        alphas = 10.0 ** gen.uniform(-12.0, math.log10(0.999), 2000)
+        mismatches = [
+            (eff, alpha)
+            for eff, alpha in zip(effs.tolist(), alphas.tolist())
+            if sample_complexity(kind, eff, alpha, 1.0) != _sample_complexity_scan_reference(kind, eff, alpha, 1.0)
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("kind", [DkwBound(), InterpEcdfBound()])
+    def test_minimal_where_float_spacing_moves_the_root(self, kind):
+        # at eps below 1e-5, n is large enough that p, evaluated at float(n),
+        # often crosses alpha a few steps away from the ceiling of the root
+        gen = np.random.default_rng(14)
+        effs = 10.0 ** gen.uniform(-8.0, -5.0, 500)
+        alphas = 10.0 ** gen.uniform(-12.0, math.log10(0.999), 500)
+        for eff, alpha in zip(effs.tolist(), alphas.tolist()):
+            n = sample_complexity(kind, eff, alpha, 1.0)
+            assert deviation_bound(kind, n, eff) <= alpha < deviation_bound(kind, n - 1, eff)
+
+    def test_interp_beyond_the_scan_cap(self):
+        # the upward scan gave up past n = 10**9 on this input
+        kind, eff, alpha = InterpEcdfBound(), 0.0001 / 4.0, 0.05
+        n = sample_complexity(kind, 0.0001, alpha, 4.0)
+        assert n == 2951183563
+        assert deviation_bound(kind, n, eff) <= alpha < deviation_bound(kind, n - 1, eff)
+        with pytest.raises(RuntimeError):
+            _sample_complexity_scan_reference(kind, 0.0001, alpha, 4.0)
 
     def test_json_payload(self):
         profit, _ = regret_guarantee(DkwBound(), 10, 0.5, 2.0)

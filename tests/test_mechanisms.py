@@ -307,8 +307,18 @@ class TestMenuFromAllocation:
         assert p2 == pytest.approx(0.6, abs=1e-12)
 
     def test_decreasing_allocation_rejected(self):
-        with pytest.raises(ValueError):
-            ep.Allocation((0.2, 0.6), (0.8, 0.5))
+        nan, inf = float("nan"), float("inf")
+        for breakpoints, quantities in [
+            ((0.2, 0.6), (0.8, 0.5)),
+            ((0.1, 0.2), (nan, 1.0)),
+            ((0.1, 0.2), (0.5, nan)),
+            ((0.1, 0.2), (0.5, inf)),
+            ((nan, 0.2), (0.5, 1.0)),
+            ((0.1, nan), (0.5, 1.0)),
+            ((0.1, inf), (0.5, 1.0)),
+        ]:
+            with pytest.raises(ValueError):
+                ep.Allocation(breakpoints, quantities)
 
     def test_round_trip_recovers_allocation(self, linear_env):
         gen = np.random.default_rng(21)
