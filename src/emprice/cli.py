@@ -37,11 +37,8 @@ class UsageError(EmpriceError):
     """Command-line misuse; mapped to exit code 2."""
 
 
-_KERNELS = {
-    "uniform": KernelShape.UNIFORM,
-    "triangle": KernelShape.TRIANGLE,
-    "epanechnikov": KernelShape.EPANECHNIKOV,
-}
+# --kernel's choices, in help order
+_KERNELS = sorted(k.value for k in KernelShape)
 
 
 def _emit(payload: dict) -> None:
@@ -119,7 +116,7 @@ def _bound_kind(args) -> guarantees.BoundKind:
     if args.tv_bound is None or args.bandwidth is None:
         raise UsageError("kernel bound needs --tv-bound and --bandwidth")
     return guarantees.KernelDeterministicBound(
-        args.tv_bound, KernelSpec(_KERNELS[args.kernel]), args.bandwidth
+        args.tv_bound, KernelSpec(KernelShape(args.kernel)), args.bandwidth
     )
 
 
@@ -130,19 +127,15 @@ def _cmd_estimate(args) -> int:
     sample = _load_sample(args)
     if args.estimator == "ecdf":
         F = estimators.ecdf(sample)
-        locs, masses = F.atoms()
-        knots = [[float(t), float(F.cdf(t))] for t in locs]
+        locs = F.atoms()[0]
+        knots = np.column_stack([locs, F.cdf_array(locs)]).tolist()
         payload = {"estimator": "ecdf", "n": sample.n, "knots": knots}
     elif args.estimator == "interp":
         F = estimators.interp_ecdf(sample, args.theta_min)
-        payload = {
-            "estimator": "interp",
-            "n": sample.n,
-            "knots": [[float(t), float(p)] for t, p in zip(F.thetas, F.probs)],
-        }
+        payload = {"estimator": "interp", "n": sample.n, "knots": np.column_stack([F.thetas, F.probs]).tolist()}
     else:
         h = args.bandwidth if args.bandwidth is not None else estimators.default_bandwidth(sample.n)
-        F = estimators.kernel_cdf(sample, KernelSpec(_KERNELS[args.kernel]), h)
+        F = estimators.kernel_cdf(sample, KernelSpec(KernelShape(args.kernel)), h)
         payload = {
             "estimator": "kernel",
             "n": sample.n,
@@ -152,7 +145,7 @@ def _cmd_estimate(args) -> int:
         }
         if args.grid_points:
             grid = np.linspace(*F.support, args.grid_points)
-            payload["grid"] = [[float(t), float(v)] for t, v in zip(grid, F.cdf_array(grid))]
+            payload["grid"] = np.column_stack([grid, F.cdf_array(grid)]).tolist()
     _emit(payload)
     return 0
 
@@ -251,7 +244,7 @@ def _cmd_auction(args) -> int:
     if args.bound_n is not None and args.bound_n < 1:
         raise UsageError(f"--bound-n must be at least 1, got {args.bound_n}")
     _require_positive(args, "delta", "tv_bound", "bandwidth")
-    mode = ProfitMode.SECOND_ORDER_TAIL if args.mode == "tail" else ProfitMode.EXPECTED_REVENUE
+    mode = ProfitMode(args.mode)
     if args.bound_n is not None:
         profit, regret = auction_regret_guarantee(_bound_kind(args), args.bound_n, args.delta, args.bidders)
         _emit({"profit": profit.to_dict(), "regret": regret.to_dict()})
@@ -329,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--header", action="store_true", help="skip a header line in the sample file")
     p.add_argument("--estimator", choices=["ecdf", "interp", "kernel"], default="ecdf")
     p.add_argument("--theta-min", type=float, default=0.0)
-    p.add_argument("--kernel", choices=sorted(_KERNELS), default="epanechnikov")
+    p.add_argument("--kernel", choices=_KERNELS, default="epanechnikov")
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--grid-points", type=int, default=0)
     p.set_defaults(fn=_cmd_estimate)
@@ -354,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-needed", action="store_true")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--tv-bound", type=float, default=None)
-    p.add_argument("--kernel", choices=sorted(_KERNELS), default="epanechnikov")
+    p.add_argument("--kernel", choices=_KERNELS, default="epanechnikov")
     p.add_argument("--bandwidth", type=float, default=None)
     p.set_defaults(fn=_cmd_bound)
 
@@ -384,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--kind", choices=["dkw", "interp", "kernel"], default="interp")
     p.add_argument("--tv-bound", type=float, default=None)
-    p.add_argument("--kernel", choices=sorted(_KERNELS), default="epanechnikov")
+    p.add_argument("--kernel", choices=_KERNELS, default="epanechnikov")
     p.add_argument("--bandwidth", type=float, default=None)
     p.set_defaults(fn=_cmd_auction)
 

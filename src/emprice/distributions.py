@@ -176,8 +176,8 @@ class Uniform(Cdf):
     b: float
 
     def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise ValueError("uniform requires a < b")
+        if not -np.inf < self.a < self.b < np.inf:
+            raise ValueError("uniform requires finite a < b")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -210,10 +210,10 @@ class BetaCdf(Cdf):
     hi: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("beta shape parameters must be positive")
-        if not self.lo < self.hi:
-            raise ValueError("beta support requires lo < hi")
+        if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):
+            raise ValueError("beta shape parameters must be positive and finite")
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise ValueError("beta support requires finite lo < hi")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -256,6 +256,10 @@ class BetaCdf(Cdf):
 @dataclass(frozen=True)
 class PointMass(Cdf):
     theta0: float
+
+    def __post_init__(self) -> None:
+        if not -np.inf < self.theta0 < np.inf:
+            raise ValueError("point mass location must be finite")
 
     @property
     def support(self) -> tuple[float, float]:

@@ -2,18 +2,19 @@
 
 A consumer of type theta who buys quantity x at price p gets utility
 ``v(theta, x) - p``. The valuation is multiplicatively separable,
-v(theta, x) = theta * u(x), so its type derivative ``valuation_d_theta`` is
-u(x) itself. The model assumes, on the rectangle Theta x [0, x_max]:
-v(theta_min, x) = v(theta, 0) = 0, v nondecreasing in both arguments and
-supermodular (u nondecreasing); the cost c is nondecreasing, convex, with
-c(0) = 0. These assumptions are what make menu profit Lipschitz in the type
-distribution with constant
+v(theta, x) = theta * u(x), so its type derivative is ``utility`` u(x)
+itself. Every `Environment` checks this when it is built; the solvers and
+mechanisms rely on it. The model also assumes, on the rectangle
+Theta x [0, x_max]: v(theta_min, x) = v(theta, 0) = 0, v nondecreasing in
+both arguments and supermodular (u nondecreasing); the cost c is
+nondecreasing, convex, with c(0) = 0. These assumptions are what make menu
+profit Lipschitz in the type distribution with constant
 
     L = 2 * ( v(theta_max, x_max)
               + (theta_max - theta_min) * u(x_max)
               + c(x_max) )
 
-(u(x_max) is the maximum over theta of the type derivative v1(theta, x_max)).
+(u(x_max) is the type derivative of v at x_max, whatever theta).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "separable_screening",
     "environment_from_config",
     "validate_environment",
-    "require_separable",
     "lipschitz_constant",
 ]
 
@@ -74,18 +74,18 @@ class MarketKind(Enum):
 
 @dataclass(frozen=True)
 class Environment:
-    """Market primitives: types, quantity range, valuation v, v1 = u, and cost.
+    """Market primitives: types, quantity range, valuation v, utility u, and cost.
 
-    ``valuation`` is v(theta, x) = theta * u(x) and ``valuation_d_theta`` is
-    u(x), which does not depend on theta; both must accept numpy arrays in
-    either argument. ``c_bar`` is the unit cost for the linear kind (None
-    otherwise).
+    ``valuation`` is v(theta, x) = theta * u(x) and ``utility`` is u(x); both
+    must accept numpy arrays. Building one checks v = theta * u(x) on a 4 x 4
+    grid and raises InvalidEnvironmentError otherwise. ``c_bar`` is the unit
+    cost for the linear kind (None otherwise).
     """
 
     types: TypeSpace
     x_max: float
     valuation: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    valuation_d_theta: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    utility: Callable[[np.ndarray], np.ndarray]
     cost: Callable[[np.ndarray], np.ndarray]
     kind: MarketKind
     c_bar: float | None = None
@@ -96,6 +96,12 @@ class Environment:
         if self.kind is MarketKind.LINEAR_UNIT_DEMAND:
             if self.c_bar is None or not (math.isfinite(self.c_bar) and self.c_bar >= 0):
                 raise InvalidEnvironmentError("linear kind requires a finite c_bar >= 0")
+        th = self.types.lower + self.types.width * _SEPARABLE_GRID[:, None]
+        xs = self.x_max * _SEPARABLE_GRID
+        gap = np.asarray(self.valuation(th, xs), dtype=float) - th * np.asarray(self.utility(xs), dtype=float)
+        # a nan gap fails too
+        if not np.max(np.abs(gap)) <= _CHECK_TOL:
+            raise InvalidEnvironmentError("environment fails assumption checks: valuation_separable")
 
 
 def _identity(x: np.ndarray) -> np.ndarray:
@@ -103,15 +109,15 @@ def _identity(x: np.ndarray) -> np.ndarray:
 
 
 def _separable(utility: Callable[[np.ndarray], np.ndarray]):
-    """(v, v1) = (theta * u(x), u(x))."""
+    """(v, u) = (theta * u(x), u(x))."""
 
     def valuation(th, x):
         return np.asarray(th) * np.asarray(utility(np.asarray(x)))
 
-    def valuation_d_theta(th, x):
+    def u(x):
         return np.asarray(utility(np.asarray(x)), dtype=float)
 
-    return valuation, valuation_d_theta
+    return valuation, u
 
 
 def linear_unit_demand(
@@ -121,12 +127,12 @@ def linear_unit_demand(
     c_bar: float = 0.0,
 ) -> Environment:
     """Environment with v(theta, x) = theta * x and linear cost c_bar * x."""
-    valuation, valuation_d_theta = _separable(_identity)
+    valuation, u = _separable(_identity)
     return Environment(
         types=TypeSpace(theta_min, theta_max),
         x_max=x_max,
         valuation=valuation,
-        valuation_d_theta=valuation_d_theta,
+        utility=u,
         cost=lambda x: c_bar * np.asarray(x),
         kind=MarketKind.LINEAR_UNIT_DEMAND,
         c_bar=float(c_bar),
@@ -145,12 +151,12 @@ def separable_screening(
     ``utility`` is u, applied elementwise to quantity arrays; the default is
     u(x) = x.
     """
-    valuation, valuation_d_theta = _separable(utility)
+    valuation, u = _separable(utility)
     return Environment(
         types=TypeSpace(theta_min, theta_max),
         x_max=x_max,
         valuation=valuation,
-        valuation_d_theta=valuation_d_theta,
+        utility=u,
         cost=lambda x: np.asarray(cost(np.asarray(x))),
         kind=MarketKind.SEPARABLE_SCREENING,
     )
@@ -214,14 +220,13 @@ def _grid_check(name, values, *axes, tol=_CHECK_TOL) -> AssumptionCheck:
 
 
 def validate_environment(env: Environment, grid_size: int = 50) -> ValidationReport:
-    """Check the model assumptions on a grid; violations are reported, not raised."""
+    """Check the model assumptions on a grid; violations are reported, not
+    raised. Separability was checked when the environment was built."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     th = np.linspace(env.types.lower, env.types.upper, grid_size)
     xs = np.linspace(0.0, env.x_max, grid_size)
-    tg, xg = np.meshgrid(th, xs, indexing="ij")
-    v = np.asarray(env.valuation(tg, xg), dtype=float)
-    v1 = np.asarray(env.valuation_d_theta(tg, xg), dtype=float)
+    v = np.asarray(env.valuation(th[:, None], xs), dtype=float)
     c = np.asarray(env.cost(xs), dtype=float)
     checks = [
         _grid_check("valuation_zero_at_lowest_type", -np.abs(v[0, :]), xs),
@@ -230,8 +235,6 @@ def validate_environment(env: Environment, grid_size: int = 50) -> ValidationRep
         _grid_check("valuation_nondecreasing_in_quantity", np.diff(v, axis=1), th, xs[:-1]),
         # cross differences: v(t+,x+) - v(t+,x) - v(t,x+) + v(t,x) >= 0
         _grid_check("valuation_supermodular", np.diff(np.diff(v, axis=0), axis=1), th[:-1], xs[:-1]),
-        # v = theta * v1 exactly when v = theta * u(x) with v1 = u
-        _grid_check("valuation_separable", -np.abs(v - tg * v1), th, xs),
         _grid_check("cost_zero_at_zero", np.array([-abs(c[0])]), xs[:1]),
         _grid_check("cost_nondecreasing", np.diff(c), xs[:-1]),
         _grid_check("cost_convex", np.diff(c, 2), xs[1:-1]),
@@ -239,27 +242,11 @@ def validate_environment(env: Environment, grid_size: int = 50) -> ValidationRep
     return ValidationReport(tuple(checks))
 
 
-def require_separable(env: Environment) -> None:
-    """Raise InvalidEnvironmentError unless v = theta * v_theta on a 4 x 4 grid.
-
-    This is `validate_environment`'s `valuation_separable` check alone, cheap
-    enough to run on every screening solve, whose derivation needs v_theta to
-    ignore theta.
-    """
-    th = env.types.lower + env.types.width * _SEPARABLE_GRID[:, None]
-    xs = env.x_max * _SEPARABLE_GRID
-    v = np.asarray(env.valuation(th, xs), dtype=float)
-    gap = v - th * np.asarray(env.valuation_d_theta(th, xs), dtype=float)
-    # a nan gap fails too
-    if not np.max(np.abs(gap)) <= _CHECK_TOL:
-        raise InvalidEnvironmentError("environment fails assumption checks: valuation_separable")
-
-
 def lipschitz_constant(env: Environment) -> float:
     """Menu-independent Lipschitz constant of profit in the type distribution.
 
-    With v = theta * u(x), the max over theta of v1(theta, x_max) is u(x_max),
-    read as v1(theta_max, x_max).
+    With v = theta * u(x), the type derivative of v at x_max is u(x_max)
+    whatever theta.
     """
     report = validate_environment(env, grid_size=32)
     if not report.passed:
@@ -267,6 +254,6 @@ def lipschitz_constant(env: Environment) -> float:
         raise InvalidEnvironmentError(f"environment fails assumption checks: {names}")
     ts = env.types
     v_top = float(np.asarray(env.valuation(ts.upper, env.x_max)))
-    v1_top = float(np.asarray(env.valuation_d_theta(ts.upper, env.x_max)))
+    u_top = float(np.asarray(env.utility(env.x_max)))
     c_top = float(np.asarray(env.cost(env.x_max)))
-    return 2.0 * (v_top + ts.width * v1_top + c_top)
+    return 2.0 * (v_top + ts.width * u_top + c_top)

@@ -163,8 +163,9 @@ def sample_complexity(kind: BoundKind, delta: float, alpha: float, lipschitz: fl
 
     With s = 0 (DKW) or 1 (interpolated ECDF) and l = ln(2/alpha)/2, the
     bound holds iff n > s/eps and n (eps - s/n)^2 >= l, that is from the root
-    (l + 2 s eps + sqrt(l (l + 4 s eps))) / (2 eps^2) on; single steps from
-    its ceiling reach the boundary of the floating-point p.
+    (l + 2 s eps + sqrt(l (l + 4 s eps))) / (2 eps^2) on. Every operation in
+    the floating-point p is monotone in n, so p(n) <= alpha also holds from
+    one n on, which a bracket from the root's ceiling and a bisection find.
     """
     if isinstance(kind, KernelDeterministicBound):
         raise ValueError("no sample-size inversion for the kernel bound at fixed bandwidth")
@@ -175,11 +176,24 @@ def sample_complexity(kind: BoundKind, delta: float, alpha: float, lipschitz: fl
     eff = delta / lipschitz
     s = 1.0 if isinstance(kind, InterpEcdfBound) else 0.0
     log_term = math.log(2.0 / alpha) / 2.0
-    root = (log_term + 2.0 * s * eff + math.sqrt(log_term * (log_term + 4.0 * s * eff))) / (2.0 * eff * eff)
+    denom = 2.0 * eff * eff
+    root = (log_term + 2.0 * s * eff + math.sqrt(log_term * (log_term + 4.0 * s * eff))) / denom if denom else math.inf
+    if math.isinf(root):
+        raise ValueError(f"delta / lipschitz = {eff:g} is too small: the sample size overflows")
     lowest = math.floor(s / eff) + 1
+
+    def holds(n: int) -> bool:
+        return n >= lowest and deviation_bound(kind, n, eff) <= alpha
+
+    # bracket the answer in (lo, hi] by steps that double away from the
+    # root's ceiling, only in the direction the answer lies
     n = max(lowest, math.ceil(root))
-    while deviation_bound(kind, n, eff) > alpha:
-        n += 1
-    while n > lowest and deviation_bound(kind, n - 1, eff) <= alpha:
-        n -= 1
-    return n
+    lo, hi, step = n - 1, n, 1
+    while not holds(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while holds(lo):
+        lo, hi, step = lo - step, lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi

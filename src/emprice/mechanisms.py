@@ -154,8 +154,7 @@ def _choice_ladder(menu: Menu, env: Environment) -> tuple[list[tuple[float, floa
             best_by_x[x] = p
     lo, hi = env.types.lower, env.types.upper
     items = sorted(best_by_x.items())
-    # v1 = u(x) whatever the type: one call for the outside option and every item
-    us = np.asarray(env.valuation_d_theta(hi, np.array([0.0] + [x for x, _ in items])), dtype=float).tolist()
+    us = np.asarray(env.utility(np.array([0.0] + [x for x, _ in items])), dtype=float).tolist()
     ladder = [(0.0, 0.0, us[0])]
     thresholds: list[float] = []
     for (x, p), u in zip(items, us[1:]):
@@ -236,7 +235,7 @@ def one_offer_profits(x: float, prices: np.ndarray, F: Cdf, env: Environment) ->
     prices = np.asarray(prices, dtype=float)
     _check_quantity(x, env)
     lo, hi = env.types.lower, env.types.upper
-    u_0, u_x = np.asarray(env.valuation_d_theta(hi, np.array([0.0, x])), dtype=float).tolist()
+    u_0, u_x = np.asarray(env.utility(np.array([0.0, x])), dtype=float).tolist()
     du = u_x - u_0
     if du > 0.0:
         t = prices / du

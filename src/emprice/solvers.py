@@ -15,9 +15,8 @@ pointwise maximizes the ironed virtual surplus
     psi_bar(theta) * v_theta(theta, x) - c(x)  =  psi_bar(theta) * u(x) - c(x),
 
 where psi_bar irons the virtual value J(theta) = theta - (1 - F(theta)) / f(theta).
-The environment enforces v = theta * u(x) with v_theta = u: its factories
-build only that model, and the solver rejects a hand-built environment that
-fails `require_separable`.
+Every `Environment` is checked to be v = theta * u(x) when it is built, so the
+surplus reads `env.utility`.
 Ironing happens in quantile space: per-segment virtual values are cumulated
 into a piecewise-linear function whose greatest convex minorant has slopes
 psi_bar. Pool-adjacent-violators (weighted isotonic regression of the knot
@@ -33,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .distributions import Cdf, EmpiricalStep
-from .environment import Environment, MarketKind, require_separable
+from .environment import Environment, MarketKind
 from .errors import MissingDensityError, UnsupportedPairError
 from .mechanisms import Allocation, Menu, expected_profit, menu_from_allocation, menu_to_dict
 from .numerics import argmax_refine, golden_max
@@ -219,16 +218,14 @@ def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = _SCREENING
     """Menu from pointwise maximization of the ironed virtual surplus."""
     if env.kind is not MarketKind.SEPARABLE_SCREENING:
         raise UnsupportedPairError("screening solver requires the separable screening kind")
-    require_separable(env)
     table = ironed_virtual_value(F, grid_size)
-    # v_theta = u(x) ignores theta and every bracket is [0, x_max], so x*
-    # depends on psi_bar alone: solve once per distinct ironed value
-    w, first, seg = np.unique(table.psi_bar, return_index=True, return_inverse=True)
-    th = table.segment_thetas[first]
+    # the surplus psi_bar * u(x) - c(x) and its bracket [0, x_max] depend on
+    # psi_bar alone: solve once per distinct ironed value
+    w, seg = np.unique(table.psi_bar, return_inverse=True)
     x_max = float(env.x_max)
 
     def surplus(x: np.ndarray) -> np.ndarray:
-        return w * np.asarray(env.valuation_d_theta(th, x)) - np.asarray(env.cost(x))
+        return w * np.asarray(env.utility(x)) - np.asarray(env.cost(x))
 
     # golden section over all distinct values at once; the surplus is concave
     # in x (u concave, c convex) wherever psi_bar > 0

@@ -60,6 +60,22 @@ class TestSolve:
         assert out == ""
         assert err == "error: law beta:2:2:0.5:3 has support [0.5, 3] outside the type space [0, 1]\n"
 
+    @pytest.mark.parametrize("spec, message", [
+        ("beta:nan:1", "beta shape parameters must be positive and finite"),
+        ("beta:inf:2", "beta shape parameters must be positive and finite"),
+        ("beta:2:2:0:inf", "beta support requires finite lo < hi"),
+        ("uniform:nan:1", "uniform requires finite a < b"),
+        ("pointmass:nan", "point mass location must be finite"),
+        ("pointmass:-inf", "point mass location must be finite"),
+    ])
+    def test_non_finite_law_parameter_exits_1(self, capsys, spec, message):
+        # nan and inf passed the positivity checks: an empty menu, or a price of 0.99999999997
+        code = main(["solve", "--dist", spec])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize(
         "flags, space",
         [(["--theta-max", "0.5"], "[0, 0.5]"), (["--theta-min", "0.65", "--estimator", "interp"], "[0.65, 1]")],
@@ -164,6 +180,15 @@ class TestBound:
         code, payload = run_json(capsys, [*argv, "--alpha", "0.05"])
         assert code == 0
         assert payload["samples_needed"] == 2951183563
+
+    @pytest.mark.parametrize("delta,lipschitz", [("1e-170", "1"), ("1e-160", "1")])
+    def test_samples_needed_for_too_small_delta_exits_1(self, capsys, delta, lipschitz):
+        # these inputs used to end in ZeroDivisionError and OverflowError tracebacks
+        argv = ["bound", "--delta", delta, "--lipschitz", lipschitz, "--samples-needed", "--alpha", "0.05"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: delta / lipschitz = {float(delta):g} is too small: the sample size overflows\n"
 
     def test_samples_needed_requires_alpha(self, capsys):
         assert main(["bound", "--kind", "dkw", "--delta", "0.4", "--samples-needed"]) == 2
@@ -467,6 +492,16 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "error: law beta:2:2:0.5:3 has support [0.5, 3] outside the type space [0, 1]\n"
         )
+
+    @pytest.mark.parametrize("target", ["coverage-fixed", "regret"])
+    def test_non_finite_law_parameter_exits_1(self, capsys, target):
+        # coverage-fixed wrote coverage 0 for beta:nan:2
+        code = main(["simulate", "--target", target, "--dist", "beta:nan:2", "--sizes", "10", "--reps", "2",
+                     "--bootstrap", "100", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "error: beta shape parameters must be positive and finite\n"
 
     def test_zero_optimum_regret_exits_1(self, capsys):
         code = main(

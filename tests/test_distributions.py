@@ -298,3 +298,19 @@ class TestMixtureValidation:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             ep.Mixture(np.array([-0.2, 1.2]), (ep.Uniform(0, 1), ep.PointMass(0.5)))
+
+
+class TestLawParameters:
+    @pytest.mark.parametrize("build", [
+        lambda v: ep.Uniform(v, 1.0),
+        lambda v: ep.Uniform(0.0, v),
+        lambda v: ep.BetaCdf(v, 2.0),
+        lambda v: ep.BetaCdf(2.0, v),
+        lambda v: ep.BetaCdf(2.0, 2.0, v, 1.0),
+        lambda v: ep.BetaCdf(2.0, 2.0, 0.0, v),
+        lambda v: ep.PointMass(v),
+    ], ids=["uniform-a", "uniform-b", "beta-alpha", "beta-beta", "beta-lo", "beta-hi", "pointmass"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, build, value):
+        with pytest.raises(ValueError, match="finite"):
+            build(value)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,17 +27,14 @@ class TestLipschitzConstant:
         assert lipschitz_constant(env) == expected
 
     def test_non_separable_valuation_rejected(self):
-        # v1(theta, 1) = 1 + sin(pi theta) is the type derivative of v, but v
-        # is not theta * u(x)
+        # v is increasing, zero at theta = 0 and at x = 0, and supermodular,
+        # but not theta * u(x): no environment, so no constant, is built
         v = lambda th, x: (np.asarray(th) + (1 - np.cos(np.pi * np.asarray(th))) / np.pi) * np.asarray(x)
-        v1 = lambda th, x: (1 + np.sin(np.pi * np.asarray(th))) * np.asarray(x)
-        env = ep.Environment(
-            types=ep.TypeSpace(0.0, 1.0), x_max=1.0, valuation=v, valuation_d_theta=v1,
-            cost=lambda x: 0.0 * np.asarray(x), kind=ep.MarketKind.SEPARABLE_SCREENING,
-        )
-        assert {c.name for c in validate_environment(env).failures()} == {"valuation_separable"}
-        with pytest.raises(ep.InvalidEnvironmentError):
-            lipschitz_constant(env)
+        with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
+            ep.Environment(
+                types=ep.TypeSpace(0.0, 1.0), x_max=1.0, valuation=v, utility=lambda x: np.asarray(x),
+                cost=lambda x: 0.0 * np.asarray(x), kind=ep.MarketKind.SEPARABLE_SCREENING,
+            )
 
     def test_invalid_environment_rejected(self):
         env = ep.separable_screening(cost=lambda x: -np.asarray(x))
@@ -47,7 +46,8 @@ class TestValidateEnvironment:
     def test_linear_env_passes_all(self):
         report = validate_environment(ep.linear_unit_demand(0, 1, 1, 0.0), grid_size=50)
         assert report.passed
-        assert len(report.checks) == 9
+        assert len(report.checks) == 8
+        assert "valuation_separable" not in {c.name for c in report.checks}
 
     def test_decreasing_cost_fails_monotonicity_only(self):
         env = ep.separable_screening(cost=lambda x: -np.asarray(x))
@@ -72,17 +72,14 @@ class TestValidateEnvironment:
         ("valuation_supermodular", None),
     ])
     def test_failing_2d_check_reports_brute_force_argmin(self, name, axis):
-        # cross derivative 2 - 2 theta - 2 x: submodular for theta + x > 1,
-        # and v decreases in each argument near the top of the rectangle
-        v = lambda th, x: np.asarray(th) * np.asarray(x) * (2.0 - np.asarray(th) - np.asarray(x))
-        v1 = lambda th, x: np.asarray(x) * (2.0 - 2.0 * np.asarray(th) - np.asarray(x))
-        env = ep.Environment(
-            types=ep.TypeSpace(0.0, 2.0), x_max=1.5, valuation=v, valuation_d_theta=v1,
-            cost=lambda x: 0.5 * np.asarray(x) ** 2, kind=ep.MarketKind.SEPARABLE_SCREENING,
+        # v = theta x (1 - x): cross derivative 1 - 2 x, submodular for x > 1/2;
+        # v decreases in x above 1/2 and in theta above x = 1
+        env = ep.separable_screening(
+            cost=lambda x: 0.5 * np.asarray(x) ** 2, theta_max=2.0, x_max=1.5, utility=lambda x: x * (1 - x),
         )
         g = 7
         th, xs = np.linspace(0.0, 2.0, g), np.linspace(0.0, 1.5, g)
-        vals = [[float(v(t, x)) for x in xs] for t in th]
+        vals = [[float(env.valuation(t, x)) for x in xs] for t in th]
         if axis == 0:
             diffs = {(i, j): vals[i + 1][j] - vals[i][j] for i in range(g - 1) for j in range(g)}
         elif axis == 1:
@@ -101,6 +98,56 @@ class TestValidateEnvironment:
     def test_grid_size_too_small(self):
         with pytest.raises(ValueError):
             validate_environment(ep.linear_unit_demand(), grid_size=1)
+
+
+def _cost(x):
+    return 0.5 * np.asarray(x) ** 2
+
+
+class TestSeparableAtConstruction:
+    """Every Environment is v = theta * u(x), checked when it is built."""
+
+    @staticmethod
+    def _build(valuation, utility, kind=ep.MarketKind.SEPARABLE_SCREENING):
+        c_bar = 0.0 if kind is ep.MarketKind.LINEAR_UNIT_DEMAND else None
+        return ep.Environment(
+            types=ep.TypeSpace(0.0, 1.0), x_max=1.0, valuation=valuation, utility=utility,
+            cost=_cost, kind=kind, c_bar=c_bar,
+        )
+
+    def test_linear_kind_checked_too(self):
+        # v = theta^2 x: its choice thresholds are not dp / du, so profits
+        # read off the ladder would disagree with the consumers' own choices
+        with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
+            self._build(
+                lambda th, x: np.asarray(th) ** 2 * np.asarray(x), lambda x: np.asarray(x),
+                ep.MarketKind.LINEAR_UNIT_DEMAND,
+            )
+
+    def test_nan_valuation_rejected(self):
+        with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
+            self._build(lambda th, x: np.full(np.broadcast(th, x).shape, np.nan), lambda x: np.asarray(x))
+
+    @pytest.mark.parametrize("kind", list(ep.MarketKind))
+    def test_hand_built_separable_accepted(self, kind):
+        env = self._build(lambda th, x: np.asarray(th) * np.sqrt(x), np.sqrt, kind)
+        assert float(env.utility(0.25)) == 0.5
+
+    def test_replace_is_checked(self):
+        base = ep.linear_unit_demand()
+        counted = []
+
+        def valuation(th, x):
+            counted.append(1)
+            return base.valuation(th, x)
+
+        env = dataclasses.replace(base, valuation=valuation)
+        assert len(counted) == 1 and env.utility is base.utility
+        for env in (ep.linear_unit_demand(), ep.separable_screening(cost=_cost, utility=np.sqrt)):
+            with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
+                dataclasses.replace(env, valuation=lambda th, x: np.asarray(th) ** 2 * np.asarray(x))
+            with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
+                dataclasses.replace(env, utility=lambda x: 1.0 + np.asarray(x))
 
 
 class TestTypeSpace:

@@ -153,7 +153,7 @@ def one_offer_reference(rho, F, env):
     no sale above theta_max, an atom at the threshold to the firm's side."""
     x_max = float(env.x_max)
     p = rho * x_max
-    u0, ux = (float(np.asarray(env.valuation_d_theta(env.types.upper, x))) for x in (0.0, x_max))
+    u0, ux = (float(np.asarray(env.utility(x))) for x in (0.0, x_max))
     t = (p - 0.0) / (ux - u0)
     if t > env.types.upper:
         return 0.0

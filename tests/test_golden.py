@@ -5,7 +5,8 @@ The files hold the exact bytes `run_regret` and `run_coverage` printed for
 small configurations, the exact stdout of `emprice infer` for every target,
 that of `emprice solve` and `emprice auction` for both environment kinds
 and every auction mode, on the committed sample and menu files, and that of
-`emprice bound` and `auction --bound-n` for every bound kind. A performance change must
+`emprice bound` and `auction --bound-n` for every bound kind, and that of
+`emprice estimate` for every estimator. A performance change must
 leave every byte alone; a change that means to move these numbers
 regenerates the files it moves with `python tests/test_golden.py NAME ...`
 (every file when no name is given) and says why in CHANGES.md.
@@ -99,6 +100,9 @@ SOLVE_AUCTION = {
         "bound", "--kind", "kernel", "--n", "500", "--delta", "0.1", "--tv-bound", "1", "--bandwidth", "0.1",
         "--lipschitz", "4",
     ],
+    "estimate-ecdf.json": ["estimate", "--sample", SAMPLE, "--estimator", "ecdf"],
+    "estimate-interp.json": ["estimate", "--sample", SAMPLE, "--estimator", "interp"],
+    "estimate-kernel.json": ["estimate", "--sample", SAMPLE, "--estimator", "kernel", "--grid-points", "5"],
 }
 
 

@@ -152,6 +152,26 @@ class TestSampleComplexity:
             n = sample_complexity(kind, eff, alpha, 1.0)
             assert deviation_bound(kind, n, eff) <= alpha < deviation_bound(kind, n - 1, eff)
 
+    @pytest.mark.parametrize("kind", [DkwBound(), InterpEcdfBound()])
+    def test_minimal_at_tiny_eps(self, kind):
+        # float(n) rounds runs of up to ~10^14 integers alike down here; unit
+        # steps from the root's ceiling took hours at eps = 1e-12. At the last
+        # input the root, 1.36e308, is so large that 2.0 * n overflows above it
+        gen = np.random.default_rng(15)
+        effs = 10.0 ** gen.uniform(-15.0, -8.0, 300)
+        alphas = 10.0 ** gen.uniform(-12.0, math.log10(0.999), 300)
+        extra = [(1e-12, 0.05), (1e-15, 0.05), (3.224733385518711e-154, 1e-12)]
+        for eff, alpha in [*zip(effs.tolist(), alphas.tolist()), *extra]:
+            n = sample_complexity(kind, eff, alpha, 1.0)
+            assert deviation_bound(kind, n, eff) <= alpha < deviation_bound(kind, n - 1, eff)
+
+    @pytest.mark.parametrize("kind", [DkwBound(), InterpEcdfBound()])
+    @pytest.mark.parametrize("delta,lipschitz", [(1e-170, 1.0), (1e-160, 1.0), (1.0, 1e300)])
+    def test_eps_too_small_for_a_float_root(self, kind, delta, lipschitz):
+        # eps^2 underflows to 0 (1e-170, 1e-300) or the root overflows (1e-160)
+        with pytest.raises(ValueError, match="too small"):
+            sample_complexity(kind, delta, 0.05, lipschitz)
+
     def test_interp_beyond_the_scan_cap(self):
         # the upward scan gave up past n = 10**9 on this input
         kind, eff, alpha = InterpEcdfBound(), 0.0001 / 4.0, 0.05

@@ -232,7 +232,7 @@ class TestOneOfferProfits:
         x_max = float(env.x_max)
         for F in laws:
             for x in (x_max, 0.5 * x_max, 0.0):
-                u = float(np.asarray(env.valuation_d_theta(1.0, x)))
+                u = float(np.asarray(env.utility(x)))
                 # thresholds below, at and above the type space, and on atoms
                 prices = np.concatenate([gen.uniform(0.01, 2.5, 12), [0.05, 5.0], np.array([0.2, 0.7, 1.5]) * u])
                 prices = prices[prices > 0.0]
@@ -434,6 +434,8 @@ class TestMenuFromAllocationParity:
             return base.valuation(th, x)
 
         env = dataclasses.replace(base, valuation=valuation)
+        # building env checked it once
+        calls.clear()
         alloc = ep.Allocation(tuple(np.linspace(0.0, 0.9, 41)), tuple(np.linspace(0.0, 1.0, 41)))
         menu = ep.menu_from_allocation(alloc, env)
         assert len(menu.items) == 40

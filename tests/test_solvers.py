@@ -37,12 +37,11 @@ def _hull_reference(x, y):
 
 def _screening_reference(F, env, grid_size):
     table = ep.ironed_virtual_value(F, grid_size)
-    th = table.segment_thetas
     w = _hull_reference(table.quantiles, table.cumulative)[1]
     x_max = float(env.x_max)
 
     def surplus(x):
-        return w * np.asarray(env.valuation_d_theta(th, x)) - np.asarray(env.cost(x))
+        return w * np.asarray(env.utility(x)) - np.asarray(env.cost(x))
 
     x_star, best, iters = golden_max(surplus, np.zeros_like(w), np.full_like(w, x_max))
     f_hi = surplus(np.full_like(w, x_max))
@@ -262,16 +261,15 @@ class TestScreeningSolver:
 
     def test_non_separable_valuation_rejected(self):
         # v = theta^2 x is not theta * u(x); solving it anyway priced below
-        # the empty menu (value -0.0192 at G = 200)
-        env = ep.Environment(
-            types=ep.TypeSpace(0.0, 1.0), x_max=1.0,
-            valuation=lambda th, x: np.asarray(th) ** 2 * np.asarray(x),
-            valuation_d_theta=lambda th, x: 2.0 * np.asarray(th) * np.asarray(x),
-            cost=lambda x: 0.5 * np.asarray(x) ** 2, kind=ep.MarketKind.SEPARABLE_SCREENING,
-        )
-        for solve in (ep.optimal_screening_menu, ep.optimal_profit):
-            with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
-                solve(ep.Uniform(0.0, 1.0), env, 200)
+        # the empty menu (value -0.0192 at G = 200), so no such environment
+        # can be built to hand to the solver
+        with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
+            ep.Environment(
+                types=ep.TypeSpace(0.0, 1.0), x_max=1.0,
+                valuation=lambda th, x: np.asarray(th) ** 2 * np.asarray(x),
+                utility=lambda x: np.asarray(x),
+                cost=lambda x: 0.5 * np.asarray(x) ** 2, kind=ep.MarketKind.SEPARABLE_SCREENING,
+            )
 
 
 class TestDispatch:
