@@ -68,7 +68,6 @@ from .guarantees import (
     GuaranteeResult,
     InterpEcdfBound,
     KernelDeterministicBound,
-    KernelScaling,
     deviation_bound,
     regret_guarantee,
     sample_complexity,

@@ -243,7 +243,6 @@ def _exact_reserve(F: PiecewiseLinear, bidders: int, seller_value: float) -> flo
 def optimal_reserve(
     setting: AuctionSetting,
     mode: ProfitMode = ProfitMode.EXPECTED_REVENUE,
-    grid_size: int = _RESERVE_GRID,
 ) -> tuple[float, float]:
     """Best reserve price; returns (reserve, value) and the smallest maximizer
     wins ties.
@@ -251,9 +250,9 @@ def optimal_reserve(
     The tail objective is nonincreasing, so its reserve is the lowest type.
     For expected revenue on a piecewise-linear F the reserve is exact: the
     best of each knot segment's clipped first-order-condition solution. Other
-    laws take the best of a `grid_size`-point grid plus the special points and
-    refine it by golden section; `grid_size` applies to those only. The value
-    is `auction_profit` at the reserve.
+    laws take the best of a `_RESERVE_GRID`-interval grid plus the special
+    points and refine it by golden section. The value is `auction_profit` at
+    the reserve.
     """
     F = setting.cdf
     m = setting.bidders
@@ -266,7 +265,7 @@ def optimal_reserve(
 
     lo, hi = F.support
     grid = np.unique(np.concatenate([
-        np.linspace(lo, hi, max(int(grid_size), 2) + 1),
+        np.linspace(lo, hi, _RESERVE_GRID + 1),
         np.asarray([p for p in F.special_points() if lo <= p <= hi]),
     ]))
     seg = _gl_integral_segments(SecondOrderCdf(F, m).cdf_array, grid[:-1], grid[1:], _gl_order(m))

@@ -220,14 +220,9 @@ def _cmd_infer(args) -> int:
     if args.target == "profit":
         est = bootstrap_ci_profit(_load_menu(args.menu), sample, env, **kwargs)
     elif args.target == "optimal":
-        est = bootstrap_ci_optimal_profit(
-            sample, env, estimator=args.estimator, theta_lower=args.theta_min, **kwargs
-        )
+        est = bootstrap_ci_optimal_profit(sample, env, estimator=args.estimator, **kwargs)
     elif args.target == "regret":
-        est = bootstrap_ci_regret(
-            _load_menu(args.menu), sample, env,
-            estimator=args.estimator, theta_lower=args.theta_min, **kwargs,
-        )
+        est = bootstrap_ci_regret(_load_menu(args.menu), sample, env, estimator=args.estimator, **kwargs)
     else:
         if args.menu_b is None:
             raise UsageError("--target compare requires --menu-b")
@@ -260,8 +255,23 @@ def _cmd_auction(args) -> int:
     return 0
 
 
+# the McConfig fields a config file or the flags may set, each with its conversion
+_MC_FIELDS = {
+    "distributions": tuple,
+    "sample_sizes": lambda sizes: tuple(int(n) for n in sizes),
+    "target": McTarget,
+    "replications": int,
+    "bootstrap_draws": int,
+    "levels": lambda levels: tuple(float(v) for v in levels),
+    "seed": int,
+    "c_bar": float,
+    "theta_max": float,
+}
+
+
 def _simulate_config(args) -> McConfig:
-    """The run's configuration: the --config file or the flags fill one mapping."""
+    """The run's configuration: the --config file or the flags fill one mapping,
+    and McConfig's defaults fill what neither sets."""
     if args.config is not None:
         try:
             raw = json.loads(Path(args.config).read_text())
@@ -272,7 +282,7 @@ def _simulate_config(args) -> McConfig:
             raise UsageError(f"config file {args.config} lacks {', '.join(map(repr, missing))}")
         # InvalidMenuError is a ValueError, which _cmd_simulate maps to exit 2
         menu = menu_from_dict(raw.get("menu", {"items": []}))
-        menu = menu if menu.items else Menu.uniform_price(0.5)
+        menus = {"fixed_menu": menu} if menu.items else {}
     else:
         if args.seed is None:
             raise UsageError("simulate requires --seed (or a config file with a seed)")
@@ -281,20 +291,9 @@ def _simulate_config(args) -> McConfig:
             replications=args.reps, bootstrap_draws=args.bootstrap, levels=args.levels.split(","),
             seed=args.seed, c_bar=args.cost, theta_max=args.theta_max,
         )
-        menu = _load_menu(args.menu) if args.menu else Menu.uniform_price(args.menu_price)
-    return McConfig(
-        distributions=tuple(raw["distributions"]),
-        sample_sizes=tuple(int(n) for n in raw["sample_sizes"]),
-        target=McTarget(raw["target"]),
-        replications=int(raw.get("replications", 1000)),
-        bootstrap_draws=int(raw.get("bootstrap_draws", 1000)),
-        levels=tuple(float(v) for v in raw.get("levels", (0.9, 0.95, 0.99))),
-        seed=int(raw["seed"]),
-        fixed_menu=menu,
-        c_bar=float(raw.get("c_bar", 0.0)),
-        theta_max=float(raw.get("theta_max", 1.0)),
-        workers=args.workers,
-    )
+        menus = {"fixed_menu": _load_menu(args.menu) if args.menu else Menu.uniform_price(args.menu_price)}
+    fields = {key: convert(raw[key]) for key, convert in _MC_FIELDS.items() if key in raw}
+    return McConfig(**fields, **menus, workers=args.workers)
 
 
 def _cmd_simulate(args) -> int:

@@ -438,14 +438,10 @@ class KernelSpec:
     """Compactly supported kernel with closed-form moments.
 
     k1 = int |u| K(u) du and k2 = int K(u)^2 du feed the deterministic
-    estimation error bound; support_radius is 1 for all three shapes.
+    estimation error bound; every shape is supported on [-1, 1].
     """
 
     shape: KernelShape
-
-    @property
-    def support_radius(self) -> float:
-        return 1.0
 
     @property
     def k1(self) -> float:
@@ -490,9 +486,8 @@ class KernelSmoothed(Cdf):
 
     @property
     def support(self) -> tuple[float, float]:
-        r = self.h * self.kernel.support_radius
         v = self.sample.values
-        return (float(v[0]) - r, float(v[-1]) + r)
+        return (float(v[0]) - self.h, float(v[-1]) + self.h)
 
     @property
     def has_density(self) -> bool:
@@ -517,9 +512,8 @@ class KernelSmoothed(Cdf):
         return self._reduce(theta, self.kernel.density) / self.h
 
     def special_points(self):
-        r = self.h * self.kernel.support_radius
         v = np.unique(self.sample.values)
-        return np.unique(np.concatenate([v - r, v, v + r]))
+        return np.unique(np.concatenate([v - self.h, v, v + self.h]))
 
 
 # ---------------------------------------------------------------------------

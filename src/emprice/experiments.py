@@ -60,23 +60,29 @@ class McTarget(Enum):
     REGRET_SHARE = "regret"
 
 
+# each family's accepted parameter counts, and the spec forms they give
+_SPEC_FORMS = {
+    "uniform": ((0, 2), "uniform or uniform:a:b"),
+    "beta": ((2, 4), "beta:alpha:beta or beta:alpha:beta:lo:hi"),
+    "pointmass": ((1,), "pointmass:t"),
+}
+
+
 def parse_distribution(spec: str) -> Cdf:
-    """Parse "uniform", "uniform:a:b", "beta:alpha:beta", "pointmass:t"."""
+    """Parse "uniform", "uniform:a:b", "beta:alpha:beta", "beta:alpha:beta:lo:hi"
+    or "pointmass:t"; any other number of parameters is an error."""
     parts = spec.strip().lower().split(":")
     name, args = parts[0], [float(p) for p in parts[1:]]
+    if name not in _SPEC_FORMS:
+        raise ValueError(f"unknown distribution spec {spec!r}")
+    counts, forms = _SPEC_FORMS[name]
+    if len(args) not in counts:
+        raise ValueError(f"distribution spec {spec!r} has the wrong number of parameters; use {forms}")
     if name == "uniform":
-        a, b = (args + [0.0, 1.0])[:2] if args else (0.0, 1.0)
-        return Uniform(a, b)
+        return Uniform(*args) if args else Uniform(0.0, 1.0)
     if name == "beta":
-        if len(args) < 2:
-            raise ValueError("beta spec needs two shape parameters, e.g. beta:4:4")
-        lo, hi = (args[2], args[3]) if len(args) >= 4 else (0.0, 1.0)
-        return BetaCdf(args[0], args[1], lo, hi)
-    if name == "pointmass":
-        if len(args) != 1:
-            raise ValueError("pointmass spec needs one location, e.g. pointmass:0.7")
-        return PointMass(args[0])
-    raise ValueError(f"unknown distribution spec {spec!r}")
+        return BetaCdf(*args)
+    return PointMass(*args)
 
 
 def distribution_label(dist: str | Cdf) -> str:
@@ -85,7 +91,8 @@ def distribution_label(dist: str | Cdf) -> str:
     if isinstance(dist, Uniform):
         return f"uniform:{dist.a:g}:{dist.b:g}"
     if isinstance(dist, BetaCdf):
-        return f"beta:{dist.alpha:g}:{dist.beta:g}"
+        bounds = "" if (dist.lo, dist.hi) == (0.0, 1.0) else f":{dist.lo:g}:{dist.hi:g}"
+        return f"beta:{dist.alpha:g}:{dist.beta:g}{bounds}"
     if isinstance(dist, PointMass):
         return f"pointmass:{dist.theta0:g}"
     return type(dist).__name__.lower()

@@ -28,7 +28,6 @@ __all__ = [
     "KernelDeterministicBound",
     "BoundKind",
     "GuaranteeFlavor",
-    "KernelScaling",
     "GuaranteeResult",
     "deviation_bound",
     "regret_guarantee",
@@ -70,18 +69,6 @@ class GuaranteeFlavor(Enum):
     PROFIT_DEVIATION = "profit_deviation"
     REGRET = "regret"
     DETERMINISTIC = "deterministic"
-
-
-class KernelScaling(Enum):
-    """How the Lipschitz constant enters the kernel bound's final radii.
-
-    MULTIPLY gives radii L*q (profit) and 2L*q (regret), the dimensionally
-    consistent counterpart of the probabilistic guarantees; DIVIDE exposes the
-    alternative reading q/L and q/(2L).
-    """
-
-    MULTIPLY = "multiply"
-    DIVIDE = "divide"
 
 
 @dataclass(frozen=True)
@@ -127,26 +114,18 @@ def deviation_bound(kind: BoundKind, n: int, delta: float) -> float:
 
 
 def regret_guarantee(
-    kind: BoundKind,
-    n: int,
-    delta: float,
-    lipschitz: float,
-    kernel_scaling: KernelScaling = KernelScaling.MULTIPLY,
+    kind: BoundKind, n: int, delta: float, lipschitz: float
 ) -> tuple[GuaranteeResult, GuaranteeResult]:
     """(profit-deviation guarantee, regret guarantee) for the given estimator.
 
     Probabilistic kinds: both events fail with probability at most
-    p(n, delta / L). Kernel kind: certain radii whose L scaling follows
-    `kernel_scaling`.
+    p(n, delta / L). Kernel kind: certain radii L*q (profit) and 2L*q (regret).
     """
     if not delta > 0 or not lipschitz > 0:
         raise ValueError("delta and lipschitz must be positive")
     if isinstance(kind, KernelDeterministicBound):
         q = deviation_bound(kind, n, delta)
-        if kernel_scaling is KernelScaling.MULTIPLY:
-            profit_r, regret_r = lipschitz * q, 2.0 * lipschitz * q
-        else:
-            profit_r, regret_r = q / lipschitz, q / (2.0 * lipschitz)
+        profit_r, regret_r = lipschitz * q, 2.0 * lipschitz * q
         return (
             GuaranteeResult(profit_r, profit_r, n, lipschitz, GuaranteeFlavor.DETERMINISTIC),
             GuaranteeResult(regret_r, regret_r, n, lipschitz, GuaranteeFlavor.DETERMINISTIC),

@@ -229,19 +229,14 @@ def bootstrap_ci_profit(
     return _estimate(bootstrap_roots(stat, b_draws, seed), level, percentile, b_draws, seed)
 
 
-def optimal_value_statistic(
-    sample: Sample,
-    env: Environment,
-    estimator: str = "ecdf",
-    theta_lower: float | None = None,
-    grid_size: int | None = None,
-) -> Statistic:
-    """The optimal-profit functional under the ECDF or interpolated ECDF."""
+def optimal_value_statistic(sample: Sample, env: Environment, estimator: str = "ecdf") -> Statistic:
+    """The optimal-profit functional under the ECDF or the interpolated ECDF
+    anchored at `env.types.lower`; the solver runs at its default grids."""
     values = sample.values
     n = values.size
     if estimator == "ecdf":
         # only the linear kind solves on a step law: any other raises here
-        point = float(optimal_profit(ecdf(sample), env, grid_size).optimal_value)
+        point = float(optimal_profit(ecdf(sample), env).optimal_value)
         c_bar, x_max = float(env.c_bar), float(env.x_max)
         margins = x_max * (values - c_bar)
 
@@ -256,7 +251,7 @@ def optimal_value_statistic(
 
         return Statistic(point, n, on_resamples)
     if estimator == "interp":
-        lower = env.types.lower if theta_lower is None else float(theta_lower)
+        lower = env.types.lower
 
         def interp_of(vals: np.ndarray) -> PiecewiseLinear:
             # resamples carry ties; interpolate through the distinct order
@@ -265,10 +260,10 @@ def optimal_value_statistic(
             probs = np.concatenate([[0.0], np.cumsum(counts)]) / vals.size
             return PiecewiseLinear(np.concatenate([[lower], distinct]), probs)
 
-        point = float(optimal_profit(interp_ecdf(sample, lower), env, grid_size).optimal_value)
+        point = float(optimal_profit(interp_ecdf(sample, lower), env).optimal_value)
 
         def solve(row: np.ndarray) -> float:
-            return optimal_profit(interp_of(values[row]), env, grid_size).optimal_value
+            return optimal_profit(interp_of(values[row]), env).optimal_value
 
         return Statistic(point, n, lambda idx: np.array([solve(row) for row in idx], dtype=float))
     raise ValueError(f"unknown estimator {estimator!r}; use 'ecdf' or 'interp'")
@@ -281,14 +276,12 @@ def bootstrap_ci_optimal_profit(
     level: float = 0.95,
     seed: int | tuple[int, ...] = 0,
     estimator: str = "ecdf",
-    theta_lower: float | None = None,
     percentile: bool = False,
-    grid_size: int | None = None,
 ) -> ProfitEstimate:
     """Bootstrap interval for the optimal expected profit (bootstrap-only:
     there is no consistent plug-in variance for this functional)."""
     _check_level(level)
-    stat = optimal_value_statistic(sample, env, estimator, theta_lower, grid_size)
+    stat = optimal_value_statistic(sample, env, estimator)
     return _estimate(bootstrap_roots(stat, b_draws, seed), level, percentile, b_draws, seed)
 
 
@@ -319,15 +312,13 @@ def bootstrap_ci_regret(
     level: float = 0.95,
     seed: int | tuple[int, ...] = 0,
     estimator: str = "ecdf",
-    theta_lower: float | None = None,
     percentile: bool = False,
-    grid_size: int | None = None,
 ) -> ProfitEstimate:
     """Bootstrap interval for regret = optimal profit - profit of the menu,
     with both functionals evaluated on shared resamples."""
     _check_level(level)
     w = per_consumer_profit(menu, sample.values, env)
-    opt = optimal_value_statistic(sample, env, estimator, theta_lower, grid_size)
+    opt = optimal_value_statistic(sample, env, estimator)
     stat = Statistic(
         float(opt.point - w.mean()), sample.n, lambda idx: opt.on_resamples(idx) - w[idx].mean(axis=1)
     )

@@ -81,8 +81,8 @@ class Menu:
         return cls(())
 
     @classmethod
-    def uniform_price(cls, price: float, quantity: float = 1.0) -> "Menu":
-        return cls(((quantity, price),))
+    def uniform_price(cls, price: float) -> "Menu":
+        return cls(((1.0, price),))
 
 
 @dataclass(frozen=True)

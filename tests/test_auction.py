@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate
 
 import emprice as ep
+import emprice.auction
 from emprice.auction import (
     ProfitMode,
     SecondOrderCdf,
@@ -255,16 +256,17 @@ class TestExactReserve:
         s = (p[k + 1] - p[k]) / (t[k + 1] - t[k])
         assert r == 0.5 * ((1.0 - p[k]) / s + t[k] + 0.6)
 
-    def test_analytic_law_keeps_grid_search(self):
-        # grid_size reaches the grid-then-refine search on analytic laws only
+    def test_analytic_law_keeps_grid_search(self, monkeypatch):
+        # the reserve grid reaches the grid-then-refine search on analytic laws only
         setting = ep.AuctionSetting(2, 0.2, ep.Uniform(0, 1))
-        coarse, _ = ep.optimal_reserve(setting, grid_size=7)
-        fine, _ = ep.optimal_reserve(setting, grid_size=10_000)
-        assert coarse != fine
-        assert coarse == pytest.approx(0.6, abs=1e-6)
         F = ep.PiecewiseLinear(np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.3, 1.0]))
         interp = ep.AuctionSetting(2, 0.2, F)
-        assert ep.optimal_reserve(interp, grid_size=7) == ep.optimal_reserve(interp)
+        fine, exact = ep.optimal_reserve(setting), ep.optimal_reserve(interp)
+        monkeypatch.setattr(emprice.auction, "_RESERVE_GRID", 7)
+        coarse, _ = ep.optimal_reserve(setting)
+        assert coarse != fine
+        assert coarse == pytest.approx(0.6, abs=1e-6)
+        assert ep.optimal_reserve(interp) == exact
 
 
 class TestAuctionGuarantees:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import emprice as ep
-from emprice.cli import main
+from emprice.cli import _simulate_config, build_parser, main
 
 
 @pytest.fixture
@@ -75,6 +75,20 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("spec, forms", [
+        ("uniform:0.2", "uniform or uniform:a:b"),
+        ("uniform:0.2:0.8:5", "uniform or uniform:a:b"),
+        ("beta:2", "beta:alpha:beta or beta:alpha:beta:lo:hi"),
+        ("beta:2:2:0.1", "beta:alpha:beta or beta:alpha:beta:lo:hi"),
+        ("pointmass:0.1:0.2", "pointmass:t"),
+    ])
+    def test_wrong_parameter_count_exits_1(self, capsys, spec, forms):
+        code = main(["solve", "--dist", spec])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: distribution spec {spec!r} has the wrong number of parameters; use {forms}\n"
 
     @pytest.mark.parametrize(
         "flags, space",
@@ -246,6 +260,22 @@ class TestInfer:
              "--bootstrap", "150", "--seed", "3"],
         )
         assert payload["point"] == 1.0 / 3.0
+
+    @pytest.mark.parametrize("env", ["linear", "screening"])
+    def test_interp_point_anchors_at_theta_min(self, capsys, tmp_path, env):
+        # the interpolated ECDF starts at --theta-min, in solve and in infer alike
+        sample = tmp_path / "s.csv"
+        sample.write_text("\n".join(map(repr, ep.draw_sample(ep.Uniform(0.1, 1.0), 40, 6).values.tolist())))
+        flags = ["--sample", str(sample), "--estimator", "interp", "--env", env]
+        _, solved = run_json(capsys, ["solve", *flags, "--theta-min", "0.05"])
+        _, inferred = run_json(
+            capsys, ["infer", "--target", "optimal", *flags, "--theta-min", "0.05", "--bootstrap", "100", "--seed", "1"]
+        )
+        assert inferred["point"] == solved["optimal_value"]
+        if env == "screening":
+            # the screening optimum depends on the anchor; a linear one here does not
+            _, at_zero = run_json(capsys, ["solve", *flags])
+            assert at_zero["optimal_value"] != solved["optimal_value"]
 
     def test_profit_requires_menu(self, capsys, sample_file):
         code = main(["infer", "--target", "profit", "--sample", sample_file, "--seed", "1"])
@@ -441,6 +471,15 @@ class TestSimulate:
 
     def test_seed_required(self):
         assert main(["simulate", "--dist", "uniform", "--sizes", "10", "--reps", "2"]) == 2
+
+    def test_config_with_required_keys_only_takes_library_defaults(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "target": "coverage-fixed", "distributions": ["uniform"], "sample_sizes": [10], "seed": 4,
+        }))
+        args = build_parser().parse_args(["simulate", "--config", str(cfg_path)])
+        want = ep.McConfig(("uniform",), (10,), ep.McTarget.FIXED_PROFIT_COVERAGE, seed=4)
+        assert _simulate_config(args) == want
 
     def test_config_without_seed_is_usage_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

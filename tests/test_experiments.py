@@ -6,7 +6,7 @@ import pytest
 
 import emprice as ep
 import emprice.experiments as experiments
-from emprice.experiments import McConfig, McResult, McRow, McTarget, parse_distribution
+from emprice.experiments import McConfig, McResult, McRow, McTarget, distribution_label, parse_distribution
 from emprice.solvers import ecdf_uniform_prices
 
 
@@ -31,10 +31,42 @@ class TestParseDistribution:
         assert isinstance(beta, ep.BetaCdf) and beta.alpha == 0.25
         pm = parse_distribution("pointmass:0.7")
         assert isinstance(pm, ep.PointMass) and pm.theta0 == 0.7
+        assert parse_distribution("uniform:0.2:0.8") == ep.Uniform(0.2, 0.8)
+        assert parse_distribution("beta:2:2:0.5:3") == ep.BetaCdf(2.0, 2.0, 0.5, 3.0)
 
     def test_unknown(self):
         with pytest.raises(ValueError):
             parse_distribution("cauchy")
+
+    @pytest.mark.parametrize("spec, forms", [
+        ("uniform:0.2", "uniform or uniform:a:b"),
+        ("uniform:0.2:0.8:5", "uniform or uniform:a:b"),
+        ("beta:2", "beta:alpha:beta or beta:alpha:beta:lo:hi"),
+        ("beta:2:2:0.1", "beta:alpha:beta or beta:alpha:beta:lo:hi"),
+        ("beta:2:2:0:1:3", "beta:alpha:beta or beta:alpha:beta:lo:hi"),
+        ("pointmass", "pointmass:t"),
+        ("pointmass:0.1:0.2", "pointmass:t"),
+    ])
+    def test_wrong_parameter_count_rejected(self, spec, forms):
+        # these were padded or truncated: uniform:0.2 read as (0.2, 0), beta:2:2:0.1 as Beta(2, 2)
+        with pytest.raises(ValueError) as info:
+            parse_distribution(spec)
+        assert str(info.value) == f"distribution spec {spec!r} has the wrong number of parameters; use {forms}"
+
+
+class TestDistributionLabel:
+    @pytest.mark.parametrize("law, label", [
+        (ep.Uniform(0.2, 0.8), "uniform:0.2:0.8"),
+        (ep.BetaCdf(2, 2), "beta:2:2"),
+        (ep.BetaCdf(2, 2, 0.5, 3), "beta:2:2:0.5:3"),
+        (ep.BetaCdf(2, 5, 0.0, 0.5), "beta:2:5:0:0.5"),
+        (ep.PointMass(0.7), "pointmass:0.7"),
+    ])
+    def test_law_objects(self, law, label):
+        assert distribution_label(law) == label
+
+    def test_string_specs_unchanged(self):
+        assert distribution_label("beta:2:2:0:1") == "beta:2:2:0:1"
 
 
 class TestTrueValues:

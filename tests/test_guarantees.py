@@ -9,7 +9,6 @@ from emprice.guarantees import (
     DkwBound,
     InterpEcdfBound,
     KernelDeterministicBound,
-    KernelScaling,
     deviation_bound,
     regret_guarantee,
     sample_complexity,
@@ -100,9 +99,6 @@ class TestRegretGuarantee:
         assert profit.flavor is ep.GuaranteeFlavor.DETERMINISTIC
         assert profit.bound == pytest.approx(4.0 * q, rel=1e-12)
         assert regret.bound == pytest.approx(8.0 * q, rel=1e-12)
-        profit2, regret2 = regret_guarantee(kind, 100, 0.5, 4.0, KernelScaling.DIVIDE)
-        assert profit2.bound == pytest.approx(q / 4.0, rel=1e-12)
-        assert regret2.bound == pytest.approx(q / 8.0, rel=1e-12)
 
 
 class TestSampleComplexity:

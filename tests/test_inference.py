@@ -111,9 +111,7 @@ class TestBootstrapOptimalProfit:
 
     def test_interp_estimator_point(self, linear_env):
         s = ep.draw_sample(ep.Uniform(0.05, 1.0), 40, 6)
-        est = ep.bootstrap_ci_optimal_profit(
-            s, linear_env, 150, 0.9, 2, estimator="interp", theta_lower=0.0
-        )
+        est = ep.bootstrap_ci_optimal_profit(s, linear_env, 150, 0.9, 2, estimator="interp")
         want = ep.optimal_profit(ep.interp_ecdf(s, 0.0), linear_env).optimal_value
         assert est.point == want
 
@@ -228,14 +226,14 @@ def reference_ecdf_optimum(values, env):
     return stat
 
 
-def reference_interp_optimum(values, env, lower, grid_size):
-    """Per-draw solve against the interpolated resample ECDF."""
+def reference_interp_optimum(values, env, lower):
+    """Per-draw solve against the interpolated resample ECDF, at the default grids."""
 
     def stat(idx):
         distinct, counts = np.unique(values[idx], return_counts=True)
         probs = np.concatenate([[0.0], np.cumsum(counts)]) / idx.size
         F = ep.PiecewiseLinear(np.concatenate([[lower], distinct]), probs)
-        return ep.optimal_profit(F, env, grid_size).optimal_value
+        return ep.optimal_profit(F, env).optimal_value
 
     return stat
 
@@ -302,8 +300,8 @@ class TestEngineMatchesPerDrawLoop:
     @pytest.mark.parametrize("b_draws", [100, 1001])
     def test_interp_row_fallback(self, linear_env, b_draws):
         s = ep.draw_sample(ep.BetaCdf(2, 3), 37, 3)
-        stat = optimal_value_statistic(s, linear_env, "interp", 0.0, 500)
-        ref = reference_interp_optimum(s.values, linear_env, 0.0, 500)
+        stat = optimal_value_statistic(s, linear_env, "interp")
+        ref = reference_interp_optimum(s.values, linear_env, 0.0)
         want = reference_roots(ref, s.n, b_draws, (2**40 + 3, 11, -1), stat.point)
         assert_same_bits(bootstrap_roots(stat, b_draws, (2**40 + 3, 11, -1)).roots, want)
 
@@ -313,8 +311,8 @@ class TestEngineMatchesPerDrawLoop:
              "cost": {"scale": 0.5, "power": 2.0}}
         )
         s = ep.draw_sample(ep.BetaCdf(2, 3), 37, 4)
-        stat = optimal_value_statistic(s, env, "interp", None, 200)
-        ref = reference_interp_optimum(s.values, env, 0.0, 200)
+        stat = optimal_value_statistic(s, env, "interp")
+        ref = reference_interp_optimum(s.values, env, 0.0)
         want = reference_roots(ref, s.n, 100, (3, -5), stat.point)
         assert_same_bits(bootstrap_roots(stat, 100, (3, -5)).roots, want)
 

@@ -2,7 +2,8 @@
 
 Every module under src/emprice is parsed with `ast`; an import of an
 underscore-prefixed name from another package module fails the test. Tests
-themselves may import private helpers. The numerics core is a leaf: it
+themselves may import private helpers. Every name a module lists in `__all__`
+must exist in it. The numerics core is a leaf: it
 imports numpy and nothing from the package.
 
 Start-up cost: scipy subpackages and the process pool load only on the paths
@@ -11,6 +12,7 @@ it loaded.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -43,6 +45,12 @@ def test_guard_catches_private_import(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("from .inference import _interval, bootstrap_roots\nfrom emprice.rng import _U64\n")
     assert private_imports(path) == [".inference._interval", "emprice.rng._U64"]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE.glob("*.py") if "__all__" in p.read_text()))
+def test_every_all_name_resolves(name):
+    module = importlib.import_module(f"emprice.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 def test_numerics_is_a_leaf():
