@@ -12,7 +12,6 @@ from .auction import (
     auction_profit,
     auction_regret_guarantee,
     optimal_reserve,
-    second_order_distribution,
 )
 from .distributions import (
     BetaCdf,
@@ -81,7 +80,6 @@ from .inference import (
     bootstrap_ci_regret,
     bootstrap_compare,
     plugin_normal_ci,
-    plugin_variance,
 )
 from .mechanisms import (
     Allocation,

@@ -49,7 +49,6 @@ __all__ = [
     "ProfitMode",
     "AuctionSetting",
     "SecondOrderCdf",
-    "second_order_distribution",
     "auction_profit",
     "optimal_reserve",
     "auction_regret_guarantee",
@@ -125,10 +124,6 @@ class SecondOrderCdf(Cdf):
 
     def special_points(self):
         return self.base.special_points()
-
-
-def second_order_distribution(F: Cdf, bidders: int) -> SecondOrderCdf:
-    return SecondOrderCdf(F, bidders)
 
 
 @cache

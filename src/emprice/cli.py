@@ -271,7 +271,8 @@ _MC_FIELDS = {
 
 def _simulate_config(args) -> McConfig:
     """The run's configuration: the --config file or the flags fill one mapping,
-    and McConfig's defaults fill what neither sets."""
+    McConfig's defaults fill what neither sets, and a value that does not
+    convert is a usage error that names its field."""
     if args.config is not None:
         try:
             raw = json.loads(Path(args.config).read_text())
@@ -292,7 +293,13 @@ def _simulate_config(args) -> McConfig:
             seed=args.seed, c_bar=args.cost, theta_max=args.theta_max,
         )
         menus = {"fixed_menu": _load_menu(args.menu) if args.menu else Menu.uniform_price(args.menu_price)}
-    fields = {key: convert(raw[key]) for key, convert in _MC_FIELDS.items() if key in raw}
+    fields = {}
+    for key, convert in _MC_FIELDS.items():
+        if key in raw:
+            try:
+                fields[key] = convert(raw[key])
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"{key}: {exc}") from exc
     return McConfig(**fields, **menus, workers=args.workers)
 
 

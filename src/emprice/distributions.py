@@ -41,6 +41,8 @@ __all__ = [
     "Mixture",
     "EmpiricalStep",
     "PiecewiseLinear",
+    "KernelShape",
+    "KernelSpec",
     "KernelSmoothed",
     "Sample",
     "draw_sample",
@@ -117,14 +119,8 @@ class Cdf:
     def cdf(self, theta: float) -> float:
         return float(self.cdf_array(np.asarray([theta]))[0])
 
-    def cdf_left(self, theta: float) -> float:
-        return float(self.cdf_left_array(np.asarray([theta]))[0])
-
     def quantile(self, q: float) -> float:
         return float(self.quantile_array(np.asarray([q]))[0])
-
-    def density(self, theta: float) -> float:
-        return float(self.density_array(np.asarray([theta]))[0])
 
 
 def _check_levels(q) -> np.ndarray:

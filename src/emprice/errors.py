@@ -1,5 +1,10 @@
 """Semantic exceptions shared across the package."""
 
+__all__ = [
+    "EmpriceError", "InvalidEnvironmentError", "InvalidMenuError",
+    "TiedSampleError", "UnsupportedPairError", "MissingDensityError",
+]
+
 
 class EmpriceError(Exception):
     """Base class for all library errors."""

@@ -14,7 +14,6 @@ import numpy as np
 from .distributions import (
     Cdf,
     EmpiricalStep,
-    KernelShape,
     KernelSmoothed,
     KernelSpec,
     PiecewiseLinear,
@@ -27,8 +26,6 @@ __all__ = [
     "interp_ecdf",
     "kernel_cdf",
     "default_bandwidth",
-    "KernelShape",
-    "KernelSpec",
 ]
 
 
@@ -58,9 +55,7 @@ def interp_ecdf(sample: Sample, theta_lower: float) -> PiecewiseLinear:
 
 
 def kernel_cdf(sample: Sample, kernel: KernelSpec, h: float) -> KernelSmoothed:
-    """Kernel CDF estimate with compact support [min - h*r, max + h*r]."""
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
+    """Kernel CDF estimate with compact support [min - h, max + h]."""
     return KernelSmoothed(sample, kernel, float(h))
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -71,13 +70,16 @@ _SPEC_FORMS = {
 def parse_distribution(spec: str) -> Cdf:
     """Parse "uniform", "uniform:a:b", "beta:alpha:beta", "beta:alpha:beta:lo:hi"
     or "pointmass:t"; any other number of parameters is an error."""
-    parts = spec.strip().lower().split(":")
-    name, args = parts[0], [float(p) for p in parts[1:]]
+    name, *params = spec.strip().lower().split(":")
     if name not in _SPEC_FORMS:
         raise ValueError(f"unknown distribution spec {spec!r}")
     counts, forms = _SPEC_FORMS[name]
-    if len(args) not in counts:
+    if len(params) not in counts:
         raise ValueError(f"distribution spec {spec!r} has the wrong number of parameters; use {forms}")
+    try:
+        args = [float(p) for p in params]
+    except ValueError as exc:
+        raise ValueError(f"distribution spec {spec!r} has a non-numeric parameter") from exc
     if name == "uniform":
         return Uniform(*args) if args else Uniform(0.0, 1.0)
     if name == "beta":
@@ -179,9 +181,6 @@ class McResult:
                     f"{self.bootstrap_draws},{r.value:.17g},{r.mc_se:.17g},{r.seed}"
                 )
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv())
 
 
 def true_values(dist: str | Cdf, menu: Menu, env: Environment) -> tuple[float, float]:

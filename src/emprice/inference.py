@@ -70,7 +70,6 @@ __all__ = [
     "bootstrap_roots",
     "mean_statistic",
     "optimal_value_statistic",
-    "plugin_variance",
     "plugin_normal_ci",
     "bootstrap_ci_profit",
     "bootstrap_ci_optimal_profit",
@@ -193,12 +192,6 @@ def _estimate(boot: BootstrapRoots, level: float, percentile: bool, b_draws: int
     lo, hi = boot.interval(level, percentile)
     method = CiMethod.PERCENTILE_BOOTSTRAP if percentile else CiMethod.CENTERED_BOOTSTRAP
     return ProfitEstimate(boot.point, boot.std_error(), lo, hi, level, method, b_draws, seed)
-
-
-def plugin_variance(menu: Menu, sample: Sample, env: Environment) -> float:
-    """Plug-in asymptotic variance: sample variance of per-consumer profit."""
-    w = per_consumer_profit(menu, sample.values, env)
-    return float(np.var(w))
 
 
 def plugin_normal_ci(menu: Menu, sample: Sample, env: Environment, level: float = 0.95) -> ProfitEstimate:

@@ -135,18 +135,14 @@ def _check_quantity(x: float, env: Environment) -> None:
         raise InvalidMenuError(f"menu quantity {x} exceeds x_max {env.x_max}")
 
 
-def _validate_menu(menu: Menu, env: Environment) -> None:
-    for x, _ in menu.items:
-        _check_quantity(x, env)
-
-
 def _choice_ladder(menu: Menu, env: Environment) -> tuple[list[tuple[float, float]], list[float]]:
     """Active items in increasing quantity with their activation thresholds.
 
     Returns (items, thresholds): items[0] is the outside option active from
     theta_min; items[k] (k >= 1) is chosen on (thresholds[k-1], thresholds[k]).
     """
-    _validate_menu(menu, env)
+    for x, _ in menu.items:
+        _check_quantity(x, env)
     # per quantity keep the cheapest item; pricier duplicates are never chosen
     best_by_x: dict[float, float] = {}
     for x, p in menu.items:

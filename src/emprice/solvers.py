@@ -41,7 +41,6 @@ __all__ = [
     "SolveMethod",
     "SolveResult",
     "IronedTable",
-    "convex_minorant_slopes",
     "posts_offer",
     "ecdf_uniform_prices",
     "optimal_uniform_price",
@@ -90,12 +89,6 @@ class IronedTable:
     psi_bar: np.ndarray        # per-segment ironed values (length G)
     cumulative: np.ndarray     # knots of the cumulated virtual value (length G+1)
     hull: tuple[int, ...]      # knot indices bounding the minorant's blocks
-
-    def ironed_cumulative(self) -> np.ndarray:
-        """Minorant values at the grid; interpolates the block boundaries, so
-        it coincides with `cumulative` exactly at the endpoints."""
-        idx = np.asarray(self.hull)
-        return np.interp(self.quantiles, self.quantiles[idx], self.cumulative[idx])
 
 
 def posts_offer(rho, value):
@@ -177,18 +170,6 @@ def _minorant_slopes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     blocks = isotonic_regression(np.diff(y) / dx, weights=dx).blocks
     a, b = blocks[:-1], blocks[1:]
     return blocks, np.repeat((y[b] - y[a]) / (x[b] - x[a]), b - a)
-
-
-def convex_minorant_slopes(knot_x: np.ndarray, knot_y: np.ndarray) -> np.ndarray:
-    """Per-segment slopes of the greatest convex minorant of a piecewise-linear
-    function through the given knots: chords across its PAVA blocks."""
-    x = np.asarray(knot_x, dtype=float)
-    y = np.asarray(knot_y, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
-        raise ValueError("need matching 1-D knot arrays with at least two knots")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("knot abscissae must be strictly increasing")
-    return _minorant_slopes(x, y)[1]
 
 
 def ironed_virtual_value(F: Cdf, grid_size: int = _SCREENING_GRID) -> IronedTable:

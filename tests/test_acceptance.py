@@ -207,9 +207,7 @@ def test_criterion_9_auction():
         F, G = random_exact_cdf(gen), random_exact_cdf(gen)
         base = ep.sup_distance(F, G)
         for m in (2, 3, 5):
-            second = ep.sup_distance(
-                ep.second_order_distribution(F, m), ep.second_order_distribution(G, m)
-            )
+            second = ep.sup_distance(ep.SecondOrderCdf(F, m), ep.SecondOrderCdf(G, m))
             slack = second - 2 * m * (m - 1) * base
             worst = max(worst, slack)
             if slack > 1e-9:

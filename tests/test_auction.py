@@ -20,7 +20,6 @@ from emprice.auction import (
     _gl_integral_segments,
     _gl_order,
     _phi,
-    second_order_distribution,
 )
 from emprice.numerics import argmax_refine
 
@@ -100,7 +99,7 @@ class TestSecondOrderCdf:
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_wrapper_is_valid_cdf(self, m):
-        F2 = second_order_distribution(ep.BetaCdf(0.25, 0.25), m)
+        F2 = SecondOrderCdf(ep.BetaCdf(0.25, 0.25), m)
         grid = np.linspace(-0.1, 1.1, 400)
         vals = F2.cdf_array(grid)
         assert np.all(np.diff(vals) >= -1e-15)
@@ -113,9 +112,7 @@ class TestSecondOrderCdf:
             F, G = random_exact_cdf(gen), random_exact_cdf(gen)
             base = ep.sup_distance(F, G)
             for m in (2, 3, 5):
-                second = ep.sup_distance(
-                    second_order_distribution(F, m), second_order_distribution(G, m)
-                )
+                second = ep.sup_distance(SecondOrderCdf(F, m), SecondOrderCdf(G, m))
                 assert second <= 2 * m * (m - 1) * base + 1e-9
 
 
@@ -139,7 +136,7 @@ class TestAuctionProfit:
 
         def f2(th):
             y = F.cdf(th)
-            return m * (m - 1) * y ** (m - 2) * (1 - y) * F.density(th)
+            return m * (m - 1) * y ** (m - 2) * (1 - y) * F.density_array(np.array([th]))[0]
 
         tail, _ = integrate.quad(lambda th: th * f2(th), r, 1.0, epsabs=1e-12, limit=300)
         y = F.cdf(r)

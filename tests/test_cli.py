@@ -90,6 +90,18 @@ class TestSolve:
         assert out == ""
         assert err == f"error: distribution spec {spec!r} has the wrong number of parameters; use {forms}\n"
 
+    @pytest.mark.parametrize("spec, message", [
+        ("uniform:abc", "distribution spec 'uniform:abc' has the wrong number of parameters; use uniform or uniform:a:b"),
+        ("uniform:0:abc", "distribution spec 'uniform:0:abc' has a non-numeric parameter"),
+        ("foo:abc", "unknown distribution spec 'foo:abc'"),
+    ])
+    def test_non_numeric_parameter_exits_1(self, capsys, spec, message):
+        code = main(["solve", "--dist", spec])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize(
         "flags, space",
         [(["--theta-max", "0.5"], "[0, 0.5]"), (["--theta-min", "0.65", "--estimator", "interp"], "[0.65, 1]")],
@@ -541,6 +553,45 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert err == "error: beta shape parameters must be positive and finite\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ("uniform:x", "distribution spec 'uniform:x' has the wrong number of parameters; use uniform or uniform:a:b"),
+        ("uniform:0:x", "distribution spec 'uniform:0:x' has a non-numeric parameter"),
+    ])
+    def test_non_numeric_parameter_exits_1(self, capsys, spec, message):
+        code = main(["simulate", "--target", "regret", "--dist", spec, "--sizes", "10", "--reps", "2", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, entries, field, message", [
+        ("--sizes", "500,abc", "sample_sizes", "invalid literal for int() with base 10: 'abc'"),
+        ("--levels", "0.9,abc", "levels", "could not convert string to float: 'abc'"),
+    ])
+    def test_bad_list_entry_flag_exits_2(self, capsys, flag, entries, field, message):
+        code = main(["simulate", "--dist", "uniform", flag, entries, "--reps", "2", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {field}: {message}\n"
+
+    @pytest.mark.parametrize("field, entries, message", [
+        ("sample_sizes", [500, "abc"], "invalid literal for int() with base 10: 'abc'"),
+        ("levels", [0.9, "abc"], "could not convert string to float: 'abc'"),
+        # these two raised TypeError, which ended in a traceback
+        ("sample_sizes", [10, None], "int() argument must be a string, a bytes-like object or a real number, not 'NoneType'"),
+        ("sample_sizes", 10, "'int' object is not iterable"),
+    ])
+    def test_bad_list_entry_config_exits_2(self, capsys, tmp_path, field, entries, message):
+        cfg = {"target": "coverage-fixed", "distributions": ["uniform"], "sample_sizes": [10], "seed": 4}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, field: entries}))
+        code = main(["simulate", "--config", str(cfg_path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {field}: {message}\n"
 
     def test_zero_optimum_regret_exits_1(self, capsys):
         code = main(

@@ -22,7 +22,7 @@ class TestEcdf:
     def test_tied_observations_jump_by_multiplicity(self):
         F = ep.ecdf(ep.Sample(np.array([0.3, 0.3, 0.9])))
         assert F.cdf(0.3) == pytest.approx(2 / 3)
-        assert F.cdf_left(0.3) == 0.0
+        assert F.cdf_left_array(np.array([0.3]))[0] == 0.0
 
     def test_pointwise_unbiased(self):
         # mean of F_hat(theta) over many draws matches F0(theta) within 3 MC sigmas
@@ -123,7 +123,7 @@ class TestKernelCdf:
     def test_deterministic_radius_dominates_observed_error(self):
         # Beta(4,4) density has total variation 2 * f(1/2) = 4.375
         F0 = ep.BetaCdf(4, 4)
-        tv = 2.0 * F0.density(0.5)
+        tv = 2.0 * float(F0.density_array(np.array([0.5]))[0])
         spec = KernelSpec(KernelShape.EPANECHNIKOV)
         for n, seed in ((200, 1), (1000, 2)):
             h = ep.default_bandwidth(n)

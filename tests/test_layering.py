@@ -3,8 +3,9 @@
 Every module under src/emprice is parsed with `ast`; an import of an
 underscore-prefixed name from another package module fails the test. Tests
 themselves may import private helpers. Every name a module lists in `__all__`
-must exist in it. The numerics core is a leaf: it
-imports numpy and nothing from the package.
+must exist in it, and every name the package imports comes from the `__all__`
+of the module it is imported from. The numerics core is a leaf: it imports
+numpy and nothing from the package.
 
 Start-up cost: scipy subpackages and the process pool load only on the paths
 that call them. A fresh interpreter runs one command and reports which modules
@@ -51,6 +52,16 @@ def test_guard_catches_private_import(tmp_path):
 def test_every_all_name_resolves(name):
     module = importlib.import_module(f"emprice.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_names_come_from_all():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    unlisted = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            listed = getattr(importlib.import_module(f"emprice.{node.module}"), "__all__", ())
+            unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in listed]
+    assert unlisted == []
 
 
 def test_numerics_is_a_leaf():
