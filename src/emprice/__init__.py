@@ -33,6 +33,7 @@ from .distributions import (
 from .environment import (
     Environment,
     MarketKind,
+    PowerCost,
     TypeSpace,
     ValidationReport,
     environment_from_config,

@@ -255,15 +255,43 @@ def _cmd_auction(args) -> int:
     return 0
 
 
+def _integer(value) -> int:
+    """int(value), refusing a number with a fractional part, which int() would
+    truncate; integral floats such as 10.0 pass."""
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+def _spec(value) -> str:
+    """A distribution spec, which must be a string."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a distribution spec string")
+    return value
+
+
+def _list_of(convert):
+    """Conversion of a list field, entry by entry; a string or a mapping would
+    iterate, but is not a list."""
+
+    def to_tuple(values) -> tuple:
+        if isinstance(values, (str, dict)):
+            raise TypeError(f"expected a list, got {values!r}")
+        return tuple(map(convert, values))
+
+    return to_tuple
+
+
 # the McConfig fields a config file or the flags may set, each with its conversion
 _MC_FIELDS = {
-    "distributions": tuple,
-    "sample_sizes": lambda sizes: tuple(int(n) for n in sizes),
+    "distributions": _list_of(_spec),
+    "sample_sizes": _list_of(_integer),
     "target": McTarget,
-    "replications": int,
-    "bootstrap_draws": int,
-    "levels": lambda levels: tuple(float(v) for v in levels),
-    "seed": int,
+    "replications": _integer,
+    "bootstrap_draws": _integer,
+    "levels": _list_of(float),
+    "seed": _integer,
     "c_bar": float,
     "theta_max": float,
 }
@@ -298,7 +326,7 @@ def _simulate_config(args) -> McConfig:
         if key in raw:
             try:
                 fields[key] = convert(raw[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise UsageError(f"{key}: {exc}") from exc
     return McConfig(**fields, **menus, workers=args.workers)
 

@@ -32,6 +32,7 @@ __all__ = [
     "TypeSpace",
     "MarketKind",
     "Environment",
+    "PowerCost",
     "AssumptionCheck",
     "ValidationReport",
     "linear_unit_demand",
@@ -103,6 +104,29 @@ class Environment:
         if not np.max(np.abs(gap)) <= _CHECK_TOL:
             raise InvalidEnvironmentError("environment fails assumption checks: valuation_separable")
 
+    @property
+    def utility_is_identity(self) -> bool:
+        """Whether u(x) = x, that is v(theta, x) = theta * x: true for the
+        built-in identity utility, the default of `separable_screening`."""
+        return self.utility is _IDENTITY_UTILITY
+
+
+@dataclass(frozen=True)
+class PowerCost:
+    """The cost c(x) = scale * x**power, with scale >= 0 and power >= 1 for
+    convexity; the screening solver maximizes its surplus in closed form."""
+
+    scale: float
+    power: float
+
+    def __post_init__(self) -> None:
+        a, p = self.scale, self.power
+        if not (math.isfinite(a) and math.isfinite(p) and a >= 0 and p >= 1):
+            raise InvalidEnvironmentError("screening cost needs finite scale >= 0 and power >= 1 for convexity")
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.scale * np.asarray(x) ** self.power
+
 
 def _identity(x: np.ndarray) -> np.ndarray:
     return x
@@ -120,6 +144,10 @@ def _separable(utility: Callable[[np.ndarray], np.ndarray]):
     return valuation, u
 
 
+# one (v, u) pair for u(x) = x, shared, so that an environment can tell it
+_IDENTITY_VALUATION, _IDENTITY_UTILITY = _separable(_identity)
+
+
 def linear_unit_demand(
     theta_min: float = 0.0,
     theta_max: float = 1.0,
@@ -127,12 +155,11 @@ def linear_unit_demand(
     c_bar: float = 0.0,
 ) -> Environment:
     """Environment with v(theta, x) = theta * x and linear cost c_bar * x."""
-    valuation, u = _separable(_identity)
     return Environment(
         types=TypeSpace(theta_min, theta_max),
         x_max=x_max,
-        valuation=valuation,
-        utility=u,
+        valuation=_IDENTITY_VALUATION,
+        utility=_IDENTITY_UTILITY,
         cost=lambda x: c_bar * np.asarray(x),
         kind=MarketKind.LINEAR_UNIT_DEMAND,
         c_bar=float(c_bar),
@@ -149,15 +176,16 @@ def separable_screening(
     """Screening environment with valuation v(theta, x) = theta * u(x).
 
     ``utility`` is u, applied elementwise to quantity arrays; the default is
-    u(x) = x.
+    u(x) = x. A `PowerCost` is kept as the cost as it is, so the solver can
+    recognize it.
     """
-    valuation, u = _separable(utility)
+    valuation, u = (_IDENTITY_VALUATION, _IDENTITY_UTILITY) if utility is _identity else _separable(utility)
     return Environment(
         types=TypeSpace(theta_min, theta_max),
         x_max=x_max,
         valuation=valuation,
         utility=u,
-        cost=lambda x: np.asarray(cost(np.asarray(x))),
+        cost=cost if isinstance(cost, PowerCost) else lambda x: np.asarray(cost(np.asarray(x))),
         kind=MarketKind.SEPARABLE_SCREENING,
     )
 
@@ -177,11 +205,8 @@ def environment_from_config(cfg: dict) -> Environment:
         return linear_unit_demand(theta_min, theta_max, x_max, float(cfg.get("c_bar", 0.0)))
     if kind == "screening":
         spec = cfg.get("cost", {"scale": 0.5, "power": 2.0})
-        scale, power = float(spec["scale"]), float(spec["power"])
-        if not (math.isfinite(scale) and math.isfinite(power) and scale >= 0 and power >= 1):
-            raise InvalidEnvironmentError("screening cost needs finite scale >= 0 and power >= 1 for convexity")
         return separable_screening(
-            cost=lambda x, a=scale, p=power: a * np.asarray(x) ** p,
+            cost=PowerCost(float(spec["scale"]), float(spec["power"])),
             theta_min=theta_min,
             theta_max=theta_max,
             x_max=x_max,

@@ -16,7 +16,11 @@ pointwise maximizes the ironed virtual surplus
 
 where psi_bar irons the virtual value J(theta) = theta - (1 - F(theta)) / f(theta).
 Every `Environment` is checked to be v = theta * u(x) when it is built, so the
-surplus reads `env.utility`.
+surplus reads `env.utility`. It is maximized once per distinct ironed value:
+in closed form for u(x) = x with a `PowerCost` a * x**p, the model the CLI
+builds (x* = (psi_bar / (a * p))**(1 / (p - 1)) clipped to [0, x_max], and the
+boundary rules for a linear surplus), and by vectorized golden section for any
+other u or c.
 Ironing happens in quantile space: per-segment virtual values are cumulated
 into a piecewise-linear function whose greatest convex minorant has slopes
 psi_bar. Pool-adjacent-violators (weighted isotonic regression of the knot
@@ -32,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .distributions import Cdf, EmpiricalStep
-from .environment import Environment, MarketKind
+from .environment import Environment, MarketKind, PowerCost
 from .errors import MissingDensityError, UnsupportedPairError
 from .mechanisms import Allocation, Menu, expected_profit, menu_from_allocation, menu_to_dict
 from .numerics import argmax_refine, golden_max
@@ -195,6 +199,41 @@ def ironed_virtual_value(F: Cdf, grid_size: int = _SCREENING_GRID) -> IronedTabl
     return IronedTable(q, thetas, theta_mid, psi, psi_bar, big_psi, tuple(blocks.tolist()))
 
 
+def _surplus_maximizers(w: np.ndarray, env: Environment) -> tuple[np.ndarray, int]:
+    """For each ironed value w, the quantity in [0, x_max] that maximizes the
+    surplus w * u(x) - c(x), and the golden-section steps taken (0 in closed
+    form)."""
+    x_max = float(env.x_max)
+
+    def surplus(x: np.ndarray) -> np.ndarray:
+        return w * np.asarray(env.utility(x)) - np.asarray(env.cost(x))
+
+    cost = env.cost
+    if isinstance(cost, PowerCost) and env.utility_is_identity:
+        # w * x - a * x**p: the stationary point for a > 0 and p > 1; a linear
+        # surplus (p = 1 or a = 0) is left to the boundary rules below
+        a, p = cost.scale, cost.power
+        if a > 0.0 and p > 1.0:
+            # for p near 1 the power overflows to inf, which clips to x_max
+            with np.errstate(over="ignore"):
+                x_star = np.clip((np.maximum(w, 0.0) / (a * p)) ** (1.0 / (p - 1.0)), 0.0, x_max)
+        else:
+            x_star = np.zeros_like(w)
+        best, iters = surplus(x_star), 0
+    else:
+        # golden section over all distinct values at once; the surplus is
+        # concave in x (u concave, c convex) wherever w > 0
+        x_star, best, iters = golden_max(surplus, np.zeros_like(w), np.full_like(w, x_max))
+    # exact boundary when the surplus is monotone on [0, x_max]
+    f_hi = surplus(np.full_like(w, x_max))
+    x_star = np.where(f_hi >= best, x_max, x_star)
+    best = np.maximum(best, f_hi)
+    f_lo = surplus(np.zeros_like(w))
+    x_star = np.where(f_lo >= best, 0.0, x_star)
+    # nonpositive ironed values never trade
+    return np.where(w <= 0.0, 0.0, x_star), iters
+
+
 def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = _SCREENING_GRID) -> SolveResult:
     """Menu from pointwise maximization of the ironed virtual surplus."""
     if env.kind is not MarketKind.SEPARABLE_SCREENING:
@@ -203,22 +242,7 @@ def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = _SCREENING
     # the surplus psi_bar * u(x) - c(x) and its bracket [0, x_max] depend on
     # psi_bar alone: solve once per distinct ironed value
     w, seg = np.unique(table.psi_bar, return_inverse=True)
-    x_max = float(env.x_max)
-
-    def surplus(x: np.ndarray) -> np.ndarray:
-        return w * np.asarray(env.utility(x)) - np.asarray(env.cost(x))
-
-    # golden section over all distinct values at once; the surplus is concave
-    # in x (u concave, c convex) wherever psi_bar > 0
-    x_star, best, iters = golden_max(surplus, np.zeros_like(w), np.full_like(w, x_max))
-    # exact boundary when the surplus is monotone on [0, x_max]
-    f_hi = surplus(np.full_like(w, x_max))
-    x_star = np.where(f_hi >= best, x_max, x_star)
-    best = np.maximum(best, f_hi)
-    f_lo = surplus(np.zeros_like(w))
-    x_star = np.where(f_lo >= best, 0.0, x_star)
-    # nonpositive ironed values never trade
-    x_star = np.where(w <= 0.0, 0.0, x_star)
+    x_star, iters = _surplus_maximizers(w, env)
     # ironing plus supermodularity make the allocation monotone; enforce
     # against float noise from independent solves
     x_star = np.maximum.accumulate(x_star[seg])

@@ -582,6 +582,20 @@ class TestSimulate:
         # these two raised TypeError, which ended in a traceback
         ("sample_sizes", [10, None], "int() argument must be a string, a bytes-like object or a real number, not 'NoneType'"),
         ("sample_sizes", 10, "'int' object is not iterable"),
+        # a string ran as the list of its characters: "uniform" ran the specs
+        # 'u', 'n', ... and exited 1 on the first
+        ("distributions", "uniform", "expected a list, got 'uniform'"),
+        ("sample_sizes", "10", "expected a list, got '10'"),
+        ("levels", "0.9", "expected a list, got '0.9'"),
+        ("levels", {"0.9": 1}, "expected a list, got {'0.9': 1}"),
+        # a non-string spec ended in a traceback
+        ("distributions", [5], "5 is not a distribution spec string"),
+        # int() truncated these, so [10.7], 2.5 and 1.9 ran as 10, 2 and 1
+        ("sample_sizes", [10, 10.7], "10.7 is not an integer"),
+        ("replications", 2.5, "2.5 is not an integer"),
+        ("bootstrap_draws", 100.5, "100.5 is not an integer"),
+        ("seed", 1.9, "1.9 is not an integer"),
+        ("seed", float("inf"), "cannot convert float infinity to integer"),
     ])
     def test_bad_list_entry_config_exits_2(self, capsys, tmp_path, field, entries, message):
         cfg = {"target": "coverage-fixed", "distributions": ["uniform"], "sample_sizes": [10], "seed": 4}
@@ -592,6 +606,18 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err == f"error: {field}: {message}\n"
+
+    def test_integral_floats_accepted(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "target": "coverage-fixed", "distributions": ["uniform"], "sample_sizes": [10.0], "seed": 4.0,
+            "replications": 2.0, "bootstrap_draws": 100.0,
+        }))
+        args = build_parser().parse_args(["simulate", "--config", str(cfg_path)])
+        want = ep.McConfig(("uniform",), (10,), ep.McTarget.FIXED_PROFIT_COVERAGE, 2, 100, seed=4)
+        got = _simulate_config(args)
+        assert got == want
+        assert [type(n) for n in (*got.sample_sizes, got.replications, got.bootstrap_draws, got.seed)] == [int] * 4
 
     def test_zero_optimum_regret_exits_1(self, capsys):
         code = main(

@@ -174,6 +174,18 @@ class TestEnvironmentConfig:
         assert env.kind is ep.MarketKind.SEPARABLE_SCREENING
         assert float(np.asarray(env.cost(2.0))) == 2.0
 
+    def test_screening_cost_is_a_power_cost(self):
+        # kept as it is, so the solver sees the closed-form model
+        env = ep.environment_from_config({"kind": "screening", "cost": {"scale": 0.2, "power": 3}})
+        assert env.cost == ep.PowerCost(0.2, 3.0)
+        assert env.utility_is_identity
+        assert not ep.separable_screening(ep.PowerCost(0.2, 3.0), utility=np.sqrt).utility_is_identity
+
+    @pytest.mark.parametrize("scale, power", [(-0.1, 2.0), (0.5, 0.9), (float("nan"), 2.0), (0.5, float("inf"))])
+    def test_power_cost_rejects_non_convex(self, scale, power):
+        with pytest.raises(ep.InvalidEnvironmentError, match="power >= 1 for convexity"):
+            ep.PowerCost(scale, power)
+
     def test_unknown_kind(self):
         with pytest.raises(ep.InvalidEnvironmentError):
             ep.environment_from_config({"kind": "nonlinear"})

@@ -68,7 +68,7 @@ INFER = {
 
 # linear cases and the auction tail case run the grid-then-refine searches,
 # the auction revenue cases the exact per-segment reserve, and the screening
-# cases the vectorized golden section over every quantile segment
+# cases the closed-form surplus maximizer of the power cost a * x**p
 SOLVE_AUCTION = {
     "solve-beta-4-4.json": ["solve", "--dist", "beta:4:4"],
     "solve-beta-2-5-cost.json": ["solve", "--dist", "beta:2:5", "--cost", "0.2"],

@@ -12,7 +12,7 @@ import pytest
 import emprice as ep
 from emprice.numerics import golden_max
 from emprice.rng import substream
-from emprice.solvers import _minorant_slopes
+from emprice.solvers import _minorant_slopes, _surplus_maximizers
 
 from conftest import random_exact_cdf, random_menu
 from test_mechanisms import _menu_from_allocation_reference
@@ -271,6 +271,61 @@ class TestScreeningSolver:
                 utility=lambda x: np.asarray(x),
                 cost=lambda x: 0.5 * np.asarray(x) ** 2, kind=ep.MarketKind.SEPARABLE_SCREENING,
             )
+
+
+class TestClosedFormScreening:
+    """`PowerCost` with u(x) = x takes the surplus maximizer in closed form;
+    the same cost as a plain callable takes golden section."""
+
+    @pytest.mark.parametrize("power", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("law", ["uniform", "beta-2-5", "interp-120"])
+    def test_matches_golden_section(self, law, power):
+        F = {"uniform": ep.Uniform(0, 1), "beta-2-5": ep.BetaCdf(2, 5), "interp-120": _interp_law(120)}[law]
+        w = np.unique(ep.ironed_virtual_value(F, 500).psi_bar)
+        for scale in (0.0, 0.2, 0.5):
+            for x_max in (0.3, 1.0, 2.0):
+                closed = ep.separable_screening(cost=ep.PowerCost(scale, power), x_max=x_max)
+                golden = ep.separable_screening(
+                    cost=lambda x, a=scale, p=power: a * np.asarray(x) ** p, x_max=x_max
+                )
+                assert closed.utility_is_identity and golden.utility_is_identity
+                got, want = ep.optimal_screening_menu(F, closed, 500), ep.optimal_screening_menu(F, golden, 500)
+                assert got.refine_iterations == 0 and want.refine_iterations > 0
+                if scale == 0.0 or power == 1.0:
+                    # a linear surplus: the boundary rules decide both paths
+                    assert got.menu.items == want.menu.items
+                    assert got.optimal_value == want.optimal_value
+                    continue
+                # on a flat surplus golden section resolves x only to about
+                # sqrt(eps * |f| / f''), 4.4e-8 at worst here (p = 1.5, x_max = 2);
+                # where the maximizer is x_max itself it can stop that far below
+                # it and keep one spurious level (uniform, a = 0.5, p = 1.5)
+                near_top = [item for item in want.menu.items if x_max - 1e-7 < item[0] < x_max]
+                assert len(near_top) <= 1
+                kept = [item for item in want.menu.items if item not in near_top]
+                assert len(got.menu.items) == len(kept)
+                assert np.max(np.abs(np.subtract(got.menu.items, kept))) <= 1e-7
+                # per distinct ironed value, the closed form scores at least
+                # what golden section finds
+                x_closed, x_golden = _surplus_maximizers(w, closed)[0], _surplus_maximizers(w, golden)[0]
+                gain = (w * x_closed - closed.cost(x_closed)) - (w * x_golden - closed.cost(x_golden))
+                assert gain.min() >= -1e-15
+
+    def test_power_cost_keeps_the_bits_of_the_expression(self):
+        x = np.linspace(0.0, 2.0, 1001)
+        for scale in (0.0, 0.2, 0.5, 1.7):
+            for power in (1.0, 1.5, 2.0, 3.0, 4.25):
+                cost = ep.PowerCost(scale, power)
+                assert np.array_equal(cost(x), scale * np.asarray(x) ** power)
+                assert cost(0.7) == scale * np.asarray(0.7) ** power
+
+    def test_other_utilities_take_golden_section(self):
+        env = ep.separable_screening(cost=ep.PowerCost(0.5, 2.0), utility=np.sqrt)
+        assert not env.utility_is_identity
+        res = ep.optimal_screening_menu(ep.BetaCdf(2, 5), env, 500)
+        menu, value, iters = _screening_reference(ep.BetaCdf(2, 5), env, 500)
+        assert (res.menu.items, res.optimal_value, res.refine_iterations) == (menu.items, value, iters)
+        assert iters > 0
 
 
 class TestDispatch:
