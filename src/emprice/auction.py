@@ -27,9 +27,12 @@ second-price auction with reserve r:
 The best revenue reserve on a piecewise-linear F (every interpolated
 estimate) is exact: on each knot segment the revenue is unimodal, so its
 maximizer there is the clipped stationary point of the first-order
-condition, and one vectorized pass scores every segment's candidate. Analytic
+condition, and one vectorized pass scores every segment's candidate. Only
+candidates strictly inside their segment need quadrature from the candidate
+to the segment's end; at either end that integral is already known. Analytic
 laws use a grid plus golden-section refinement; the tail objective's reserve
-is the lowest type of the support.
+is the lowest type of the support. All quadrature runs in blocks of about
+`_BLOCK_NODES` nodes, with the bits of one pass over all segments.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ __all__ = [
 ]
 
 _RESERVE_GRID = 10_000
+# quadrature nodes per block in `_gl_integral_segments`: 64 KB per temporary
+_BLOCK_NODES = 8192
 
 
 class ProfitMode(Enum):
@@ -142,13 +147,29 @@ def _gl_order(bidders: int) -> int:
 
 
 def _gl_integral_segments(f2_eval, lows: np.ndarray, highs: np.ndarray, order: int) -> np.ndarray:
-    """Gauss-Legendre integral of the second-order CDF on each [low, high]."""
+    """Gauss-Legendre integral of `f2_eval` on each [low, high].
+
+    The integrand runs on blocks of at most about `_BLOCK_NODES` nodes, so
+    every temporary is a small array that the allocator reuses rather than
+    fresh pages, and no matrix-vector product is large enough for BLAS to
+    split it across threads. The product sums rows in groups of four and a
+    row's bits depend on whether it falls in a group or in the remainder, so
+    blocks start on multiples of four rows and a last block shorter than four
+    rows joins the one before: every segment gets the bits of one
+    single-threaded pass over all segments.
+    """
     nodes, weights = _gauss_legendre(order)
-    mid = 0.5 * (lows + highs)
-    half = 0.5 * (highs - lows)
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = f2_eval(pts.reshape(-1)).reshape(pts.shape)
-    return half * (vals @ weights)
+    n = lows.size
+    step = max(4, _BLOCK_NODES // order // 4 * 4)
+    bounds = [0, *range(step, n - 3, step), n]
+    out = np.empty(n)
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        mid = 0.5 * (lows[s:e] + highs[s:e])
+        half = 0.5 * (highs[s:e] - lows[s:e])
+        pts = mid[:, None] + half[:, None] * nodes[None, :]
+        vals = f2_eval(pts.reshape(-1)).reshape(pts.shape)
+        out[s:e] = half * (vals @ weights)
+    return out
 
 
 def _integral_f2_above(F: Cdf, bidders: int, r: float) -> float:
@@ -193,7 +214,8 @@ def auction_profit(r: float, setting: AuctionSetting, mode: ProfitMode = ProfitM
     lo, hi = F.support
     y = F.cdf(r)
     f2_r = float(_phi(np.asarray([y]), m)[0])
-    expected_second = hi - r * f2_r - _integral_f2_above(F, m, r)
+    # above the top type no bidder buys, so the by-parts term is 0, not hi - r
+    expected_second = hi - r * f2_r - _integral_f2_above(F, m, r) if r <= hi else 0.0
     reserve_term = r * m * y ** (m - 1) * (1.0 - y)
     sale_prob = 1.0 - y**m
     return reserve_term + expected_second - setting.seller_value * sale_prob
@@ -228,8 +250,15 @@ def _exact_reserve(F: PiecewiseLinear, bidders: int, seller_value: float) -> flo
     whole = _gl_integral_segments(survival, t[:-1], t[1:], order)
     # the integral over the segments after each candidate's own
     above_next = np.concatenate([np.cumsum(whole[:0:-1])[::-1], [0.0]])
+    # the integral from each candidate to its segment's end: a candidate at
+    # the left end has the inputs, so the bits, of `whole`, one at the right
+    # end has half-width 0 and integral exactly 0, and only interior ones need
+    # quadrature
+    part = np.where(r == t[:-1], whole, 0.0)
+    inside = (t[:-1] < r) & (r < t[1:])
+    part[inside] = _gl_integral_segments(survival, r[inside], t[1:][inside], order)
     y = F.cdf_array(r)
-    vals = (r - c) * (1.0 - y**m) + _gl_integral_segments(survival, r, t[1:], order) + above_next
+    vals = (r - c) * (1.0 - y**m) + part + above_next
     best = float(r[np.argmax(vals)])
     # R is constant where F = 0, so there the lowest type is the smallest maximizer
     return float(t[0]) if F.cdf(best) == 0.0 else best

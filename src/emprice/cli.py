@@ -257,7 +257,10 @@ def _cmd_auction(args) -> int:
 
 def _integer(value) -> int:
     """int(value), refusing a number with a fractional part, which int() would
-    truncate; integral floats such as 10.0 pass."""
+    truncate, and a boolean, which int() would take as 0 or 1; integral floats
+    such as 10.0 pass."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
     number = int(value)
     if not isinstance(value, str) and number != value:
         raise ValueError(f"{value!r} is not an integer")

@@ -42,7 +42,8 @@ def interp_ecdf(sample: Sample, theta_lower: float) -> PiecewiseLinear:
     observation.
     """
     v = sample.values
-    if np.unique(v).size != v.size:
+    # the values are sorted, so a tie is two equal neighbours
+    if np.any(v[1:] == v[:-1]):
         raise TiedSampleError("interpolated ECDF requires distinct observations")
     if not theta_lower < v[0]:
         raise ValueError(

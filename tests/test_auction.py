@@ -17,6 +17,8 @@ import emprice.auction
 from emprice.auction import (
     ProfitMode,
     SecondOrderCdf,
+    _exact_reserve,
+    _gauss_legendre,
     _gl_integral_segments,
     _gl_order,
     _phi,
@@ -144,6 +146,16 @@ class TestAuctionProfit:
         setting = ep.AuctionSetting(m, c, F)
         assert ep.auction_profit(r, setting) == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("c", [0.0, 0.4])
+    def test_revenue_above_support_is_zero(self, c):
+        # no bidder meets a reserve above the top type; revenue was top - r
+        F = ep.PiecewiseLinear(np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.3, 1.0]))
+        for law in (ep.Uniform(0, 1), F):
+            setting = ep.AuctionSetting(3, c, law)
+            assert ep.auction_profit(1.0, setting) == 0.0
+            assert ep.auction_profit(1.0 + 1e-9, setting) == 0.0
+            assert ep.auction_profit(2.0, setting) == 0.0
+
     def test_seller_value_ignored_by_tail_mode(self):
         a = ep.AuctionSetting(2, 0.0, ep.Uniform(0, 1))
         b = ep.AuctionSetting(2, 0.3, ep.Uniform(0, 1))
@@ -264,6 +276,95 @@ class TestExactReserve:
         assert coarse != fine
         assert coarse == pytest.approx(0.6, abs=1e-6)
         assert ep.optimal_reserve(interp) == exact
+
+
+def _one_pass_segments(f, lows, highs, order):
+    """`_gl_integral_segments` in one pass over all segments, without blocks."""
+    nodes, weights = _gauss_legendre(order)
+    mid = 0.5 * (lows + highs)
+    half = 0.5 * (highs - lows)
+    pts = mid[:, None] + half[:, None] * nodes[None, :]
+    return half * (f(pts.reshape(-1)).reshape(pts.shape) @ weights)
+
+
+def _candidates(F, c):
+    """Each knot segment's clipped stationary point, as `_exact_reserve` has it."""
+    t, p = F.thetas, F.probs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stationary = 0.5 * ((1.0 - p[:-1]) / (np.diff(p) / np.diff(t)) + t[:-1] + c)
+    return np.fmin(np.fmax(stationary, t[:-1]), t[1:])
+
+
+def _every_candidate_reserve(F, m, c):
+    """`_exact_reserve` with the partial quadrature run in one pass on every
+    candidate, clipped or not."""
+    t = F.thetas
+    r = _candidates(F, c)
+
+    def survival(theta):
+        y = F.cdf_array(theta)
+        return 1.0 - y ** (m - 1) * (m - (m - 1) * y)
+
+    order = _gl_order(m)
+    whole = _one_pass_segments(survival, t[:-1], t[1:], order)
+    above_next = np.concatenate([np.cumsum(whole[:0:-1])[::-1], [0.0]])
+    y = F.cdf_array(r)
+    vals = (r - c) * (1.0 - y**m) + _one_pass_segments(survival, r, t[1:], order) + above_next
+    best = float(r[np.argmax(vals)])
+    return float(t[0]) if F.cdf(best) == 0.0 else best
+
+
+def _interior_law(gen, segments, c):
+    """Piecewise-linear law above c whose every segment but the last puts the
+    revenue's stationary point strictly inside it: the slope on [t_k, t_k+1]
+    is (1 - p_k) / (t_k - c + v (t_k+1 - t_k)) with 0 < v < 2."""
+    gaps = gen.uniform(0.2, 1.0, segments) / segments
+    # t_0 - c exceeds every gap, so each step adds less than 1 - p_k
+    thetas = c + 1.0 / segments + np.concatenate([[0.0], np.cumsum(gaps)])
+    probs = np.zeros(segments + 1)
+    for k in range(segments):
+        slope = (1.0 - probs[k]) / (thetas[k] - c + gen.uniform(0.1, 1.9) * gaps[k])
+        probs[k + 1] = probs[k] + slope * gaps[k]
+    probs[-1] = 1.0
+    return ep.PiecewiseLinear(thetas, probs)
+
+
+class TestQuadratureParity:
+    """The exact reserve integrates only interior candidates, in blocks: it
+    must pick the reserve that one pass over every candidate picks, and the
+    blocks must give every segment the bits of one pass. The golden sample
+    has 120 knots and crosses no block, so these tests pin the blocking."""
+
+    @pytest.mark.parametrize("segments", [1, 2, 1023, 1024, 1025, 5000])
+    def test_reserve_matches_every_candidate_quadrature(self, segments):
+        gen = np.random.default_rng(segments)
+        interior = 0
+        for c in (0.0, 0.25, 0.6):
+            sample = ep.Sample(gen.beta(2.0, 2.0, segments))
+            laws = [_random_flat_law(gen, segments, 0.5), ep.interp_ecdf(sample, 0.0),
+                    _interior_law(gen, segments, c)]
+            for i, F in enumerate(laws):
+                r = _candidates(F, c)
+                interior += int(np.sum((F.thetas[:-1] < r) & (r < F.thetas[1:])))
+                for m in (2, 3, 5, 8, 100):
+                    assert _exact_reserve(F, m, c) == _every_candidate_reserve(F, m, c), (i, c, m)
+        # the interior laws put all but one candidate per law inside its segment
+        assert interior >= 3 * (segments - 1)
+
+    @pytest.mark.parametrize("order", [8, 21, 51])
+    def test_blocks_match_one_pass(self, order):
+        # sizes straddle the first block boundary, where a block ends on a
+        # multiple of four rows and a last block under four rows joins the
+        # one before; they stay under 9,216 nodes, below which BLAS computes
+        # the one-pass reference on one thread, so its bits hold still
+        step = emprice.auction._BLOCK_NODES // order // 4 * 4
+        gen = np.random.default_rng(order)
+        f2 = SecondOrderCdf(ep.interp_ecdf(ep.Sample(gen.beta(2.0, 2.0, 200)), 0.0), 5).cdf_array
+        for n in [*range(step - 1, step + 9)] * 4:
+            lows = np.sort(gen.uniform(0.0, 0.9, n))
+            highs = lows + gen.uniform(0.0, 0.1, n)
+            assert np.array_equal(_gl_integral_segments(f2, lows, highs, order),
+                                  _one_pass_segments(f2, lows, highs, order)), n
 
 
 class TestAuctionGuarantees:

@@ -387,6 +387,13 @@ class TestAuction:
         assert solved.splitlines()[2] == evaluated.splitlines()[2]
         assert solved.splitlines()[2].startswith('  "value": ')
 
+    def test_reserve_above_every_type_earns_nothing(self, capsys):
+        # no bidder meets the reserve: the value printed was top - reserve
+        path = Path(__file__).parent / "golden" / "infer-sample.txt"
+        _, payload = run_json(capsys, ["auction", "--sample", str(path), "--bidders", "3", "--reserve", "5"])
+        assert payload["reserve"] == 5.0
+        assert payload["value"] == 0.0
+
     def test_guarantee_mode(self, capsys):
         _, payload = run_json(
             capsys,
@@ -596,6 +603,11 @@ class TestSimulate:
         ("bootstrap_draws", 100.5, "100.5 is not an integer"),
         ("seed", 1.9, "1.9 is not an integer"),
         ("seed", float("inf"), "cannot convert float infinity to integer"),
+        # int() took a boolean as 0 or 1: "seed": true ran seed 1
+        ("seed", True, "True is not an integer"),
+        ("replications", True, "True is not an integer"),
+        ("bootstrap_draws", False, "False is not an integer"),
+        ("sample_sizes", [10, True], "True is not an integer"),
     ])
     def test_bad_list_entry_config_exits_2(self, capsys, tmp_path, field, entries, message):
         cfg = {"target": "coverage-fixed", "distributions": ["uniform"], "sample_sizes": [10], "seed": 4}
