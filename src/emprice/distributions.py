@@ -14,12 +14,18 @@ function (continued-fraction evaluation via scipy.special.betainc).
 
 Beta quantiles take the bisection's own path without evaluating the CDF at
 each step: `scipy.special.betaincinv` gives an approximate inverse, and the
-descent compares each of the bisection's midpoints 0.5*(lo+hi) with it.
-Two CDF evaluations then check the final cell; a level whose cell fails the
-check goes through the plain bisection. While F is nondecreasing on the
-midpoints, only one final cell has F(lo) < q <= F(hi), and the plain
-bisection ends in it, so a checked cell is the plain result bit for bit,
-whatever the accuracy of betaincinv: a poor guess costs only fallbacks.
+descent compares each of the bisection's midpoints 0.5*(lo+hi) with it. On
+the support [0, 1] those midpoints are the exact nodes k/2^42, so the final
+cell needs no descent: hi is the smallest node at or above the guess, and lo
+the node below. Supports whose midpoints round walk the descent. Two CDF
+evaluations then check the final cell, F(lo) < q <= F(hi). A check fails at
+ordinary levels too, where betaincinv's last-bit error puts the guess one
+cell off, and near q = 1 or at q = 0. On [0, 1] a failed level tests the
+neighbouring cell with one more evaluation; what still fails goes through
+the plain bisection. While F is nondecreasing on the midpoints, only one
+final cell has F(lo) < q <= F(hi), and the plain bisection ends in it, so a
+checked cell is the plain result bit for bit, whatever the accuracy of
+betaincinv: a poor guess costs only evaluations.
 """
 
 from __future__ import annotations
@@ -133,7 +139,7 @@ def _check_levels(q) -> np.ndarray:
 
 def _bisect_steps(F: Cdf) -> int:
     lo_s, hi_s = F.support
-    # ~52 halvings take any bracket below 1e-12 on unit-scale supports
+    # 42 halvings, ceil(log2(1e12)) + 2, take a unit bracket below 1e-12
     return max(8, int(np.ceil(np.log2(max(hi_s - lo_s, 1e-300) / _BISECT_TOL))) + 2)
 
 
@@ -144,17 +150,22 @@ def _bisect_quantile(F: Cdf, q: np.ndarray, guess: np.ndarray | None = None) -> 
     so the limit is inf{theta : F(theta) >= q}. Elementwise, hence identical
     results whether calls are batched or not.
 
-    With `guess`, an approximate inverse, each step compares the midpoint
+    With `guess`, an approximate inverse, the descent compares each midpoint
     with the guess instead of evaluating F. The final cell is then checked,
     F(lo) < q <= F(hi), and the levels that fail go through the plain
     bisection. Where F is nondecreasing on the midpoints, the only cell that
     can pass is the one the plain bisection ends in, so the bits are the same.
+    On [0, 1] every midpoint is an exact node k/2^K, so `_guided_unit_quantile`
+    finds the descent's cell in closed form and repairs one-cell misses.
     """
     _check_levels(q)
     lo_s, hi_s = F.support
+    steps = _bisect_steps(F)
+    if guess is not None and (lo_s, hi_s) == (0.0, 1.0):
+        return _guided_unit_quantile(F, q, guess, steps)
     lo = np.full(q.shape, lo_s, dtype=float)
     hi = np.full(q.shape, hi_s, dtype=float)
-    for _ in range(_bisect_steps(F)):
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         ge = F.cdf_array(mid) >= q if guess is None else mid >= guess
         hi = np.where(ge, mid, hi)
@@ -163,6 +174,47 @@ def _bisect_quantile(F: Cdf, q: np.ndarray, guess: np.ndarray | None = None) -> 
         miss = ~((F.cdf_array(hi) >= q) & (F.cdf_array(lo) < q))
         if miss.any():
             hi[miss] = _bisect_quantile(F, q[miss])
+    return hi
+
+
+def _unit_cell(guess: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), the cell where the guided descent on [0, 1] ends.
+
+    The descent's midpoints there are the nodes k/2^steps, and it ends on the
+    smallest node at or above the guess: hi = ceil(guess * 2^steps) / 2^steps,
+    clipped to [2^-steps, 1], with lo one node below. fmin and fmax send a NaN
+    guess to hi = 1, where the descent ends when no comparison holds.
+    """
+    nodes = 2.0**steps
+    hi = np.asarray(np.fmax(np.fmin(np.ceil(guess * nodes), nodes), 1.0) / nodes)
+    return hi - 1.0 / nodes, hi
+
+
+def _guided_unit_quantile(F: Cdf, q: np.ndarray, guess: np.ndarray, steps: int) -> np.ndarray:
+    """The guided bisection on the support [0, 1], without the descent.
+
+    A level whose cell from `_unit_cell` fails the check tests the cell one
+    node up (F(hi) < q) or down (F(lo) >= q) with one evaluation of F; what
+    still fails, NaN levels included, goes through the plain bisection.
+    """
+    lo, hi = _unit_cell(guess, steps)
+    cell = 2.0**-steps
+    f_hi = F.cdf_array(hi)
+    f_lo = F.cdf_array(lo)
+    up = (f_hi < q) & (hi < 1.0)
+    near = up | ((f_lo >= q) & (lo > 0.0))
+    miss = ~((f_hi >= q) & (f_lo < q))
+    if near.any():
+        # the neighbour shares a node with the cell, on the side that passed:
+        # up needs F(new hi) >= q, down needs F(new lo) < q
+        is_up = up[near]
+        new_hi = hi[near] + np.where(is_up, cell, -cell)
+        f_new = F.cdf_array(np.where(is_up, new_hi, new_hi - cell))
+        ok = np.where(is_up, f_new >= q[near], f_new < q[near])
+        hi[near] = np.where(ok, new_hi, hi[near])
+        miss[near] = ~ok
+    if miss.any():
+        hi[miss] = _bisect_quantile(F, q[miss])
     return hi
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emprice as ep
-from emprice.distributions import _bisect_quantile, _bisect_steps
+from emprice.distributions import _bisect_quantile, _bisect_steps, _unit_cell
 
 from conftest import random_exact_cdf
 
@@ -131,6 +131,57 @@ class TestDyadicWarmStart:
         # the two checks of the final cell, and a plain bisection on few levels
         assert points[:2] == [q.size, q.size]
         assert sum(points[2:]) <= 0.01 * q.size * _bisect_steps(ep.BetaCdf(2, 5))
+
+    def test_closed_form_cell_matches_descent(self):
+        steps = _bisect_steps(ep.BetaCdf(2, 2))
+        nodes = np.concatenate([[0, 1, 2, 3], np.random.default_rng(5).integers(4, 2**steps - 3, 2_000),
+                                2**steps - np.arange(4)]) * 2.0**-steps
+        guess = np.concatenate([
+            nodes,
+            np.nextafter(nodes, -np.inf),
+            np.nextafter(nodes, np.inf),
+            [0.0, -0.0, -1.0, 2.0, 2.0**-1074, -2.0**-1074, np.inf, -np.inf, np.nan],
+        ])
+        # the descent the closed form replaces
+        lo, hi = np.zeros_like(guess), np.ones_like(guess)
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            ge = mid >= guess
+            hi = np.where(ge, mid, hi)
+            lo = np.where(ge, lo, mid)
+        got_lo, got_hi = _unit_cell(guess, steps)
+        assert same_bits(got_lo, lo)
+        assert same_bits(got_hi, hi)
+
+    @pytest.mark.parametrize("F", [ep.BetaCdf(2, 2, 0.1, 0.7), ep.BetaCdf(0.5, 3, -1.3, 2.2)],
+                             ids=["beta-2-2-rounding", "beta-half-3-rounding"])
+    def test_rounding_support_matches_plain_bisection(self, F):
+        # midpoints of these supports round, so the guided descent keeps its loop
+        at_nodes = F.cdf_array(np.linspace(*F.support, 4097)[1:-1])
+        q = np.concatenate([np.random.default_rng(11).random(50_000), HARD_LEVELS, at_nodes])
+        assert same_bits(F.quantile_array(q), _bisect_quantile(F, q))
+
+    def test_repair_spares_plain_bisection(self):
+        points = []
+
+        class Counted(ep.BetaCdf):
+            def cdf_array(self, theta):
+                points.append(np.size(theta))
+                return super().cdf_array(theta)
+
+        F = Counted(2, 5)
+        q = np.random.default_rng(9).random(10_000)
+        want = _bisect_quantile(ep.BetaCdf(2, 5), q)
+        steps = _bisect_steps(F)
+        # guesses whose descent ends one cell above, then one cell below, the result
+        for guess in (want + 0.5 * 2.0**-steps, want - 1.5 * 2.0**-steps):
+            points.clear()
+            assert same_bits(_bisect_quantile(F, q, guess), want)
+            repaired = np.count_nonzero(_unit_cell(guess, steps)[1] != want)
+            assert repaired > 0.99 * q.size
+            # the cell check, one evaluation per repaired level, no plain bisection
+            assert len(points) == 3
+            assert sum(points) <= 2 * q.size + repaired
 
     def test_short_support(self):
         # a 1e-10-wide support needs only a few halvings
