@@ -35,12 +35,10 @@ from .environment import (
     MarketKind,
     PowerCost,
     TypeSpace,
-    ValidationReport,
     environment_from_config,
     linear_unit_demand,
     lipschitz_constant,
     separable_screening,
-    validate_environment,
 )
 from .errors import (
     EmpriceError,

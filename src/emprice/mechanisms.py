@@ -10,9 +10,9 @@ summing item margins weighted by the distribution's mass on each region, with
 an atom sitting exactly on a threshold assigned to the firm-preferred side.
 One routine does that sum, for `expected_profit` on any menu and for
 `one_offer_profits` on many one-item menus at once; `per_consumer_profit`
-applies the same tie rule type by type. With v = theta * u(x), the type
+applies the same tie rule type by type. With v = theta * x, the type
 indifferent between (x_lo, p_lo) and (x_hi, p_hi) is
-(p_hi - p_lo) / (u(x_hi) - u(x_lo)).
+(p_hi - p_lo) / (x_hi - x_lo).
 
 Payments come from the standard envelope characterization: for a nondecreasing
 allocation x(.) with x(theta_min) = 0,
@@ -150,20 +150,15 @@ def _choice_ladder(menu: Menu, env: Environment) -> tuple[list[tuple[float, floa
             best_by_x[x] = p
     lo, hi = env.types.lower, env.types.upper
     items = sorted(best_by_x.items())
-    us = np.asarray(env.utility(np.array([0.0] + [x for x, _ in items])), dtype=float).tolist()
-    ladder = [(0.0, 0.0, us[0])]
+    ladder = [(0.0, 0.0)]
     thresholds: list[float] = []
-    for (x, p), u in zip(items, us[1:]):
+    for x, p in items:
         while True:
-            _, p_lo, u_lo = ladder[-1]
-            # the utility gap theta * du - dp is nondecreasing in theta, so the
-            # item is weakly preferred to the ladder's top from t = dp / du on;
-            # where u is flat between them, from theta_min if it costs no more
-            du, dp = u - u_lo, p - p_lo
-            if du > 0.0:
-                t = dp / du
-            else:
-                t = -math.inf if dp <= 0.0 else math.inf
+            x_lo, p_lo = ladder[-1]
+            # the utility gap theta * dx - dp grows with theta (dx > 0, as
+            # the items are sorted), so the item is weakly preferred to the
+            # ladder's top from t = dp / dx on
+            t = (p - p_lo) / (x - x_lo)
             if t > hi:
                 break
             t = max(t, lo)
@@ -172,10 +167,10 @@ def _choice_ladder(menu: Menu, env: Environment) -> tuple[list[tuple[float, floa
                 ladder.pop()
                 thresholds.pop()
                 continue
-            ladder.append((x, p, u))
+            ladder.append((x, p))
             thresholds.append(t)
             break
-    return [(x, p) for x, p, _ in ladder], thresholds
+    return ladder, thresholds
 
 
 def _region_profits(margins: np.ndarray, thresholds: np.ndarray, F: Cdf) -> np.ndarray:
@@ -225,16 +220,14 @@ def one_offer_profits(x: float, prices: np.ndarray, F: Cdf, env: Environment) ->
     a distribution F that is not an empirical step, from one evaluation of F
     and of its left limits at all the thresholds.
 
-    Types from t = p / (u(x) - u(0)) up buy the item. Where t lies above the
-    type space nobody buys and the profit is 0.
+    Types from t = p / x up buy the item. Where t lies above the type space
+    nobody buys and the profit is 0.
     """
     prices = np.asarray(prices, dtype=float)
     _check_quantity(x, env)
     lo, hi = env.types.lower, env.types.upper
-    u_0, u_x = np.asarray(env.utility(np.array([0.0, x])), dtype=float).tolist()
-    du = u_x - u_0
-    if du > 0.0:
-        t = prices / du
+    if x > 0.0:
+        t = prices / x
     else:
         t = np.where(prices <= 0.0, -np.inf, np.inf)
     # one ladder per price: the outside option (0, 0), then (x, p)

@@ -1,7 +1,8 @@
-"""One-dimensional maximization shared by the price, screening and reserve solvers.
+"""One-dimensional maximization shared by the price and reserve solvers.
 
-`golden_max` runs golden section on many brackets at once; `argmax_refine`
-takes the best point of a grid and refines it inside its bracketing cell.
+`argmax_refine` takes the best point of a grid and refines it inside its
+bracketing cell with `golden_max`, which runs golden section on any number of
+brackets at once.
 """
 
 from __future__ import annotations

@@ -8,19 +8,16 @@ applies (`ecdf_uniform_prices`, vectorized over many samples); for other
 distributions a 10^4-point grid (plus every atom and kink) is refined by
 golden section to 1e-10.
 
-Separable screening (v = theta * u(x) with u concave, convex cost): with an
-absolutely continuous estimate with positive density, the optimal allocation
-pointwise maximizes the ironed virtual surplus
+Separable screening (v = theta * x, cost a `PowerCost` c(x) = a * x**p with
+a >= 0 and p >= 1): with an absolutely continuous estimate with positive
+density, the optimal allocation pointwise maximizes the ironed virtual surplus
 
-    psi_bar(theta) * v_theta(theta, x) - c(x)  =  psi_bar(theta) * u(x) - c(x),
+    psi_bar(theta) * v_theta(theta, x) - c(x)  =  psi_bar(theta) * x - a * x**p,
 
 where psi_bar irons the virtual value J(theta) = theta - (1 - F(theta)) / f(theta).
-Every `Environment` is checked to be v = theta * u(x) when it is built, so the
-surplus reads `env.utility`. It is maximized once per distinct ironed value:
-in closed form for u(x) = x with a `PowerCost` a * x**p, the model the CLI
-builds (x* = (psi_bar / (a * p))**(1 / (p - 1)) clipped to [0, x_max], and the
-boundary rules for a linear surplus), and by vectorized golden section for any
-other u or c.
+It is maximized once per distinct ironed value, in closed form:
+x* = (psi_bar / (a * p))**(1 / (p - 1)) clipped to [0, x_max] for a > 0 and
+p > 1, and the boundary rules (0 or x_max) for a linear surplus.
 Ironing happens in quantile space: per-segment virtual values are cumulated
 into a piecewise-linear function whose greatest convex minorant has slopes
 psi_bar. Pool-adjacent-violators (weighted isotonic regression of the knot
@@ -36,10 +33,10 @@ from enum import Enum
 import numpy as np
 
 from .distributions import Cdf, EmpiricalStep
-from .environment import Environment, MarketKind, PowerCost
+from .environment import Environment, MarketKind
 from .errors import MissingDensityError, UnsupportedPairError
 from .mechanisms import Allocation, Menu, expected_profit, menu_from_allocation, menu_to_dict
-from .numerics import argmax_refine, golden_max
+from .numerics import argmax_refine
 
 __all__ = [
     "SolveMethod",
@@ -201,29 +198,22 @@ def ironed_virtual_value(F: Cdf, grid_size: int = _SCREENING_GRID) -> IronedTabl
 
 def _surplus_maximizers(w: np.ndarray, env: Environment) -> tuple[np.ndarray, int]:
     """For each ironed value w, the quantity in [0, x_max] that maximizes the
-    surplus w * u(x) - c(x), and the golden-section steps taken (0 in closed
-    form)."""
+    surplus w * x - a * x**p."""
     x_max = float(env.x_max)
 
     def surplus(x: np.ndarray) -> np.ndarray:
-        return w * np.asarray(env.utility(x)) - np.asarray(env.cost(x))
+        return w * x - np.asarray(env.cost(x))
 
-    cost = env.cost
-    if isinstance(cost, PowerCost) and env.utility_is_identity:
-        # w * x - a * x**p: the stationary point for a > 0 and p > 1; a linear
-        # surplus (p = 1 or a = 0) is left to the boundary rules below
-        a, p = cost.scale, cost.power
-        if a > 0.0 and p > 1.0:
-            # for p near 1 the power overflows to inf, which clips to x_max
-            with np.errstate(over="ignore"):
-                x_star = np.clip((np.maximum(w, 0.0) / (a * p)) ** (1.0 / (p - 1.0)), 0.0, x_max)
-        else:
-            x_star = np.zeros_like(w)
-        best, iters = surplus(x_star), 0
+    # the stationary point for a > 0 and p > 1; a linear surplus (p = 1 or
+    # a = 0) is left to the boundary rules below
+    a, p = env.cost.scale, env.cost.power
+    if a > 0.0 and p > 1.0:
+        # for p near 1 the power overflows to inf, which clips to x_max
+        with np.errstate(over="ignore"):
+            x_star = np.clip((np.maximum(w, 0.0) / (a * p)) ** (1.0 / (p - 1.0)), 0.0, x_max)
     else:
-        # golden section over all distinct values at once; the surplus is
-        # concave in x (u concave, c convex) wherever w > 0
-        x_star, best, iters = golden_max(surplus, np.zeros_like(w), np.full_like(w, x_max))
+        x_star = np.zeros_like(w)
+    best = surplus(x_star)
     # exact boundary when the surplus is monotone on [0, x_max]
     f_hi = surplus(np.full_like(w, x_max))
     x_star = np.where(f_hi >= best, x_max, x_star)
@@ -231,7 +221,7 @@ def _surplus_maximizers(w: np.ndarray, env: Environment) -> tuple[np.ndarray, in
     f_lo = surplus(np.zeros_like(w))
     x_star = np.where(f_lo >= best, 0.0, x_star)
     # nonpositive ironed values never trade
-    return np.where(w <= 0.0, 0.0, x_star), iters
+    return np.where(w <= 0.0, 0.0, x_star)
 
 
 def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = _SCREENING_GRID) -> SolveResult:
@@ -239,10 +229,10 @@ def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = _SCREENING
     if env.kind is not MarketKind.SEPARABLE_SCREENING:
         raise UnsupportedPairError("screening solver requires the separable screening kind")
     table = ironed_virtual_value(F, grid_size)
-    # the surplus psi_bar * u(x) - c(x) and its bracket [0, x_max] depend on
-    # psi_bar alone: solve once per distinct ironed value
+    # the surplus psi_bar * x - c(x) depends on psi_bar alone: solve once per
+    # distinct ironed value
     w, seg = np.unique(table.psi_bar, return_inverse=True)
-    x_star, iters = _surplus_maximizers(w, env)
+    x_star = _surplus_maximizers(w, env)
     # ironing plus supermodularity make the allocation monotone; enforce
     # against float noise from independent solves
     x_star = np.maximum.accumulate(x_star[seg])
@@ -252,7 +242,7 @@ def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = _SCREENING
     allocation = Allocation(tuple(table.thetas[change].tolist()), tuple(x_star[change].tolist()))
     menu = menu_from_allocation(allocation, env)
     value = expected_profit(menu, F, env)
-    return SolveResult(menu, value, SolveMethod.SCREENING_IRONED, int(grid_size), iters)
+    return SolveResult(menu, value, SolveMethod.SCREENING_IRONED, int(grid_size))
 
 
 def optimal_profit(F: Cdf, env: Environment, grid_size: int | None = None) -> SolveResult:

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import emprice as ep
-from emprice.environment import validate_environment, lipschitz_constant
+from emprice.cli import main
+from emprice.environment import lipschitz_constant
+
+
+_LOWEST_TYPE = "environment fails assumption checks: valuation_zero_at_lowest_type"
 
 
 class TestLipschitzConstant:
@@ -28,110 +32,94 @@ class TestLipschitzConstant:
 
     def test_non_separable_valuation_rejected(self):
         # v is increasing, zero at theta = 0 and at x = 0, and supermodular,
-        # but not theta * u(x): no environment, so no constant, is built
+        # but not theta * x: no environment, so no constant, is built
         v = lambda th, x: (np.asarray(th) + (1 - np.cos(np.pi * np.asarray(th))) / np.pi) * np.asarray(x)
         with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
             ep.Environment(
-                types=ep.TypeSpace(0.0, 1.0), x_max=1.0, valuation=v, utility=lambda x: np.asarray(x),
-                cost=lambda x: 0.0 * np.asarray(x), kind=ep.MarketKind.SEPARABLE_SCREENING,
+                types=ep.TypeSpace(0.0, 1.0), x_max=1.0, valuation=v,
+                cost=ep.PowerCost(0.0, 1.0), kind=ep.MarketKind.SEPARABLE_SCREENING,
             )
 
     def test_invalid_environment_rejected(self):
-        env = ep.separable_screening(cost=lambda x: -np.asarray(x))
-        with pytest.raises(ep.InvalidEnvironmentError):
-            lipschitz_constant(env)
+        # a decreasing cost is no PowerCost: no environment, so no constant
+        with pytest.raises(ep.InvalidEnvironmentError, match="PowerCost"):
+            lipschitz_constant(ep.separable_screening(cost=lambda x: -np.asarray(x)))
+
+    @pytest.mark.parametrize("build,want", [
+        (lambda: ep.linear_unit_demand(c_bar=1e8), 200000004.0),
+        (lambda: ep.separable_screening(ep.PowerCost(1e8, 1.0)), 200000004.0),
+        (lambda: ep.linear_unit_demand(x_max=1e5, c_bar=100), 20400000.0),
+    ], ids=["linear-c_bar-1e8", "power-cost-1e8", "linear-x_max-1e5"])
+    def test_large_linear_cost_accepted(self, build, want):
+        # a grid check of convexity with an absolute 1e-9 tolerance rejected
+        # these on the rounding of the cost's second differences
+        assert lipschitz_constant(build()) == want
+
+    def test_lowest_type_tolerance(self):
+        # theta_min * x_max up to 1e-9 counts as a zero valuation
+        assert lipschitz_constant(ep.linear_unit_demand(1e-9, 1.0, 1.0, 0.0)) == 3.999999998
+        with pytest.raises(ep.InvalidEnvironmentError, match=f"^{_LOWEST_TYPE}$"):
+            lipschitz_constant(ep.linear_unit_demand(2e-9, 1.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("theta_max,x_max,scale,power,want", [
+        (1.0, 0.3, 0.2, 1.0, 1.3199999999999998),
+        (1.0, 0.3, 0.2, 1.5, 1.26572670690062),
+        (1.0, 0.3, 0.5, 3.0, 1.2269999999999999),
+        (1.0, 2.0, 0.2, 1.5, 9.131370849898476),
+        (1.0, 2.0, 0.5, 3.0, 16.0),
+        (2.5, 0.3, 0.0, 1.5, 3.0),
+        (2.5, 0.3, 0.2, 1.5, 3.06572670690062),
+        (2.5, 0.3, 0.5, 1.5, 3.1643167672515498),
+        (2.5, 2.0, 0.2, 1.5, 21.131370849898477),
+        (2.5, 2.0, 0.5, 3.0, 28.0),
+    ])
+    def test_screening_values_pinned(self, theta_max, x_max, scale, power, want):
+        # the values of the grid checker this closed form replaced, bit for bit
+        env = ep.separable_screening(ep.PowerCost(scale, power), theta_max=theta_max, x_max=x_max)
+        assert lipschitz_constant(env) == want
 
 
 class TestValidateEnvironment:
-    def test_linear_env_passes_all(self):
-        report = validate_environment(ep.linear_unit_demand(0, 1, 1, 0.0), grid_size=50)
-        assert report.passed
-        assert len(report.checks) == 8
-        assert "valuation_separable" not in {c.name for c in report.checks}
+    """The one assumption that does not hold by construction, checked by
+    `lipschitz_constant`: v vanishes at the lowest type."""
 
-    def test_decreasing_cost_fails_monotonicity_only(self):
-        env = ep.separable_screening(cost=lambda x: -np.asarray(x))
-        report = validate_environment(env, grid_size=50)
-        failed = {c.name for c in report.failures()}
-        assert failed == {"cost_nondecreasing"}
-        by_name = {c.name: c for c in report.checks}
-        assert by_name["cost_convex"].passed
-        assert by_name["cost_zero_at_zero"].passed
+    def test_linear_env_passes_all(self):
+        for env in (ep.linear_unit_demand(0, 1, 1, 0.0), ep.separable_screening(ep.PowerCost(0.5, 2.0))):
+            assert lipschitz_constant(env) > 0.0
 
     def test_unshifted_valuation_fails_at_positive_lower_bound(self):
         env = ep.linear_unit_demand(0.2, 1.0, 1.0, 0.0)
-        report = validate_environment(env, grid_size=50)
-        failed = {c.name for c in report.failures()}
-        assert "valuation_zero_at_lowest_type" in failed
-        check = next(c for c in report.checks if c.name == "valuation_zero_at_lowest_type")
-        assert check.worst_value < -1e-9
-
-    @pytest.mark.parametrize("name,axis", [
-        ("valuation_nondecreasing_in_type", 0),
-        ("valuation_nondecreasing_in_quantity", 1),
-        ("valuation_supermodular", None),
-    ])
-    def test_failing_2d_check_reports_brute_force_argmin(self, name, axis):
-        # v = theta x (1 - x): cross derivative 1 - 2 x, submodular for x > 1/2;
-        # v decreases in x above 1/2 and in theta above x = 1
-        env = ep.separable_screening(
-            cost=lambda x: 0.5 * np.asarray(x) ** 2, theta_max=2.0, x_max=1.5, utility=lambda x: x * (1 - x),
-        )
-        g = 7
-        th, xs = np.linspace(0.0, 2.0, g), np.linspace(0.0, 1.5, g)
-        vals = [[float(env.valuation(t, x)) for x in xs] for t in th]
-        if axis == 0:
-            diffs = {(i, j): vals[i + 1][j] - vals[i][j] for i in range(g - 1) for j in range(g)}
-        elif axis == 1:
-            diffs = {(i, j): vals[i][j + 1] - vals[i][j] for i in range(g) for j in range(g - 1)}
-        else:
-            diffs = {
-                (i, j): vals[i + 1][j + 1] - vals[i + 1][j] - vals[i][j + 1] + vals[i][j]
-                for i in range(g - 1) for j in range(g - 1)
-            }
-        i, j = min(diffs, key=lambda ij: (diffs[ij], ij))  # first minimum in row-major order
-        check = next(c for c in validate_environment(env, grid_size=g).checks if c.name == name)
-        assert not check.passed
-        assert check.worst_point == (th[i], xs[j])
-        assert check.worst_value == pytest.approx(diffs[i, j], abs=1e-12)
-
-    def test_grid_size_too_small(self):
-        with pytest.raises(ValueError):
-            validate_environment(ep.linear_unit_demand(), grid_size=1)
+        with pytest.raises(ep.InvalidEnvironmentError, match=f"^{_LOWEST_TYPE}$"):
+            lipschitz_constant(env)
 
 
-def _cost(x):
-    return 0.5 * np.asarray(x) ** 2
+_COST = ep.PowerCost(0.5, 2.0)
 
 
 class TestSeparableAtConstruction:
-    """Every Environment is v = theta * u(x), checked when it is built."""
+    """Every Environment is v = theta * x, checked when it is built."""
 
     @staticmethod
-    def _build(valuation, utility, kind=ep.MarketKind.SEPARABLE_SCREENING):
+    def _build(valuation, kind=ep.MarketKind.SEPARABLE_SCREENING):
         c_bar = 0.0 if kind is ep.MarketKind.LINEAR_UNIT_DEMAND else None
         return ep.Environment(
-            types=ep.TypeSpace(0.0, 1.0), x_max=1.0, valuation=valuation, utility=utility,
-            cost=_cost, kind=kind, c_bar=c_bar,
+            types=ep.TypeSpace(0.0, 1.0), x_max=1.0, valuation=valuation, cost=_COST, kind=kind, c_bar=c_bar,
         )
 
     def test_linear_kind_checked_too(self):
         # v = theta^2 x: its choice thresholds are not dp / du, so profits
         # read off the ladder would disagree with the consumers' own choices
         with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
-            self._build(
-                lambda th, x: np.asarray(th) ** 2 * np.asarray(x), lambda x: np.asarray(x),
-                ep.MarketKind.LINEAR_UNIT_DEMAND,
-            )
+            self._build(lambda th, x: np.asarray(th) ** 2 * np.asarray(x), ep.MarketKind.LINEAR_UNIT_DEMAND)
 
     def test_nan_valuation_rejected(self):
         with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
-            self._build(lambda th, x: np.full(np.broadcast(th, x).shape, np.nan), lambda x: np.asarray(x))
+            self._build(lambda th, x: np.full(np.broadcast(th, x).shape, np.nan))
 
     @pytest.mark.parametrize("kind", list(ep.MarketKind))
     def test_hand_built_separable_accepted(self, kind):
-        env = self._build(lambda th, x: np.asarray(th) * np.sqrt(x), np.sqrt, kind)
-        assert float(env.utility(0.25)) == 0.5
+        env = self._build(lambda th, x: np.multiply(th, x), kind)
+        assert float(env.valuation(0.5, 0.25)) == 0.125
 
     def test_replace_is_checked(self):
         base = ep.linear_unit_demand()
@@ -142,12 +130,35 @@ class TestSeparableAtConstruction:
             return base.valuation(th, x)
 
         env = dataclasses.replace(base, valuation=valuation)
-        assert len(counted) == 1 and env.utility is base.utility
-        for env in (ep.linear_unit_demand(), ep.separable_screening(cost=_cost, utility=np.sqrt)):
+        assert len(counted) == 1 and env.cost is base.cost
+        for env in (ep.linear_unit_demand(), ep.separable_screening(cost=_COST)):
             with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
                 dataclasses.replace(env, valuation=lambda th, x: np.asarray(th) ** 2 * np.asarray(x))
             with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
-                dataclasses.replace(env, utility=lambda x: 1.0 + np.asarray(x))
+                dataclasses.replace(env, valuation=lambda th, x: np.asarray(th) * np.sqrt(x))
+        with pytest.raises(ep.InvalidEnvironmentError, match="PowerCost"):
+            dataclasses.replace(ep.separable_screening(cost=_COST), cost=lambda x: 0.5 * np.asarray(x) ** 2)
+
+
+class TestOnlyPowerCost:
+    """The screening kind takes a `PowerCost` and nothing else, and says so
+    in one line."""
+
+    def test_other_cost_rejected(self):
+        with pytest.raises(
+            ep.InvalidEnvironmentError, match="^separable screening needs a PowerCost\\(scale, power\\) cost, got function$"
+        ):
+            ep.separable_screening(cost=lambda x: x)
+
+    def test_utility_is_no_parameter(self):
+        with pytest.raises(TypeError, match="utility"):
+            ep.separable_screening(ep.PowerCost(0.5, 2), utility=np.sqrt)
+
+    def test_cli_cost_power_below_one_exits_1(self, capsys):
+        assert main(["solve", "--dist", "uniform", "--env", "screening", "--cost-power", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: screening cost needs finite scale >= 0 and power >= 1 for convexity\n"
 
 
 class TestTypeSpace:
@@ -178,8 +189,6 @@ class TestEnvironmentConfig:
         # kept as it is, so the solver sees the closed-form model
         env = ep.environment_from_config({"kind": "screening", "cost": {"scale": 0.2, "power": 3}})
         assert env.cost == ep.PowerCost(0.2, 3.0)
-        assert env.utility_is_identity
-        assert not ep.separable_screening(ep.PowerCost(0.2, 3.0), utility=np.sqrt).utility_is_identity
 
     @pytest.mark.parametrize("scale, power", [(-0.1, 2.0), (0.5, 0.9), (float("nan"), 2.0), (0.5, float("inf"))])
     def test_power_cost_rejects_non_convex(self, scale, power):

@@ -195,12 +195,11 @@ class TestRunRegret:
 
 def one_offer_reference(rho, F, env):
     """Realized profit of the ECDF-optimal offer as the menu ladder computed
-    it for one item: threshold p / (u(x) - u(0)) clipped below at theta_min,
+    it for one item: threshold p / x_max clipped below at theta_min,
     no sale above theta_max, an atom at the threshold to the firm's side."""
     x_max = float(env.x_max)
     p = rho * x_max
-    u0, ux = (float(np.asarray(env.utility(x))) for x in (0.0, x_max))
-    t = (p - 0.0) / (ux - u0)
+    t = p / x_max
     if t > env.types.upper:
         return 0.0
     t = max(t, env.types.lower)

@@ -132,9 +132,9 @@ _ENVS = pytest.mark.parametrize(
     [
         ep.linear_unit_demand(0.0, 1.0, 1.0, 0.0),
         ep.linear_unit_demand(0.2, 1.5, 2.0, 0.3),
-        ep.separable_screening(lambda x: 0.5 * np.asarray(x) ** 2, 0.1, 1.2, 1.0, np.sqrt),
+        ep.separable_screening(ep.PowerCost(0.5, 2.0), 0.1, 1.2, 1.0),
     ],
-    ids=["linear", "linear-cost-shifted", "screening-sqrt"],
+    ids=["linear", "linear-cost-shifted", "screening"],
 )
 
 
@@ -232,9 +232,8 @@ class TestOneOfferProfits:
         x_max = float(env.x_max)
         for F in laws:
             for x in (x_max, 0.5 * x_max, 0.0):
-                u = float(np.asarray(env.utility(x)))
                 # thresholds below, at and above the type space, and on atoms
-                prices = np.concatenate([gen.uniform(0.01, 2.5, 12), [0.05, 5.0], np.array([0.2, 0.7, 1.5]) * u])
+                prices = np.concatenate([gen.uniform(0.01, 2.5, 12), [0.05, 5.0], np.array([0.2, 0.7, 1.5]) * x])
                 prices = prices[prices > 0.0]
                 got = one_offer_profits(x, prices, F, env)
                 for p, profit in zip(prices, got):
@@ -249,15 +248,9 @@ class TestOneOfferProfits:
 
 
 class TestChoiceLadder:
-    @pytest.mark.parametrize("theta_min,theta_max,utility", [
-        (0.0, 1.0, np.asarray),
-        (0.0, 1.0, np.sqrt),
-        (0.2, 2.0, np.sqrt),
-    ], ids=["x-unit", "sqrt-unit", "sqrt-wide"])
-    def test_closed_form_matches_bisection(self, theta_min, theta_max, utility):
-        env = ep.separable_screening(
-            cost=lambda x: 0.5 * np.asarray(x) ** 2, theta_min=theta_min, theta_max=theta_max, utility=utility
-        )
+    @pytest.mark.parametrize("theta_min,theta_max", [(0.0, 1.0), (0.2, 2.0)], ids=["x-unit", "x-wide"])
+    def test_closed_form_matches_bisection(self, theta_min, theta_max):
+        env = ep.separable_screening(cost=ep.PowerCost(0.5, 2.0), theta_min=theta_min, theta_max=theta_max)
         gen = np.random.default_rng(31)
         for _ in range(3000):
             menu = random_menu(gen, max_items=8)
@@ -339,8 +332,8 @@ class TestMenuFromAllocation:
                 got = ep.consumer_choice(menu, th, linear_env).quantity
                 assert got == pytest.approx(want, abs=1e-9)
 
-    def test_round_trip_nonlinear_valuation(self):
-        env = ep.separable_screening(cost=lambda x: 0.25 * np.asarray(x) ** 2, utility=np.sqrt)
+    def test_round_trip_screening_kind(self):
+        env = ep.separable_screening(cost=ep.PowerCost(0.25, 2.0))
         alloc = ep.Allocation((0.3, 0.7), (0.25, 1.0))
         menu = ep.menu_from_allocation(alloc, env)
         for th in (0.1, 0.45, 0.6, 0.8, 0.95):
@@ -396,11 +389,11 @@ class TestMenuFromAllocationParity:
     @pytest.mark.parametrize(
         "env",
         [
-            ep.separable_screening(lambda x: 0.5 * np.asarray(x) ** 2),
-            ep.separable_screening(lambda x: 0.5 * np.asarray(x) ** 2, 0.2, 2.0, 1.5, np.sqrt),
+            ep.separable_screening(ep.PowerCost(0.5, 2.0)),
+            ep.separable_screening(ep.PowerCost(0.5, 2.0), 0.2, 2.0, 1.5),
             ep.linear_unit_demand(0.2, 1.5, 2.0, 0.3),
         ],
-        ids=["screening-identity", "screening-sqrt", "linear"],
+        ids=["screening-identity", "screening-wide", "linear"],
     )
     def test_matches_loop_bit_for_bit(self, env):
         gen = np.random.default_rng(61)
@@ -427,7 +420,7 @@ class TestMenuFromAllocationParity:
 
     def test_two_valuation_calls_per_menu(self):
         calls = []
-        base = ep.separable_screening(lambda x: 0.5 * np.asarray(x) ** 2, utility=np.sqrt)
+        base = ep.separable_screening(ep.PowerCost(0.5, 2.0))
 
         def valuation(th, x):
             calls.append(np.shape(x))

@@ -1,9 +1,11 @@
 """Solvers: uniform price, ironing and the screening menu.
 
 `_hull_reference` is the monotone-chain lower hull that ironed before PAVA,
-and `_screening_reference` the screening solve that ran golden section on
+and `_screening_reference` the screening solve that maximized the surplus on
 every quantile segment and priced the levels by the scalar envelope loop;
-the solvers must reproduce both bit for bit.
+the solvers must reproduce both bit for bit. With `_golden_maximizers`, the
+golden section the screening solver ran before the closed form, the reference
+is what the closed form is checked against.
 """
 
 import numpy as np
@@ -35,13 +37,13 @@ def _hull_reference(x, y):
     return hull, slopes
 
 
-def _screening_reference(F, env, grid_size):
-    table = ep.ironed_virtual_value(F, grid_size)
-    w = _hull_reference(table.quantiles, table.cumulative)[1]
+def _golden_maximizers(w, env):
+    """Maximizers of the surplus w * x - c(x) on [0, x_max] by golden section
+    and the boundary rules, and the golden-section steps taken."""
     x_max = float(env.x_max)
 
     def surplus(x):
-        return w * np.asarray(env.utility(x)) - np.asarray(env.cost(x))
+        return w * x - np.asarray(env.cost(x))
 
     x_star, best, iters = golden_max(surplus, np.zeros_like(w), np.full_like(w, x_max))
     f_hi = surplus(np.full_like(w, x_max))
@@ -49,7 +51,17 @@ def _screening_reference(F, env, grid_size):
     best = np.maximum(best, f_hi)
     f_lo = surplus(np.zeros_like(w))
     x_star = np.where(f_lo >= best, 0.0, x_star)
-    x_star = np.where(w <= 0.0, 0.0, x_star)
+    return np.where(w <= 0.0, 0.0, x_star), iters
+
+
+def _closed_form_maximizers(w, env):
+    return _surplus_maximizers(w, env), 0
+
+
+def _screening_reference(F, env, grid_size, maximizers=_closed_form_maximizers):
+    table = ep.ironed_virtual_value(F, grid_size)
+    w = _hull_reference(table.quantiles, table.cumulative)[1]
+    x_star, iters = maximizers(w, env)
     x_star = np.maximum.accumulate(x_star)
     breaks, levels = [], []
     for t, x in zip(table.thetas[:-1], x_star):
@@ -100,7 +112,7 @@ class TestOptimalUniformPrice:
         assert res.menu.items == ((1.0, 0.5),)
 
     def test_wrong_kind_rejected(self):
-        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2)
+        env = ep.separable_screening(cost=ep.PowerCost(0.5, 2.0))
         with pytest.raises(ep.UnsupportedPairError):
             ep.optimal_uniform_price(ep.Uniform(0, 1), env)
 
@@ -168,12 +180,16 @@ class TestIroning:
                 assert np.allclose(_minorant_slopes(q, y)[1], _hull_reference(q, y)[1], rtol=0, atol=1e-13)
 
 
+# the valuation is v = theta * x; the test ids name it
+_U_X = pytest.mark.parametrize("cost", [ep.PowerCost(0.5, 2.0)], ids=["u=x"])
+
+
 class TestScreeningSolver:
-    @pytest.mark.parametrize("utility", [np.asarray, np.sqrt], ids=["u=x", "u=sqrt"])
+    @_U_X
     @pytest.mark.parametrize("law", sorted(_REFERENCE_LAWS))
-    def test_matches_per_segment_reference(self, law, utility):
+    def test_matches_per_segment_reference(self, law, cost):
         F = _REFERENCE_LAWS[law]
-        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2, utility=utility)
+        env = ep.separable_screening(cost=cost)
         for G in (64, 500, 2000):
             res = ep.optimal_screening_menu(F, env, G)
             menu, value, iters = _screening_reference(F, env, G)
@@ -181,24 +197,24 @@ class TestScreeningSolver:
             assert res.optimal_value == value, G
             assert res.refine_iterations == iters, G
 
-    @pytest.mark.parametrize("utility", [np.asarray, np.sqrt], ids=["u=x", "u=sqrt"])
+    @_U_X
     @pytest.mark.parametrize("law", [(0.5, 0.5), (2, 5), (4, 4)], ids=str)
-    def test_brute_force_oracle(self, law, utility):
+    def test_brute_force_oracle(self, law, cost):
         # dynamic programme over nondecreasing allocations on 801 quantities:
-        # maximize the unironed virtual surplus sum dq * (psi * u(x) - c(x))
+        # maximize the unironed virtual surplus sum dq * (psi * x - c(x))
         # on the solver's 2000 quantile segments
         F = ep.BetaCdf(*law)
-        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2, utility=utility)
+        env = ep.separable_screening(cost=cost)
         table = ep.ironed_virtual_value(F, 2000)
         xs = np.linspace(0.0, env.x_max, 801)
-        u, c = utility(xs), 0.5 * xs**2
+        c = cost(xs)
         best = np.zeros_like(xs)  # best surplus so far, ending at quantity xs[j]
         for psi, dq in zip(table.psi, np.diff(table.quantiles)):
-            best = np.maximum.accumulate(best) + dq * (psi * u - c)
+            best = np.maximum.accumulate(best) + dq * (psi * xs - c)
         assert ep.optimal_screening_menu(F, env, 2000).optimal_value >= best.max() - 1e-6
 
     def test_uniform_zero_cost_matches_uniform_pricing(self):
-        env = ep.separable_screening(cost=lambda x: 0.0 * np.asarray(x))
+        env = ep.separable_screening(cost=ep.PowerCost(0.0, 1.0))
         res = ep.optimal_screening_menu(ep.Uniform(0, 1), env, 2000)
         assert res.menu.items == ((1.0, 0.5),)
         assert res.optimal_value == pytest.approx(0.25, abs=1e-12)
@@ -206,7 +222,7 @@ class TestScreeningSolver:
     def test_interior_first_order_condition(self):
         # v = theta * x, c = x^2 / 2: the ironed-surplus maximizer is clamp(psi_bar),
         # and psi_bar(theta) = 2 * theta - 1 for uniform types
-        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2)
+        env = ep.separable_screening(cost=ep.PowerCost(0.5, 2.0))
         res = ep.optimal_screening_menu(ep.Uniform(0, 1), env, 2000)
         # recover allocation levels from the menu via choice
         th = 0.75
@@ -216,18 +232,18 @@ class TestScreeningSolver:
     def test_uniform_quadratic_cost_oracle(self):
         # closed form: x(theta) = 2 * theta - 1 above 1/2, p(theta) = theta^2 - 1/4,
         # value int_{1/2}^{1} (theta^2 - 1/4 - (2 * theta - 1)^2 / 2) d theta = 1/12
-        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2)
+        env = ep.separable_screening(cost=ep.PowerCost(0.5, 2.0))
         res = ep.optimal_screening_menu(ep.Uniform(0, 1), env, 2000)
         assert res.optimal_value == pytest.approx(1.0 / 12.0, abs=1e-4)
 
     def test_no_trade_below_ironed_zero(self):
-        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2)
+        env = ep.separable_screening(cost=ep.PowerCost(0.5, 2.0))
         res = ep.optimal_screening_menu(ep.Uniform(0, 1), env, 2000)
         for th in (0.1, 0.3, 0.49):
             assert ep.consumer_choice(res.menu, th, env).quantity == 0.0
 
     def test_allocation_levels_satisfy_foc(self):
-        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2)
+        env = ep.separable_screening(cost=ep.PowerCost(0.5, 2.0))
         G = 500
         table = ep.ironed_virtual_value(ep.Uniform(0, 1), G)
         res = ep.optimal_screening_menu(ep.Uniform(0, 1), env, G)
@@ -238,16 +254,16 @@ class TestScreeningSolver:
         assert np.quantile(np.abs(got - want), 0.9) <= 5e-3
 
     def test_value_matches_expected_profit_invariant(self):
-        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2)
+        env = ep.separable_screening(cost=ep.PowerCost(0.5, 2.0))
         res = ep.optimal_screening_menu(ep.BetaCdf(2, 2), env, 400)
         assert res.optimal_value == pytest.approx(
             ep.expected_profit(res.menu, ep.BetaCdf(2, 2), env), abs=1e-9
         )
 
-    @pytest.mark.parametrize("utility", [np.asarray, np.sqrt], ids=["u=x", "u=sqrt"])
-    def test_dominates_random_menus(self, utility):
+    @_U_X
+    def test_dominates_random_menus(self, cost):
         # laws with a positive density, as the screening solver requires
-        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2, utility=utility)
+        env = ep.separable_screening(cost=cost)
         gen = np.random.default_rng(11)
         for _ in range(10):
             if gen.integers(0, 2):
@@ -261,21 +277,20 @@ class TestScreeningSolver:
                 assert top >= ep.expected_profit(menu, F, env) - 1e-6
 
     def test_non_separable_valuation_rejected(self):
-        # v = theta^2 x is not theta * u(x); solving it anyway priced below
+        # v = theta^2 x is not theta * x; solving it anyway priced below
         # the empty menu (value -0.0192 at G = 200), so no such environment
         # can be built to hand to the solver
         with pytest.raises(ep.InvalidEnvironmentError, match="valuation_separable"):
             ep.Environment(
                 types=ep.TypeSpace(0.0, 1.0), x_max=1.0,
                 valuation=lambda th, x: np.asarray(th) ** 2 * np.asarray(x),
-                utility=lambda x: np.asarray(x),
-                cost=lambda x: 0.5 * np.asarray(x) ** 2, kind=ep.MarketKind.SEPARABLE_SCREENING,
+                cost=ep.PowerCost(0.5, 2.0), kind=ep.MarketKind.SEPARABLE_SCREENING,
             )
 
 
 class TestClosedFormScreening:
-    """`PowerCost` with u(x) = x takes the surplus maximizer in closed form;
-    the same cost as a plain callable takes golden section."""
+    """The screening solver takes the surplus maximizer in closed form; golden
+    section on the same surplus, the solve before it, is the reference."""
 
     @pytest.mark.parametrize("power", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("law", ["uniform", "beta-2-5", "interp-120"])
@@ -285,29 +300,26 @@ class TestClosedFormScreening:
         for scale in (0.0, 0.2, 0.5):
             for x_max in (0.3, 1.0, 2.0):
                 closed = ep.separable_screening(cost=ep.PowerCost(scale, power), x_max=x_max)
-                golden = ep.separable_screening(
-                    cost=lambda x, a=scale, p=power: a * np.asarray(x) ** p, x_max=x_max
-                )
-                assert closed.utility_is_identity and golden.utility_is_identity
-                got, want = ep.optimal_screening_menu(F, closed, 500), ep.optimal_screening_menu(F, golden, 500)
-                assert got.refine_iterations == 0 and want.refine_iterations > 0
+                got = ep.optimal_screening_menu(F, closed, 500)
+                want, want_value, iters = _screening_reference(F, closed, 500, _golden_maximizers)
+                assert got.refine_iterations == 0 and iters > 0
                 if scale == 0.0 or power == 1.0:
                     # a linear surplus: the boundary rules decide both paths
-                    assert got.menu.items == want.menu.items
-                    assert got.optimal_value == want.optimal_value
+                    assert got.menu.items == want.items
+                    assert got.optimal_value == want_value
                     continue
                 # on a flat surplus golden section resolves x only to about
                 # sqrt(eps * |f| / f''), 4.4e-8 at worst here (p = 1.5, x_max = 2);
                 # where the maximizer is x_max itself it can stop that far below
                 # it and keep one spurious level (uniform, a = 0.5, p = 1.5)
-                near_top = [item for item in want.menu.items if x_max - 1e-7 < item[0] < x_max]
+                near_top = [item for item in want.items if x_max - 1e-7 < item[0] < x_max]
                 assert len(near_top) <= 1
-                kept = [item for item in want.menu.items if item not in near_top]
+                kept = [item for item in want.items if item not in near_top]
                 assert len(got.menu.items) == len(kept)
                 assert np.max(np.abs(np.subtract(got.menu.items, kept))) <= 1e-7
                 # per distinct ironed value, the closed form scores at least
                 # what golden section finds
-                x_closed, x_golden = _surplus_maximizers(w, closed)[0], _surplus_maximizers(w, golden)[0]
+                x_closed, x_golden = _surplus_maximizers(w, closed), _golden_maximizers(w, closed)[0]
                 gain = (w * x_closed - closed.cost(x_closed)) - (w * x_golden - closed.cost(x_golden))
                 assert gain.min() >= -1e-15
 
@@ -318,14 +330,6 @@ class TestClosedFormScreening:
                 cost = ep.PowerCost(scale, power)
                 assert np.array_equal(cost(x), scale * np.asarray(x) ** power)
                 assert cost(0.7) == scale * np.asarray(0.7) ** power
-
-    def test_other_utilities_take_golden_section(self):
-        env = ep.separable_screening(cost=ep.PowerCost(0.5, 2.0), utility=np.sqrt)
-        assert not env.utility_is_identity
-        res = ep.optimal_screening_menu(ep.BetaCdf(2, 5), env, 500)
-        menu, value, iters = _screening_reference(ep.BetaCdf(2, 5), env, 500)
-        assert (res.menu.items, res.optimal_value, res.refine_iterations) == (menu.items, value, iters)
-        assert iters > 0
 
 
 class TestDispatch:
@@ -340,13 +344,13 @@ class TestDispatch:
         assert ep.optimal_profit(ep.PointMass(0.7), linear_env).optimal_value == pytest.approx(0.7, abs=1e-12)
 
     def test_nonpositive_grid_size_rejected(self, linear_env):
-        screening_env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2)
+        screening_env = ep.separable_screening(cost=ep.PowerCost(0.5, 2.0))
         for env in (linear_env, screening_env):
             with pytest.raises(ValueError, match="grid_size"):
                 ep.optimal_profit(ep.Uniform(0, 1), env, 0)
 
     def test_unsupported_pair_names_supported_ones(self):
-        env = ep.separable_screening(cost=lambda x: 0.5 * np.asarray(x) ** 2)
+        env = ep.separable_screening(cost=ep.PowerCost(0.5, 2.0))
         F = ep.ecdf(ep.Sample(np.array([0.5])))
         with pytest.raises(ep.UnsupportedPairError, match="linear unit demand"):
             ep.optimal_profit(F, env)
