@@ -13,23 +13,31 @@ for a given stream. The Beta CDF itself is the regularized incomplete beta
 function (continued-fraction evaluation via scipy.special.betainc).
 
 Beta quantiles take the bisection's own path without evaluating the CDF at
-each step: `scipy.special.betaincinv` gives an approximate inverse, and the
-descent compares each of the bisection's midpoints 0.5*(lo+hi) with it. On
-the support [0, 1] those midpoints are the exact nodes k/2^42, so the final
+each step: a guide gives an approximate inverse, and the descent compares
+each of the bisection's midpoints 0.5*(lo+hi) with it. The guide is a cubic
+Hermite table of the quantile, built once per (alpha, beta) with
+`scipy.special.betaincinv` and cached for the process. Levels q <= 1/2 are
+interpolated in s = q^(1/min(alpha, 8)) and levels above in
+(1-q)^(1/min(beta, 8)), in which the quantile stays smooth into the tails,
+and one Newton step on F, kept inside the table cell, polishes the
+interpolated value. On the support
+[0, 1] the bisection's midpoints are the exact nodes k/2^42, so the final
 cell needs no descent: hi is the smallest node at or above the guess, and lo
 the node below. Supports whose midpoints round walk the descent. Two CDF
 evaluations then check the final cell, F(lo) < q <= F(hi). A check fails at
-ordinary levels too, where betaincinv's last-bit error puts the guess one
-cell off, and near q = 1 or at q = 0. On [0, 1] a failed level tests the
-neighbouring cell with one more evaluation; what still fails goes through
-the plain bisection. While F is nondecreasing on the midpoints, only one
-final cell has F(lo) < q <= F(hi), and the plain bisection ends in it, so a
-checked cell is the plain result bit for bit, whatever the accuracy of
-betaincinv: a poor guess costs only evaluations.
+ordinary levels too, where the guess is within a last bit of a node and
+lands one cell off, and near q = 1 or at q = 0. On [0, 1] a failed level
+tests the neighbouring cell with one more evaluation; what still fails goes
+through the plain bisection. While F is nondecreasing on the midpoints, only
+one final cell has F(lo) < q <= F(hi), and the plain bisection ends in it,
+so a checked cell is the plain result bit for bit, whatever the accuracy of
+the guide: a poor guess costs only evaluations. Guide, check and repair run
+in blocks of levels, so that their temporaries stay small.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -59,6 +67,13 @@ __all__ = [
 
 _BISECT_TOL = 1e-12
 _SUP_GRID = 10_000
+# cells of the Beta quantile guide's table, per half of the levels, and the
+# largest power m of its abscissa s = q^(1/m)
+_GUIDE_CELLS = 1024
+_GUIDE_POWER = 8.0
+# levels per block of a Beta quantile call: each float temporary (96 KiB)
+# stays below glibc's default 128 KiB mmap threshold
+_QUANTILE_BLOCK = 12_288
 
 
 @dataclass(frozen=True)
@@ -293,12 +308,92 @@ class BetaCdf(Cdf):
         return out
 
     def quantile_array(self, q):
-        # imported here, so that start-up loads no scipy
-        from scipy import special
+        q = _check_levels(q)
+        out = np.empty(q.shape)
+        levels, flat = q.reshape(-1), out.reshape(-1)
+        for start in range(0, levels.size, _QUANTILE_BLOCK):
+            block = levels[start:start + _QUANTILE_BLOCK]
+            guess = _beta_guess(self.alpha, self.beta, block)
+            guess *= self.hi - self.lo
+            guess += self.lo
+            flat[start:start + _QUANTILE_BLOCK] = _bisect_quantile(self, block, guess)
+        return out
 
-        q = np.asarray(q, dtype=float)
-        guess = self.lo + (self.hi - self.lo) * special.betaincinv(self.alpha, self.beta, q)
-        return _bisect_quantile(self, q, guess)
+
+@functools.lru_cache(maxsize=16)
+def _guide_table(a: float, b: float) -> tuple:
+    """Cubic Hermite table of the Beta(a, b) quantile on the levels [0, 1/2].
+
+    The abscissa is s = q^(1/m), m = min(a, 8). F(x) ~ C x^a near 0, so for
+    a <= 8 the quantile is smooth in s up to q = 0; the cap keeps the nodes
+    spread over the levels that occur when a is large. The K+1 nodes are
+    evenly spaced in s; each holds betaincinv and the slope
+    dx/ds = m s^(m-1) / f(x), and each cell keeps the coefficients of its
+    cubic in the local coordinate t in [0, 1]. Returns (K / s_end, m, the
+    node quantiles, the coefficients low order first, log B(a, b)).
+    """
+    # imported here, so that start-up loads no scipy
+    from scipy import special
+
+    m = min(a, _GUIDE_POWER)
+    # numpy scalars: extreme shapes overflow or divide by zero to inf or NaN,
+    # which only costs the check, instead of raising
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s_end = np.float64(0.5) ** (1.0 / m)
+        h = s_end / _GUIDE_CELLS
+        s = np.linspace(0.0, s_end, _GUIDE_CELLS + 1)
+        x = special.betaincinv(a, b, s**m)
+        log_beta = special.betaln(a, b)
+        # f(x) = x^(a-1) (1-x)^(b-1) / B(a, b), in logs so that large shapes
+        # neither overflow nor underflow
+        slope = m * np.exp((m - 1.0) * np.log(s) - (a - 1.0) * np.log(x) - (b - 1.0) * np.log1p(-x) + log_beta)
+        dx = np.diff(x)
+        # at s = 0, and where s^m underflows, the tail x ~ s (a B(a, b))^(1/a)
+        # gives the slope for m = a; for m < a it is infinite: take a secant
+        tail = np.exp((np.log(a) + log_beta) / a) if m == a else np.append(dx, dx[-1]) / h
+        slope = np.where(np.isfinite(slope) & (x > 0.0), slope, tail)
+        d0, d1 = slope[:-1] * h, slope[1:] * h
+        coef = (x[:-1], d0, 3.0 * dx - 2.0 * d0 - d1, d0 + d1 - 2.0 * dx)
+        return 1.0 / h, m, x, coef, log_beta
+
+
+def _lower_guess(a: float, b: float, p: np.ndarray) -> np.ndarray:
+    """Approximate Beta(a, b) quantiles of levels p in [0, 1/2] (NaN allowed).
+
+    The table's cubic at s = p^(1/m), then one Newton step on F(y) = p kept
+    inside the table cell. A NaN or non-finite value only costs the check.
+    """
+    # imported here, so that start-up loads no scipy
+    from scipy import special
+
+    scale, m, x, (c0, c1, c2, c3), log_beta = _guide_table(a, b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # fmax sends NaN to cell 0, so the table is never indexed by garbage
+        u = np.fmin(np.fmax(p ** (1.0 / m) * scale, 0.0), float(_GUIDE_CELLS))
+        j = np.minimum(u.astype(np.intp), _GUIDE_CELLS - 1)
+        u -= j
+        y = c3[j]
+        for c in (c2, c1, c0):
+            y *= u
+            y += c[j]
+        # the Newton step (F(y) - p) / f(y)
+        step = special.betainc(a, b, y) - p
+        step /= np.exp((a - 1.0) * np.log(y) + (b - 1.0) * np.log1p(-y) - log_beta)
+        y -= step
+        return np.fmin(np.fmax(y, x[j]), x[j + 1])
+
+
+def _beta_guess(a: float, b: float, q: np.ndarray) -> np.ndarray:
+    """Approximate Beta(a, b) quantiles on [0, 1] of checked 1-D levels q.
+
+    A level above 1/2 takes 1 minus the Beta(b, a) quantile of 1 - q (exact
+    in floats for q >= 1/2), so both tails use a table of lower levels.
+    """
+    upper = q > 0.5
+    guess = np.empty_like(q)
+    guess[~upper] = _lower_guess(a, b, q[~upper])
+    guess[upper] = 1.0 - _lower_guess(b, a, 1.0 - q[upper])
+    return guess
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ def bootstrap_roots(stat: Statistic, b_draws: int, seed: int | tuple[int, ...]) 
     """
     if b_draws < 100:
         raise ValueError("bootstrap needs at least 100 draws")
-    states = substream_states(seed_path(seed), b_draws)
+    states = substream_states(seed_path(seed), range(b_draws))
     values = np.empty(b_draws)
     block = max(1, _BLOCK_INDICES // stat.n)
     for lo, idx in zip(range(0, b_draws, block), resample_blocks(states, stat.n, block)):

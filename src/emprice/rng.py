@@ -16,24 +16,26 @@ Conventions used elsewhere in the package:
 - the Monte Carlo harness seeds replication ``r`` of cell ``(d, i)`` with the
   tuple ``(seed, d, i, r)``, hence its bootstrap draws use ``(seed, d, i, r, b)``.
 
-Bootstrap draws do not build one generator per draw. :func:`substream_states`
-computes the PCG64 state of every ``substream(*path, b)``, ``b < count``, in
-one vectorized pass: numpy's documented ``SeedSequence`` algorithm (4-word
-pool, ``hashmix``/``mix``, ``generate_state(4, uint64)``) in uint32
-arithmetic over the draw indices, then PCG64's ``srandom`` step.
-:func:`resample_blocks` loads those states one at a time into a single
-generator, built once per call, and calls ``integers(0, n, size=n)``, so each
-row of indices is exactly the one ``substream(*path, b).integers(0, n,
-size=n)`` gives.
+Neither bootstrap draws nor Monte Carlo sample draws build one generator per
+stream. :func:`substream_states` computes the PCG64 state of every
+``substream(*path, *index)``, for each index in the product of its index
+axes, in one vectorized pass: numpy's documented ``SeedSequence`` algorithm
+(4-word pool, ``hashmix``/``mix``, ``generate_state(4, uint64)``) in uint32
+arithmetic over the indices, then PCG64's ``srandom`` step. The states are
+then loaded one at a time into a single generator, built once per call:
+:func:`resample_blocks` calls ``integers(0, n, size=n)`` on each, so each row
+of indices is exactly the one ``substream(*path, b).integers(0, n, size=n)``
+gives, and :func:`uniform_draws` calls ``random``, so the harness's samples
+are exactly those of ``substream(seed, d, i, r).random(n)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["substream", "seed_path", "substream_states", "resample_blocks"]
+__all__ = ["substream", "seed_path", "substream_states", "resample_blocks", "uniform_draws"]
 
 _U32 = (1 << 32) - 1
 _U64 = (1 << 64) - 1
@@ -121,19 +123,23 @@ def _seed_sequence_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def substream_states(path: tuple[int, ...], count: int) -> list[dict]:
-    """PCG64 states of ``substream(*path, b)`` for b = 0, ..., count-1.
+def substream_states(path: tuple[int, ...], *axes: Sequence[int]) -> list[dict]:
+    """PCG64 states of ``substream(*path, *index)`` for every index in
+    ``itertools.product(*axes)``, in that order (the last axis varies fastest).
 
-    Each entry equals ``substream(*path, b).bit_generator.state``; see the
-    module docstring for how they are computed.
+    Each entry equals ``substream(*path, *index).bit_generator.state``; see the
+    module docstring for how they are computed. Index values lie in
+    [0, 2**32), one ``SeedSequence`` word each.
     """
     if not path:
         raise ValueError("substream requires at least one path component")
-    if not 0 <= count <= _U32 + 1:
-        raise ValueError("draw count must lie in [0, 2**32]")
+    indices = [np.asarray(axis, dtype=np.int64) for axis in axes]
+    if any(np.any((i < 0) | (i > _U32)) for i in indices):
+        raise ValueError("substream indices must lie in [0, 2**32)")
+    grid = [g.reshape(-1).astype(np.uint32) for g in np.meshgrid(*indices, indexing="ij")]
+    count = grid[0].size if grid else 1
     prefix = [w for p in path for w in _uint32_words(int(p) & _U64)]
-    columns = [np.full(count, w, dtype=np.uint32) for w in prefix]
-    columns.append(np.arange(count, dtype=np.uint32))
+    columns = [np.full(count, w, dtype=np.uint32) for w in prefix] + grid
     w32 = [w.astype(np.uint64) for w in _seed_sequence_words(columns)]
     # generate_state(4, uint64) reads the uint32 words as little-endian pairs
     s0, s1, s2, s3 = ((w32[2 * j] | (w32[2 * j + 1] << np.uint64(32))).tolist() for j in range(4))
@@ -166,3 +172,20 @@ def resample_blocks(states: list[dict], n: int, block: int) -> Iterator[np.ndarr
             bit_gen.state = state
             row[:] = gen.integers(0, n, size=n)
         yield out
+
+
+def uniform_draws(states: list[dict], sizes: Sequence[int]) -> np.ndarray:
+    """``Generator(PCG64 in states[j]).random(sizes[j])`` for every j, end to end.
+
+    One generator serves every state: each is loaded into it in turn, and its
+    draws fill their own slice of the output.
+    """
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    out = np.empty(sum(sizes))
+    start = 0
+    for state, size in zip(states, sizes):
+        bit_gen.state = state
+        gen.random(out=out[start:start + size])
+        start += size
+    return out

@@ -1,3 +1,5 @@
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emprice as ep
+from emprice import distributions
 from emprice.distributions import _bisect_quantile, _bisect_steps, _unit_cell
 
 from conftest import random_exact_cdf
@@ -187,6 +190,78 @@ class TestDyadicWarmStart:
         # a 1e-10-wide support needs only a few halvings
         F = ep.BetaCdf(2, 2, 0.3, 0.3 + 1e-10)
         assert 0.3 <= F.quantile(0.5) <= 0.3 + 1e-10
+
+
+# levels per law that may reach the plain bisection, out of 10^5 uniform
+# levels and out of HARD_LEVELS; most hard ones lie within 1e-6 of q = 1,
+# where float F is a staircase and the true quantile does not say where
+# the bisection ends
+PLAIN_BISECTION_BOUNDS = {
+    "beta-quarter": (1, 2),
+    "beta-4-4": (1, 3_260),
+    "beta-2-5": (1, 3_450),
+    "beta-half": (1, 2),
+    "beta-2-2": (1, 2_480),
+    "beta-2-2-rescaled": (110, 3_290),
+}
+
+
+class TestBetaGuide:
+    """The cached Hermite table and its Newton step put the guess in the
+    bisection's final cell, or next to it, for almost every level."""
+
+    @pytest.mark.parametrize("F", LAWS, ids=LAW_IDS)
+    def test_plain_bisection_is_rare(self, monkeypatch, F):
+        plain = []
+        bisect = distributions._bisect_quantile
+
+        def counted(F, q, guess=None):
+            if guess is None:
+                plain.append(q.size)
+            return bisect(F, q, guess)
+
+        monkeypatch.setattr(distributions, "_bisect_quantile", counted)
+        bounds = PLAIN_BISECTION_BOUNDS[LAW_IDS[LAWS.index(F)]]
+        for q, bound in zip((np.random.default_rng(12).random(100_000), HARD_LEVELS), bounds):
+            plain.clear()
+            F.quantile_array(q)
+            assert sum(plain) <= bound
+
+    @pytest.mark.parametrize("shape", [(1e-4, 2), (5e-4, 5e-4), (1e-300, 1), (300, 2), (1e3, 0.5), (1e3, 1e3), (1e300, 2)])
+    def test_extreme_shapes_keep_bits(self, shape):
+        # the table's scalars overflow or divide by zero here; that must cost
+        # only evaluations, never an exception or a warning
+        F = ep.BetaCdf(*shape)
+        q = np.concatenate([np.random.default_rng(15).random(2_000), HARD_LEVELS[::10]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = F.quantile_array(q)
+        assert same_bits(got, _bisect_quantile(F, q))
+
+    def test_blocks_keep_shape_and_bits(self):
+        F = ep.BetaCdf(2, 5)
+        q = np.random.default_rng(13).random(2 * distributions._QUANTILE_BLOCK + 7)
+        q[[0, -1]] = np.nan
+        got = F.quantile_array(q.reshape(-1, 1))
+        assert got.shape == (q.size, 1)
+        assert same_bits(got.ravel(), _bisect_quantile(F, q))
+        assert got[0, 0] == got[-1, 0] == 1.0
+        assert F.quantile_array(np.float64(0.25)).shape == ()
+        assert F.quantile_array(np.empty(0)).shape == (0,)
+        with pytest.raises(ValueError):
+            F.quantile_array(np.array([0.5, 1.5]))
+
+    def test_temporaries_stay_small(self):
+        F = ep.BetaCdf(4, 4)
+        F.quantile(0.3)  # the table is built once per law
+        tracemalloc.start()
+        try:
+            q = np.random.default_rng(14).random(2**18)
+            out = F.quantile_array(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= q.nbytes + out.nbytes + 2**20
 
 
 class TestDrawSample:

@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -235,6 +236,47 @@ def regret_shares_reference(F, opt_true, d_idx, cfg):
             assert ep.expected_profit(menu, F, env) == realized
             shares[i, r] = (opt_true - realized) / opt_true
     return shares, empty
+
+
+class TestDrawStreams:
+    """The harness draws every (n_idx, r) stream of a block in one pass."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5, -1, 2**64 - 1])
+    @pytest.mark.parametrize("cells", [[(0, 7), (1, 12), (2, 1)], [(3, 12)]], ids=["regret", "coverage"])
+    def test_rows_are_sorted_substream_quantiles(self, seed, cells):
+        F = ep.BetaCdf(2, 5)
+        d_idx, reps = 2, range(5, 9)  # a worker's chunk starts above replication 0
+        rows = experiments._draw_samples(F, seed, d_idx, cells, reps)
+        assert [r.shape for r in rows] == [(len(reps), n) for _, n in cells]
+        for (n_idx, n), block in zip(cells, rows):
+            for row, r in zip(block, reps):
+                want = np.sort(F.quantile_array(ep.substream(seed, d_idx, n_idx, r).random(n)))
+                assert np.array_equal(row.view(np.int64), want.view(np.int64))
+
+
+class TestResultRows:
+    """Results keep their rows as columns and build each McRow when read."""
+
+    def test_rows_read_like_a_tuple(self):
+        cfg = McConfig(("beta:4:4", ep.Uniform(0, 1)), (5, 9), McTarget.REGRET_SHARE, replications=3, seed=-2)
+        res = ep.run_regret(cfg)
+        rows = tuple(res.rows)
+        assert [(r.distribution, r.n, r.level, r.seed) for r in rows] == [
+            ("beta:4:4", 5, None, -2), ("beta:4:4", 9, None, -2),
+            ("uniform:0:1", 5, None, -2), ("uniform:0:1", 9, None, -2),
+        ]
+        assert all(type(r.value) is float and type(r.mc_se) is float for r in rows)
+        assert res.rows[-1] == rows[-1] and res.rows[1:3] == rows[1:3]
+        with pytest.raises(IndexError):
+            res.rows[4]
+        same = McResult(res.target, res.replications, res.bootstrap_draws, rows)
+        assert res == same and same == res and hash(res) == hash(same)
+        assert repr(res) == repr(same)
+        assert pickle.loads(pickle.dumps(res)) == res
+
+    def test_coverage_rows_in_level_order(self):
+        res = ep.run_coverage(small_coverage_cfg(sample_sizes=(30, 40)))
+        assert [(r.n, r.level) for r in res.rows] == [(30, 0.9), (30, 0.95), (40, 0.9), (40, 0.95)]
 
 
 class TestBatchedRegretParity:
