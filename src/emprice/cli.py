@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +43,57 @@ class UsageError(EmpriceError):
 _KERNELS = sorted(k.value for k in KernelShape)
 
 
+def _json_text(value) -> str:
+    """The text `json.dumps(value, indent=2)` gives.
+
+    json's encoder runs in Python once `indent` is set, at several calls per
+    scalar, and a screening menu has hundreds of items. Finite floats and
+    strings are printed here by the functions json itself calls; every other
+    scalar (ints, bools, None, non-finite floats, float subclasses) goes to
+    `json.dumps`, so json's own rules hold for it. Dict keys must be str.
+    """
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, indent=2)
+    parts: list[str] = []
+    _append_container(value, parts, "\n")
+    return "".join(parts)
+
+
+# stands in for the key of a list item in _append_container
+_NO_KEY = object()
+
+
+def _append_container(obj, parts: list[str], newline: str) -> None:
+    """Append the indent=2 text of a dict, list or tuple whose opening bracket
+    sits on the line that `newline` starts."""
+    if not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = newline + "  "
+    append = parts.append
+    if isinstance(obj, dict):
+        append("{")
+        items, closer = obj.items(), "}"
+    else:
+        append("[")
+        items, closer = zip(itertools.repeat(_NO_KEY), obj), "]"
+    for key, v in items:
+        append(inner if key is _NO_KEY else inner + encode_basestring_ascii(key) + ": ")
+        if type(v) is float and math.isfinite(v):
+            append(float.__repr__(v))
+        elif type(v) is str:
+            append(encode_basestring_ascii(v))
+        elif isinstance(v, (dict, list, tuple)):
+            _append_container(v, parts, inner)
+        else:
+            append(json.dumps(v))
+        append(",")
+    # the last item takes no comma
+    parts[-1] = newline + closer
+
+
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _env_from_args(args) -> "Environment":

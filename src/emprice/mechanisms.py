@@ -65,7 +65,7 @@ class Menu:
         seen = set()
         for it in self.items:
             x, p = float(it[0]), float(it[1])
-            if x < 0 or p < 0 or not (np.isfinite(x) and np.isfinite(p)):
+            if x < 0 or p < 0 or not (math.isfinite(x) and math.isfinite(p)):
                 raise InvalidMenuError(f"menu item ({x}, {p}) outside quantity/price domain")
             if p == 0.0 and x > 0.0:
                 raise InvalidMenuError("free items with positive quantity are not allowed")

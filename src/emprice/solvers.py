@@ -184,7 +184,11 @@ def ironed_virtual_value(F: Cdf, grid_size: int = _SCREENING_GRID) -> IronedTabl
     q = np.linspace(0.0, 1.0, G + 1)
     q_mid = 0.5 * (q[:-1] + q[1:])
     thetas = F.quantile_array(q)
-    theta_mid = F.quantile_array(q_mid)
+    # a top midpoint level within a float step of 1 can invert to the upper
+    # end, where a density such as Beta(0.25, 0.25)'s reads 0: take the
+    # float below it
+    lo, hi = F.support
+    theta_mid = np.minimum(F.quantile_array(q_mid), np.nextafter(hi, lo))
     dens = F.density_array(theta_mid)
     if np.any(dens <= 0.0) or not np.all(np.isfinite(dens)):
         raise MissingDensityError("ironing requires a strictly positive density on the support")

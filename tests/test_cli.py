@@ -3,9 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import emprice as ep
-from emprice.cli import _simulate_config, build_parser, main
+from emprice.cli import _json_text, _simulate_config, build_parser, main
 
 
 @pytest.fixture
@@ -155,12 +156,49 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err == f"error: sample file {path}: could not convert string to float: '0.7x'\n"
 
+    def test_beta_top_midpoint_at_support_end(self, capsys):
+        # the top midpoint level's quantile rounds to the upper end, where the
+        # Beta(0.25, 0.25) density reads 0; it exited 1 at grids 2000 and 4000
+        values = []
+        for grid in ([], ["--grid-size", "1000"], ["--grid-size", "4000"]):
+            code, payload = run_json(capsys, ["solve", "--env", "screening", "--dist", "beta:0.25:0.25", *grid])
+            assert code == 0
+            values.append(payload["optimal_value"])
+        default, coarse, fine = values
+        assert coarse <= default <= fine
+
     def test_comma_column_sample(self, capsys, tmp_path, sample_file, linear_env):
         path = tmp_path / "cols.csv"
         path.write_text("theta,id\r\n0.3,1\r\n\r\n0.5,2\r\n0.9,3\r\n")
         _, with_cols = run_json(capsys, ["solve", "--sample", str(path), "--header"])
         _, bare = run_json(capsys, ["solve", "--sample", sample_file])
         assert with_cols == bare
+
+
+_JSON_KEYS = st.text(max_size=6) | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f\x7f", "é ü €", "\u2028"])
+_JSON_SCALARS = (
+    st.sampled_from([
+        float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.7976931348623157e308,
+        2**64, -(2**100), True, False, None,
+    ])
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.integers()
+    | st.text(max_size=6)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_KEYS, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=500, deadline=None)
+def test_json_text_is_json_dumps_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 class TestBound:

@@ -281,6 +281,18 @@ class TestMenuValidation:
         with pytest.raises(ep.InvalidMenuError):
             ep.Menu(((0.5, -0.1),))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coordinate_rejected(self, bad):
+        for item in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ep.InvalidMenuError, match="outside quantity/price domain"):
+                ep.Menu(((0.2, 0.1), item))
+
+    def test_numpy_and_int_coordinates_give_float_items(self):
+        want = ep.Menu(((0.5, 0.25), (1.0, 1.0), (2.0, 3.0))).items
+        got = ep.Menu(((np.float64(0.5), np.float64(0.25)), (1, 1), (np.int64(2), 3))).items
+        assert got == want
+        assert all(type(c) is float for item in got for c in item)
+
 
 class TestMenuFromAllocation:
     def test_unit_demand_indicator(self, linear_env):
