@@ -7,15 +7,17 @@ results are byte-identical for any worker count. All floating-point
 reductions run in replication order.
 
 Ground truth is computed once per distribution, in the calling process: each
-law is parsed once and its true optimum (regret) or true value (coverage) is
-passed to the chunk tasks as a float. A regret task covers one distribution
-and a run of replications across every sample size, in blocks of about 2^18
-draws. Each block takes one quantile call for all of its uniforms and one
-vectorized solve over the sorted rows of every cell: the first-argmax ECDF
-price of each row (`solvers.ecdf_uniform_prices`, which `optimal_profit` on
-one sample runs too) and the realized profit of each resulting offer from one
-evaluation of F and its left limits (`mechanisms.one_offer_profits`, which
-sums the choice regions with the same routine as `expected_profit`).
+law is parsed once, and only the truth its target needs, the optimal profit
+(regret, optimal-profit coverage) or the fixed menu's profit (fixed-menu
+coverage), is passed to the chunk tasks as a float. A regret task covers one
+distribution and a run of replications across every sample size, in blocks
+of about 2^18 draws. Each block takes one quantile call for all of its
+uniforms and one vectorized solve over the sorted rows of every cell: the
+first-argmax ECDF price of each row (`solvers.ecdf_uniform_prices`, which
+`optimal_profit` on one sample runs too) and the realized profit of each
+resulting offer from one evaluation of F and its left limits
+(`mechanisms.one_offer_profits`, which sums the choice regions with the same
+routine as `expected_profit`).
 
 CSV schemas (17 significant digits for round-tripping):
 
@@ -226,12 +228,15 @@ class McResult:
 
 def true_values(dist: str | Cdf, menu: Menu, env: Environment) -> tuple[float, float]:
     """(profit of the menu, optimal profit) under an analytic distribution."""
+    F = _analytic_law(dist)
+    return float(expected_profit(menu, F, env)), float(optimal_profit(F, env).optimal_value)
+
+
+def _analytic_law(dist: str | Cdf) -> Cdf:
     F = _as_cdf(dist)
     if not _is_analytic(F):
         raise EmpriceError("ground-truth values need an analytic distribution")
-    pi_true = expected_profit(menu, F, env)
-    opt_true = optimal_profit(F, env).optimal_value
-    return float(pi_true), float(opt_true)
+    return F
 
 
 def _is_analytic(F: Cdf) -> bool:
@@ -339,9 +344,9 @@ def run_coverage(cfg: McConfig) -> McResult:
     chunks = _chunks(R, cfg.workers)
     tasks = []
     for d_idx, spec in enumerate(cfg.distributions):
-        F = law_in_type_space(spec, env)
-        truth_fixed, truth_opt = true_values(F, cfg.fixed_menu, env)
-        truth = truth_fixed if cfg.target is McTarget.FIXED_PROFIT_COVERAGE else truth_opt
+        F = _analytic_law(law_in_type_space(spec, env))
+        fixed = cfg.target is McTarget.FIXED_PROFIT_COVERAGE
+        truth = float(expected_profit(cfg.fixed_menu, F, env) if fixed else optimal_profit(F, env).optimal_value)
         for n_idx, n in enumerate(cfg.sample_sizes):
             tasks += [(F, truth, n, d_idx, n_idx, lo, hi, cfg) for lo, hi in chunks]
     results = iter(_map_chunks(_coverage_chunk, tasks, cfg.workers))
@@ -373,10 +378,9 @@ def run_regret(cfg: McConfig) -> McResult:
             )
         tasks += [(F, opt_true, d_idx, lo, hi, cfg) for lo, hi in chunks]
     results = iter(_map_chunks(_regret_chunk, tasks, cfg.workers))
-    stats = []
-    for _ in cfg.distributions:
-        shares = np.concatenate([next(results) for _ in chunks], axis=1)
-        for row in shares:
-            stats.append((row.mean(), row.std(ddof=1) / math.sqrt(R) if R > 1 else 0.0))
-    rows = _ResultRows(_labels(cfg), cfg.sample_sizes, (None,), np.array(stats), cfg.seed)
+    # one row of R shares per (distribution, n), summarized row by row
+    shares = np.concatenate([np.concatenate([next(results) for _ in chunks], axis=1) for _ in cfg.distributions])
+    mc_se = shares.std(axis=1, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(len(shares))
+    stats = np.column_stack((shares.mean(axis=1), mc_se))
+    rows = _ResultRows(_labels(cfg), cfg.sample_sizes, (None,), stats, cfg.seed)
     return McResult(cfg.target, R, cfg.bootstrap_draws, rows)

@@ -1,8 +1,9 @@
 """One-dimensional maximization shared by the price and reserve solvers.
 
 `argmax_refine` takes the best point of a grid and refines it inside its
-bracketing cell with `golden_max`, which runs golden section on any number of
-brackets at once.
+bracketing cell with `golden_max`, a golden section on one bracket. Its
+recurrence runs on Python floats: each step keeps the better interior point
+and evaluates the objective once, on a one-element array, at the new one.
 """
 
 from __future__ import annotations
@@ -11,35 +12,38 @@ import numpy as np
 
 __all__ = ["golden_max", "argmax_refine"]
 
-_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
+_RATIO = float((np.sqrt(5.0) - 1.0) / 2.0)
 _TOL = 1e-10
 _MAX_STEPS = 200
 
 
-def golden_max(f, lo, hi) -> tuple[np.ndarray, np.ndarray, int]:
-    """Golden-section maximization over each bracket [lo[i], hi[i]].
+def golden_max(f, lo: float, hi: float) -> tuple[float, float, int]:
+    """Golden-section maximization over the bracket [lo, hi].
 
-    `f` maps an array of points, one per bracket, to their values. Each step
-    keeps the better interior point of every bracket and evaluates `f` once,
-    at the new ones. Steps run until every bracket is at most 1e-10 wide, or
-    200 times. Returns (argmax, value, steps); a one-element bracket follows
-    the scalar golden-section recurrence exactly.
+    `f` maps a one-element array of points to their values. Each step keeps
+    [a, d] with c as its upper interior point, or [c, b] with d as its lower
+    one, and evaluates `f` once, at the new interior point. Steps run until
+    the bracket is at most 1e-10 wide, or 200 times. Returns (argmax, value,
+    steps).
     """
-    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+
+    def at(x: float) -> float:
+        return float(f(np.full(1, x))[0])
+
+    a, b = float(lo), float(hi)
     c = b - _RATIO * (b - a)
     d = a + _RATIO * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = at(c), at(d)
     steps = 0
-    while np.max(b - a) > _TOL and steps < _MAX_STEPS:
+    while b - a > _TOL and steps < _MAX_STEPS:
         steps += 1
-        # keep [a, d] with c as its upper interior point, or [c, b] with d as
-        # its lower one; x is the new interior point
-        left = fc >= fd
-        x = np.where(left, d - _RATIO * (d - a), c + _RATIO * (b - c))
-        fx = f(x)
-        a, b, c, d, fc, fd = np.where(left, (a, d, x, c, fx, fc), (c, b, d, x, fd, fx))
-    left = fc >= fd
-    return np.where(left, c, d), np.where(left, fc, fd), steps
+        if fc >= fd:
+            b, c, d, fd = d, d - _RATIO * (d - a), c, fc
+            fc = at(c)
+        else:
+            a, c, d, fc = c, d, c + _RATIO * (b - c), fd
+            fd = at(d)
+    return (c, fc, steps) if fc >= fd else (d, fd, steps)
 
 
 def argmax_refine(points, values, f, lo: float, hi: float, atoms=()) -> tuple[float, float, int]:
@@ -59,8 +63,7 @@ def argmax_refine(points, values, f, lo: float, hi: float, atoms=()) -> tuple[fl
     atoms = np.asarray(atoms, dtype=float)
     if not bhi > blo or np.any((atoms > blo) & (atoms < bhi)):
         return best_x, best_val, 0
-    x, val, steps = golden_max(f, np.asarray([blo]), np.asarray([bhi]))
-    x, val = float(x[0]), float(val[0])
+    x, val, steps = golden_max(f, blo, bhi)
     if val > best_val or (val == best_val and x < best_x):
         best_x, best_val = x, val
     return best_x, best_val, steps

@@ -21,7 +21,10 @@ stream. :func:`substream_states` computes the PCG64 state of every
 ``substream(*path, *index)``, for each index in the product of its index
 axes, in one vectorized pass: numpy's documented ``SeedSequence`` algorithm
 (4-word pool, ``hashmix``/``mix``, ``generate_state(4, uint64)``) in uint32
-arithmetic over the indices, then PCG64's ``srandom`` step. The states are
+arithmetic over the indices, then PCG64's ``srandom`` step. Its hash
+constants do not depend on the data, so they are computed once and each
+source word updates all of its destination pool words in one operation;
+the 8 output words come from one operation too. The states are
 then loaded one at a time into a single generator, built once per call:
 :func:`resample_blocks` calls ``integers(0, n, size=n)`` on each, so each row
 of indices is exactly the one ``substream(*path, b).integers(0, n, size=n)``
@@ -31,6 +34,7 @@ are exactly those of ``substream(seed, d, i, r).random(n)``.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -45,8 +49,10 @@ _U128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+# the pool words a source word updates while the pool mixes
+_OTHERS = [[i for i in range(_POOL_SIZE) if i != i_src] for i_src in range(_POOL_SIZE)]
 # PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -83,44 +89,51 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
-def _seed_sequence_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _hash_constants(first: int, mult: int, count: int) -> np.ndarray:
+    """The running hash constant of ``count`` ``hashmix`` steps, and the one
+    after them, as a read-only (count + 1, 1) uint32 column."""
+    consts = [first]
+    for _ in range(count):
+        consts.append((consts[-1] * mult) & _U32)
+    column = np.asarray(consts, dtype=np.uint32)[:, None]
+    column.setflags(write=False)
+    return column
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, k: int, count: int) -> np.ndarray:
+    # steps k .. k + count - 1, one per row: xor with the running constant,
+    # multiply by the next one
+    value = value ^ consts[k:k + count]
+    value *= consts[k + 1:k + count + 1]
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> _SHIFT)
+
+
+def _seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(8, uint32)`` for columns of words.
 
-    Each entry of ``entropy`` is one uint32 entropy word per stream; the
-    hash constants do not depend on the data, so every stream runs the same
-    sequence of operations and numpy evaluates them all at once.
+    ``entropy`` holds one column of uint32 words per stream. The hash
+    constants do not depend on the data, so every stream runs the same
+    operations, and a source word's updates of the pool words run as one.
     """
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _U32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(_XSHIFT))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(_XSHIFT))
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    extra = max(len(entropy) - _POOL_SIZE, 0)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[:len(entropy)] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, consts, 0, _POOL_SIZE)
+    k = _POOL_SIZE
+    for i_src, others in enumerate(_OTHERS):
+        pool[others] = _mix(pool[others], _hashmix(pool[i_src], consts, k, len(others)))
+        k += len(others)
     for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
-
-    hash_const = _INIT_B
-    out = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _U32
-        value = value * np.uint32(hash_const)
-        out.append(value ^ (value >> np.uint32(_XSHIFT)))
-    return out
+        pool = _mix(pool, _hashmix(word, consts, k, _POOL_SIZE))
+        k += _POOL_SIZE
+    return _hashmix(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 8), 0, 8)
 
 
 def substream_states(path: tuple[int, ...], *axes: Sequence[int]) -> list[dict]:
@@ -134,17 +147,18 @@ def substream_states(path: tuple[int, ...], *axes: Sequence[int]) -> list[dict]:
     if not path:
         raise ValueError("substream requires at least one path component")
     indices = [np.asarray(axis, dtype=np.int64) for axis in axes]
-    if any(np.any((i < 0) | (i > _U32)) for i in indices):
+    if any(i.size and (i.min() < 0 or i.max() > _U32) for i in indices):
         raise ValueError("substream indices must lie in [0, 2**32)")
-    grid = [g.reshape(-1).astype(np.uint32) for g in np.meshgrid(*indices, indexing="ij")]
-    count = grid[0].size if grid else 1
     prefix = [w for p in path for w in _uint32_words(int(p) & _U64)]
-    columns = [np.full(count, w, dtype=np.uint32) for w in prefix] + grid
-    w32 = [w.astype(np.uint64) for w in _seed_sequence_words(columns)]
+    # one column of entropy words per index: the path's words, then the index
+    entropy = np.empty((len(prefix) + len(indices), *[i.size for i in indices]), dtype=np.uint32)
+    for j, word in enumerate(prefix + list(np.ix_(*indices))):
+        entropy[j] = word
+    w32 = _seed_sequence_words(entropy.reshape(len(entropy), -1)).astype(np.uint64)
     # generate_state(4, uint64) reads the uint32 words as little-endian pairs
-    s0, s1, s2, s3 = ((w32[2 * j] | (w32[2 * j + 1] << np.uint64(32))).tolist() for j in range(4))
+    words = (w32[0::2] | (w32[1::2] << np.uint64(32))).tolist()
     states = []
-    for hi_state, lo_state, hi_seq, lo_seq in zip(s0, s1, s2, s3):
+    for hi_state, lo_state, hi_seq, lo_seq in zip(*words):
         # pcg64_set_seed: state seed (s0, s1) and sequence (s2, s3), high word first
         inc = (((hi_seq << 64 | lo_seq) << 1) | 1) & _U128
         state = ((inc + (hi_state << 64 | lo_state)) * _PCG_MULT + inc) & _U128

@@ -136,7 +136,6 @@ def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = _PRICE_GRID
     x_max = float(env.x_max)
 
     def objective(rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
         return x_max * (rho - c_bar) * (1.0 - F.cdf_left_array(rho))
 
     if isinstance(F, EmpiricalStep):
@@ -186,9 +185,13 @@ def ironed_virtual_value(F: Cdf, grid_size: int = _SCREENING_GRID) -> IronedTabl
     thetas = F.quantile_array(q)
     # a top midpoint level within a float step of 1 can invert to the upper
     # end, where a density such as Beta(0.25, 0.25)'s reads 0: take the
-    # float below it
+    # largest float whose unit coordinate (theta - lo) / (hi - lo) is below 1,
+    # which on a rescaled support can lie more than one step below hi
     lo, hi = F.support
-    theta_mid = np.minimum(F.quantile_array(q_mid), np.nextafter(hi, lo))
+    top = np.nextafter(hi, lo)
+    while (top - lo) / (hi - lo) >= 1.0:
+        top = np.nextafter(top, lo)
+    theta_mid = np.minimum(F.quantile_array(q_mid), top)
     dens = F.density_array(theta_mid)
     if np.any(dens <= 0.0) or not np.all(np.isfinite(dens)):
         raise MissingDensityError("ironing requires a strictly positive density on the support")

@@ -167,6 +167,15 @@ class TestSolve:
         default, coarse, fine = values
         assert coarse <= default <= fine
 
+    def test_beta_top_midpoint_on_rescaled_support(self, capsys):
+        # on [0.2, 0.9] the float just below 0.9 still has unit coordinate
+        # 1.0, where the density reads 0; it exited 1 at the default grid
+        code, payload = run_json(capsys, ["solve", "--env", "screening", "--dist", "beta:0.25:0.25:0.2:0.9"])
+        assert code == 0
+        assert payload["method"] == "screening_ironed" and payload["optimal_value"] > 0.0
+        top = ep.ironed_virtual_value(ep.BetaCdf(0.25, 0.25, 0.2, 0.9)).segment_thetas[-1]
+        assert (top - 0.2) / (0.9 - 0.2) < 1.0
+
     def test_comma_column_sample(self, capsys, tmp_path, sample_file, linear_env):
         path = tmp_path / "cols.csv"
         path.write_text("theta,id\r\n0.3,1\r\n\r\n0.5,2\r\n0.9,3\r\n")

@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,36 @@ class TestRunCoverage:
         with pytest.raises(ep.EmpriceError, match="uniform:0:2"):
             ep.run_coverage(small_coverage_cfg(distributions=("uniform:0:2",)))
 
+    def test_rejects_non_analytic_law(self):
+        law = ep.ecdf(ep.Sample(np.asarray([0.2, 0.4, 0.9])))
+        for target in (McTarget.FIXED_PROFIT_COVERAGE, McTarget.OPTIMAL_PROFIT_COVERAGE):
+            with pytest.raises(ep.EmpriceError, match="analytic distribution"):
+                ep.run_coverage(small_coverage_cfg(distributions=(law,), target=target))
+
+    def test_fixed_target_never_solves_the_optimum(self, monkeypatch):
+        from test_golden import CONFIGS, GOLDEN
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a fixed-menu coverage run solved the optimum")
+
+        monkeypatch.setattr(experiments, "optimal_profit", no_solve)
+        cfg = CONFIGS["coverage-fixed.csv"]
+        assert ep.run_coverage(cfg).to_csv() == (GOLDEN / "coverage-fixed.csv").read_text()
+
+    def test_optimal_target_solves_each_law_once(self, monkeypatch):
+        from test_golden import CONFIGS, GOLDEN
+
+        solved = []
+
+        def counting(F, env):
+            solved.append(F)
+            return ep.optimal_profit(F, env)
+
+        monkeypatch.setattr(experiments, "optimal_profit", counting)
+        cfg = CONFIGS["coverage-optimal.csv"]
+        assert ep.run_coverage(cfg).to_csv() == (GOLDEN / "coverage-optimal.csv").read_text()
+        assert solved == [parse_distribution(spec) for spec in cfg.distributions]
+
     def test_rejects_regret_target(self):
         cfg = small_coverage_cfg()
         with pytest.raises(ValueError):
@@ -192,6 +223,27 @@ class TestRunRegret:
     def test_worker_count_invariance(self):
         cfg = McConfig(("uniform",), (30,), McTarget.REGRET_SHARE, replications=24, seed=9)
         assert ep.run_regret(cfg).to_csv() == ep.run_regret(replace(cfg, workers=3)).to_csv()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("R", [1, 2, 3, 1000])
+    def test_summaries_match_per_row_loop(self, R, workers):
+        # mean and standard error of each (law, n) row of shares, bit for
+        # bit as row.mean() and row.std(ddof=1) / sqrt(R); R = 1 has no
+        # standard error and must not warn
+        cfg = McConfig(("uniform", "beta:4:4"), (3, 8), McTarget.REGRET_SHARE, replications=R, seed=13,
+                       workers=workers)
+        env = cfg.environment()
+        want = []
+        for d_idx, spec in enumerate(cfg.distributions):
+            F = parse_distribution(spec)
+            opt_true = ep.optimal_profit(F, env).optimal_value
+            for row in experiments._regret_chunk((F, opt_true, d_idx, 0, R, cfg)):
+                want.append((row.mean(), row.std(ddof=1) / math.sqrt(R) if R > 1 else 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ep.run_regret(cfg)
+        got = [(row.value, row.mc_se) for row in res.rows]
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
 
 def one_offer_reference(rho, F, env):

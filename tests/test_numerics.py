@@ -1,8 +1,11 @@
 """The shared golden section and grid-then-refine search.
 
 `_golden_max_reference` is the scalar golden section the price solver used
-before the vectorized one; a one-element bracket must reproduce it bit for
-bit (argmax, value and step count).
+before the shared one; `golden_max` must reproduce it bit for bit (argmax,
+value and step count). `_golden_max_brackets` runs the same recurrence on
+arrays of brackets at once: it is the golden section the screening solver ran
+before its closed form, and the reference `test_solvers` checks that closed
+form against.
 """
 
 import math
@@ -37,6 +40,31 @@ def _golden_max_reference(f, lo, hi, tol=1e-10, max_steps=201):
     return x, max(fc, fd), it
 
 
+def _golden_max_brackets(f, lo, hi):
+    """Golden-section maximization over each bracket [lo[i], hi[i]].
+
+    `f` maps an array of points, one per bracket, to their values. Each step
+    keeps the better interior point of every bracket and evaluates `f` once,
+    at the new ones. Steps run until every bracket is at most 1e-10 wide, or
+    200 times. Returns the argmax and value arrays and the step count.
+    """
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    steps = 0
+    while np.max(b - a) > 1e-10 and steps < 200:
+        steps += 1
+        # keep [a, d] with c as its upper interior point, or [c, b] with d as
+        # its lower one; x is the new interior point
+        left = fc >= fd
+        x = np.where(left, d - _GOLDEN * (d - a), c + _GOLDEN * (b - c))
+        fx = f(x)
+        a, b, c, d, fc, fd = np.where(left, (a, d, x, c, fx, fc), (c, b, d, x, fd, fx))
+    left = fc >= fd
+    return np.where(left, c, d), np.where(left, fc, fd), steps
+
+
 def _bits(v) -> bytes:
     return np.float64(v).tobytes()
 
@@ -59,8 +87,23 @@ BRACKETS = [(0.0, 1.0), (-3.0, 7.5), (0.25, 0.2500001), (0.1, 0.1 + 5e-11), (0.4
 def test_one_bracket_matches_scalar_reference(name, lo, hi):
     f = OBJECTIVES[name]
     x_ref, v_ref, it_ref = _golden_max_reference(lambda r: float(f(np.asarray([r]))[0]), lo, hi)
-    x, v, steps = golden_max(f, np.asarray([lo]), np.asarray([hi]))
-    assert (_bits(x[0]), _bits(v[0]), steps) == (_bits(x_ref), _bits(v_ref), it_ref)
+    x, v, steps = golden_max(f, lo, hi)
+    assert (_bits(x), _bits(v), steps) == (_bits(x_ref), _bits(v_ref), it_ref)
+    # the array reference follows the same recurrence on a one-element bracket
+    xs, vs, steps = _golden_max_brackets(f, np.asarray([lo]), np.asarray([hi]))
+    assert (_bits(xs[0]), _bits(vs[0]), steps) == (_bits(x_ref), _bits(v_ref), it_ref)
+
+
+def test_each_step_evaluates_once_on_one_element_arrays():
+    calls = []
+
+    def f(x):
+        calls.append((type(x), x.shape, x.dtype.name))
+        return -(x - 0.3) ** 2
+
+    x, v, steps = golden_max(f, 0, 1)
+    assert type(x) is float and type(v) is float and type(steps) is int
+    assert len(calls) == steps + 2 and set(calls) == {(np.ndarray, (1,), "float64")}
 
 
 def test_brackets_step_together():
@@ -69,7 +112,7 @@ def test_brackets_step_together():
     lo = np.asarray([0.0, -2.0, 0.3, 0.5, 1.0])
     hi = np.asarray([1.0, 5.0, 0.3 + 1e-8, 0.5, 4.0])
     peak = np.asarray([0.2, 4.9, 0.3, 0.5, 0.0])
-    x, v, steps = golden_max(lambda r: -(r - peak) ** 2, lo, hi)
+    x, v, steps = _golden_max_brackets(lambda r: -(r - peak) ** 2, lo, hi)
     assert steps == max(
         _golden_max_reference(lambda r, p=p: -(r - p) ** 2, a, b)[2] for a, b, p in zip(lo, hi, peak)
     )
@@ -85,7 +128,7 @@ def test_each_step_evaluates_once():
         calls.append(x.size)
         return -(x - 0.3) ** 2
 
-    _, _, steps = golden_max(f, np.zeros(4), np.ones(4))
+    _, _, steps = _golden_max_brackets(f, np.zeros(4), np.ones(4))
     assert len(calls) == steps + 2 and set(calls) == {4}
 
 
@@ -98,8 +141,8 @@ def test_step_cap(lo, hi):
     g = lambda r: float(f(np.asarray([r]))[0])
     assert _golden_max_reference(g, lo, hi)[2] == 201
     x_ref, v_ref, _ = _golden_max_reference(g, lo, hi, max_steps=200)
-    x, v, steps = golden_max(f, np.asarray([lo]), np.asarray([hi]))
-    assert (_bits(x[0]), _bits(v[0]), steps) == (_bits(x_ref), _bits(v_ref), 200)
+    x, v, steps = golden_max(f, lo, hi)
+    assert (_bits(x), _bits(v), steps) == (_bits(x_ref), _bits(v_ref), 200)
 
 
 def quad(peak):

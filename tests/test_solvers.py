@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import emprice as ep
-from emprice.numerics import golden_max
 from emprice.rng import substream
 from emprice.solvers import _minorant_slopes, _surplus_maximizers
 
 from conftest import random_exact_cdf, random_menu
 from test_mechanisms import _menu_from_allocation_reference
+from test_numerics import _golden_max_brackets
 
 
 def _hull_reference(x, y):
@@ -45,7 +45,7 @@ def _golden_maximizers(w, env):
     def surplus(x):
         return w * x - np.asarray(env.cost(x))
 
-    x_star, best, iters = golden_max(surplus, np.zeros_like(w), np.full_like(w, x_max))
+    x_star, best, iters = _golden_max_brackets(surplus, np.zeros_like(w), np.full_like(w, x_max))
     f_hi = surplus(np.full_like(w, x_max))
     x_star = np.where(f_hi >= best, x_max, x_star)
     best = np.maximum(best, f_hi)
