@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -300,11 +300,7 @@ def optimal_reserve(
         + (hi - grid * _phi(y, m) - integral_above)
         - setting.seller_value * (1.0 - y**m)
     )
-
-    def profit(rs: np.ndarray) -> np.ndarray:
-        return np.asarray([auction_profit(r, setting, mode) for r in rs])
-
-    best_r, _, _ = argmax_refine(grid, vals, profit, lo, hi)
+    best_r, _, _ = argmax_refine(grid, vals, partial(auction_profit, setting=setting, mode=mode), lo, hi)
     return best_r, float(auction_profit(best_r, setting, mode))
 
 

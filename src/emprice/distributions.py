@@ -140,6 +140,9 @@ class Cdf:
     def cdf(self, theta: float) -> float:
         return float(self.cdf_array(np.asarray([theta]))[0])
 
+    def cdf_left(self, theta: float) -> float:
+        return float(self.cdf_left_array(np.asarray([theta]))[0])
+
     def quantile(self, q: float) -> float:
         return float(self.quantile_array(np.asarray([q]))[0])
 
@@ -253,6 +256,12 @@ class Uniform(Cdf):
     def cdf_array(self, theta):
         return np.clip((np.asarray(theta, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
 
+    def cdf(self, theta):
+        # cdf_array's bits on a float: max(x, 0.0) keeps a NaN x, as np.clip does
+        return min(max((float(theta) - self.a) / (self.b - self.a), 0.0), 1.0)
+
+    cdf_left = cdf
+
     def density_array(self, theta):
         th = np.asarray(theta, dtype=float)
         inside = (th >= self.a) & (th <= self.b)
@@ -287,16 +296,18 @@ class BetaCdf(Cdf):
         return True
 
     def cdf_array(self, theta):
-        # imported here, so that start-up loads no scipy
-        from scipy import special
-
         x = np.clip((np.asarray(theta, dtype=float) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return special.betainc(self.alpha, self.beta, x)
+        return _special().betainc(self.alpha, self.beta, x)
+
+    def cdf(self, theta):
+        # cdf_array's bits on a float, as in Uniform.cdf
+        x = min(max((float(theta) - self.lo) / (self.hi - self.lo), 0.0), 1.0)
+        return float(_special().betainc(self.alpha, self.beta, x))
+
+    cdf_left = cdf
 
     def density_array(self, theta):
-        # imported here, so that start-up loads no scipy
-        from scipy import special
-
+        special = _special()
         th = np.asarray(theta, dtype=float)
         x = (th - self.lo) / (self.hi - self.lo)
         out = np.zeros_like(x)
@@ -320,6 +331,14 @@ class BetaCdf(Cdf):
         return out
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported on first use, so that start-up loads no scipy."""
+    from scipy import special
+
+    return special
+
+
 @functools.lru_cache(maxsize=16)
 def _guide_table(a: float, b: float) -> tuple:
     """Cubic Hermite table of the Beta(a, b) quantile on the levels [0, 1/2].
@@ -332,9 +351,7 @@ def _guide_table(a: float, b: float) -> tuple:
     cubic in the local coordinate t in [0, 1]. Returns (K / s_end, m, the
     node quantiles, the coefficients low order first, log B(a, b)).
     """
-    # imported here, so that start-up loads no scipy
-    from scipy import special
-
+    special = _special()
     m = min(a, _GUIDE_POWER)
     # numpy scalars: extreme shapes overflow or divide by zero to inf or NaN,
     # which only costs the check, instead of raising
@@ -363,9 +380,7 @@ def _lower_guess(a: float, b: float, p: np.ndarray) -> np.ndarray:
     The table's cubic at s = p^(1/m), then one Newton step on F(y) = p kept
     inside the table cell. A NaN or non-finite value only costs the check.
     """
-    # imported here, so that start-up loads no scipy
-    from scipy import special
-
+    special = _special()
     scale, m, x, (c0, c1, c2, c3), log_beta = _guide_table(a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # fmax sends NaN to cell 0, so the table is never indexed by garbage

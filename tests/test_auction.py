@@ -58,11 +58,7 @@ def _grid_reserve_reference(setting, grid_size=10_000):
         return grid * m * y ** (m - 1) * (1.0 - y) + (hi - grid * _phi(y, m) - above) - c * (1.0 - y**m)
 
     vals = revenue(np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]]))
-
-    def profit(rs):
-        return np.asarray([ep.auction_profit(r, setting) for r in rs])
-
-    r, _, _ = argmax_refine(grid, vals, profit, lo, hi)
+    r, _, _ = argmax_refine(grid, vals, lambda r: ep.auction_profit(r, setting), lo, hi)
     return r, ep.auction_profit(r, setting), revenue(_compensated_suffix_sums(seg))
 
 

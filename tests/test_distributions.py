@@ -33,6 +33,57 @@ class TestCdfEval:
                 assert F.cdf(th) >= F.cdf_left_array(np.array([th]))[0]
 
 
+def _scalar_laws():
+    sample = ep.Sample(np.random.default_rng(4).beta(2.0, 3.0, 40))
+    return {
+        "uniform": ep.Uniform(0, 1),
+        "uniform-0.2-0.9": ep.Uniform(0.2, 0.9),
+        "beta-quarter": ep.BetaCdf(0.25, 0.25),
+        "beta-4-4": ep.BetaCdf(4, 4),
+        "beta-300-2": ep.BetaCdf(300.0, 2.0),
+        "beta-rescaled": ep.BetaCdf(2.0, 2.0, 0.5, 3.0),
+        "pointmass": ep.PointMass(0.7),
+        "mixture": ep.Mixture(np.array([0.3, 0.7]), (ep.PointMass(0.4), ep.BetaCdf(2, 3))),
+        "ecdf": ep.ecdf(sample),
+        "interp": ep.interp_ecdf(sample, 0.0),
+        "kernel": ep.kernel_cdf(sample, ep.KernelSpec(ep.KernelShape.EPANECHNIKOV), 0.05),
+        "second-order": ep.SecondOrderCdf(ep.BetaCdf(2, 3), 3),
+    }
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestScalarEval:
+    """The scalar `cdf` and `cdf_left` give the bits of the array versions."""
+
+    @pytest.mark.parametrize("name", sorted(_scalar_laws()))
+    def test_scalar_matches_array(self, name):
+        F = _scalar_laws()[name]
+        lo, hi = F.support
+        width = max(hi - lo, 1.0)
+        gen = np.random.default_rng(11)
+        points = np.concatenate([
+            gen.uniform(lo - 0.5 * width, hi + 0.5 * width, 200),
+            [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+             np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf), lo - width, hi + width,
+             -np.inf, np.inf, np.nan, -0.0, 0.0],
+            F.special_points(),
+        ])
+        for scalar, array in ((F.cdf, F.cdf_array), (F.cdf_left, F.cdf_left_array)):
+            want = array(points)
+            got = [scalar(float(t)) for t in points]
+            assert all(type(v) is float for v in got)
+            assert np.asarray(got).tobytes() == want.tobytes()
+
+    def test_every_subclass_is_covered(self):
+        covered = {type(F) for F in _scalar_laws().values()}
+        assert {c for c in _subclasses(ep.Cdf) if c.__module__.startswith("emprice")} <= covered
+
+
 class TestQuantile:
     def test_uniform_identity(self):
         assert ep.Uniform(0, 1).quantile(0.25) == 0.25

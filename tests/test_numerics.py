@@ -2,10 +2,11 @@
 
 `_golden_max_reference` is the scalar golden section the price solver used
 before the shared one; `golden_max` must reproduce it bit for bit (argmax,
-value and step count). `_golden_max_brackets` runs the same recurrence on
-arrays of brackets at once: it is the golden section the screening solver ran
-before its closed form, and the reference `test_solvers` checks that closed
-form against.
+value and step count). Both take a float -> float objective; `_scalar` makes
+one of an array objective, evaluated on a one-element array.
+`_golden_max_brackets` runs the same recurrence on arrays of brackets at once:
+it is the golden section the screening solver ran before its closed form, and
+the reference `test_solvers` checks that closed form against.
 """
 
 import math
@@ -38,6 +39,11 @@ def _golden_max_reference(f, lo, hi, tol=1e-10, max_steps=201):
             break
     x = c if fc >= fd else d
     return x, max(fc, fd), it
+
+
+def _scalar(f):
+    """The float -> float objective of an array objective f."""
+    return lambda r: float(f(np.asarray([r]))[0])
 
 
 def _golden_max_brackets(f, lo, hi):
@@ -86,24 +92,24 @@ BRACKETS = [(0.0, 1.0), (-3.0, 7.5), (0.25, 0.2500001), (0.1, 0.1 + 5e-11), (0.4
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
 def test_one_bracket_matches_scalar_reference(name, lo, hi):
     f = OBJECTIVES[name]
-    x_ref, v_ref, it_ref = _golden_max_reference(lambda r: float(f(np.asarray([r]))[0]), lo, hi)
-    x, v, steps = golden_max(f, lo, hi)
+    x_ref, v_ref, it_ref = _golden_max_reference(_scalar(f), lo, hi)
+    x, v, steps = golden_max(_scalar(f), lo, hi)
     assert (_bits(x), _bits(v), steps) == (_bits(x_ref), _bits(v_ref), it_ref)
     # the array reference follows the same recurrence on a one-element bracket
     xs, vs, steps = _golden_max_brackets(f, np.asarray([lo]), np.asarray([hi]))
     assert (_bits(xs[0]), _bits(vs[0]), steps) == (_bits(x_ref), _bits(v_ref), it_ref)
 
 
-def test_each_step_evaluates_once_on_one_element_arrays():
+def test_each_step_evaluates_once_on_floats():
     calls = []
 
     def f(x):
-        calls.append((type(x), x.shape, x.dtype.name))
+        calls.append(type(x))
         return -(x - 0.3) ** 2
 
     x, v, steps = golden_max(f, 0, 1)
     assert type(x) is float and type(v) is float and type(steps) is int
-    assert len(calls) == steps + 2 and set(calls) == {(np.ndarray, (1,), "float64")}
+    assert len(calls) == steps + 2 and set(calls) == {float}
 
 
 def test_brackets_step_together():
@@ -137,16 +143,16 @@ def test_step_cap(lo, hi):
     # these brackets never narrow to 1e-10: the first is too wide for 200
     # steps, and float spacing near 1e6 is 1.2e-10. The scalar loop stopped
     # after 201 steps; golden_max stops one step earlier on the same recurrence
-    f = OBJECTIVES["increasing"]
-    g = lambda r: float(f(np.asarray([r]))[0])
+    g = _scalar(OBJECTIVES["increasing"])
     assert _golden_max_reference(g, lo, hi)[2] == 201
     x_ref, v_ref, _ = _golden_max_reference(g, lo, hi, max_steps=200)
-    x, v, steps = golden_max(f, lo, hi)
+    x, v, steps = golden_max(g, lo, hi)
     assert (_bits(x), _bits(v), steps) == (_bits(x_ref), _bits(v_ref), 200)
 
 
 def quad(peak):
-    return lambda x: -(np.asarray(x, dtype=float) - peak) ** 2
+    # float -> float for the refinement, and elementwise on the grid
+    return lambda x: -(x - peak) ** 2
 
 
 class TestArgmaxRefine:
@@ -166,7 +172,7 @@ class TestArgmaxRefine:
     def test_first_argmax_and_equal_value_at_smaller_point(self):
         # ties in the grid keep the first point; a refined point of equal
         # value wins only if it is smaller
-        flat = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        flat = lambda x: 1.0
         x, v, _ = argmax_refine(self.points, np.ones(3), flat, 0.0, 1.0)
         assert v == 1.0 and 0.0 <= x < 0.2
         x, v, _ = argmax_refine(self.points, np.ones(3), flat, 0.2, 1.0)
@@ -187,7 +193,7 @@ class TestArgmaxRefine:
         # k = 0 brackets [lo, points[1]]; k = last brackets [points[-2], hi]
         f = quad(peak)
         x, _, steps = argmax_refine(self.points, f(self.points), f, 0.0, 1.0)
-        ref, _, it = _golden_max_reference(lambda r: float(f(np.asarray([r]))[0]), lo, hi)
+        ref, _, it = _golden_max_reference(f, lo, hi)
         assert (_bits(x), steps) == (_bits(ref), it)
         assert math.isclose(x, peak, abs_tol=1e-9)
 

@@ -5,19 +5,22 @@ and `_screening_reference` the screening solve that maximized the surplus on
 every quantile segment and priced the levels by the scalar envelope loop;
 the solvers must reproduce both bit for bit. With `_golden_maximizers`, the
 golden section the screening solver ran before the closed form, the reference
-is what the closed form is checked against.
+is what the closed form is checked against. `_full_grid_price_reference` is
+the price solve that scored every grid candidate and refined with the array
+objective; the bound-pruned scan must reproduce it bit for bit.
 """
 
 import numpy as np
 import pytest
 
 import emprice as ep
+from emprice.numerics import argmax_refine
 from emprice.rng import substream
-from emprice.solvers import _minorant_slopes, _surplus_maximizers
+from emprice.solvers import _minorant_slopes, _surplus_maximizers, posts_offer
 
 from conftest import random_exact_cdf, random_menu
 from test_mechanisms import _menu_from_allocation_reference
-from test_numerics import _golden_max_brackets
+from test_numerics import _bits, _golden_max_brackets
 
 
 def _hull_reference(x, y):
@@ -70,6 +73,41 @@ def _screening_reference(F, env, grid_size, maximizers=_closed_form_maximizers):
             levels.append(float(x))
     menu = _menu_from_allocation_reference(ep.Allocation(tuple(breaks), tuple(levels)), env)
     return menu, ep.expected_profit(menu, F, env), iters
+
+
+def _full_grid_price_reference(F, env, grid_size):
+    """(menu, value, golden-section steps) of the price solve on a law with
+    no enumeration: every candidate of the grid scored, then refined."""
+    c_bar, x_max = float(env.c_bar), float(env.x_max)
+
+    def objective(rho):
+        return x_max * (rho - c_bar) * (1.0 - F.cdf_left_array(rho))
+
+    lo, hi = F.support
+    cand = np.unique(np.concatenate([np.linspace(lo, hi, max(grid_size, 2)), F.special_points()]))
+    rho, value, steps = argmax_refine(
+        cand, objective(cand), lambda r: float(objective(np.asarray([r]))[0]), lo, hi, F.atoms()[0]
+    )
+    menu = ep.Menu(((x_max, rho * x_max),)) if posts_offer(rho, value) else ep.Menu.empty()
+    return menu, ep.expected_profit(menu, F, env), steps
+
+
+def _price_laws():
+    sample = ep.Sample(substream(78, 40).beta(2.0, 3.0, 40))
+    return {
+        "uniform": ep.Uniform(0, 1),
+        "uniform-0.2-0.9": ep.parse_distribution("uniform:0.2:0.9"),
+        **{f"beta-{a}-{b}": ep.BetaCdf(a, b) for a, b in ((0.1, 0.1), (0.25, 0.25), (4, 4), (2, 5), (300, 2))},
+        "beta-2-2-0.5-3": ep.parse_distribution("beta:2:2:0.5:3"),
+        "pointmass": ep.PointMass(0.7),
+        "mixture-atom": ep.Mixture(np.array([0.3, 0.7]), (ep.PointMass(0.4), ep.BetaCdf(2, 3))),
+        "kernel": ep.kernel_cdf(sample, ep.KernelSpec(ep.KernelShape.EPANECHNIKOV), 0.05),
+        "interp": ep.interp_ecdf(sample, 0.0),
+    }
+
+
+# (x_max, c_bar); c_bar = 3 is at or above every law's top type
+_PRICE_ENVS = [(1.0, 0.0), (1.0, 0.2), (1.0, 3.0), (2.0, 0.2)]
 
 
 def _interp_law(n):
@@ -130,6 +168,41 @@ class TestOptimalUniformPrice:
             assert res.optimal_value == pytest.approx(
                 ep.expected_profit(res.menu, F, linear_env), abs=1e-9
             )
+
+
+class TestPrunedPriceScan:
+    @pytest.mark.parametrize("x_max,c_bar", _PRICE_ENVS)
+    @pytest.mark.parametrize("name", sorted(_price_laws()))
+    def test_matches_full_grid_scan(self, name, x_max, c_bar):
+        F = _price_laws()[name]
+        env = ep.linear_unit_demand(0.0, 1.0, x_max, c_bar)
+        # grid sizes at the edges of the 64- and 8-candidate strides
+        for grid_size in (1, 2, 7, 8, 9, 63, 64, 65, 10_000):
+            res = ep.optimal_uniform_price(F, env, grid_size)
+            menu, value, steps = _full_grid_price_reference(F, env, grid_size)
+            assert [tuple(map(_bits, item)) for item in res.menu.items] == [
+                tuple(map(_bits, item)) for item in menu.items
+            ]
+            assert (_bits(res.optimal_value), res.refine_iterations) == (_bits(value), steps)
+            assert res.method is ep.SolveMethod.UNIFORM_PRICE_GRID and res.grid_size == grid_size
+            if c_bar >= F.support[1]:
+                assert res.menu.items == ()
+
+    @pytest.mark.parametrize("a,b", [(0.25, 0.25), (1.0, 1.0), (4.0, 4.0)])
+    def test_scores_few_candidates(self, a, b, linear_env):
+        # the laws of the regret benchmark, with Beta(1, 1) for the uniform:
+        # the solve evaluates F at under a tenth of the 10^4 grid, so a scan
+        # that fell back to the full grid fails here
+        sizes = []
+
+        class Counted(ep.BetaCdf):
+            def cdf_array(self, theta):
+                sizes.append(np.size(theta))
+                return super().cdf_array(theta)
+
+        res = ep.optimal_uniform_price(Counted(a, b), linear_env)
+        assert 0 < sum(sizes) < 1000
+        assert res == ep.optimal_uniform_price(ep.BetaCdf(a, b), linear_env)
 
 
 class TestIroning:
