@@ -20,9 +20,17 @@ second-price auction with reserve r:
 
   with the integral computed by parts (so only CDF evaluations are needed):
   int_r^{top} theta dF_(2;M) = top - r F_(2;M)(r) - int_r^{top} F_(2;M).
-  That last integral is exact piecewise Gauss-Legendre when F is piecewise
-  linear (the integrand is a polynomial per knot segment) and adaptive
+  That last integral is exact when F is piecewise linear, and adaptive
   quadrature to 1e-10 otherwise.
+
+On a knot segment [a, b] of a piecewise-linear F, y = F(theta) is linear, so
+any g(F) integrates in probability space:
+
+    int_a^b g(F) dtheta = (b - a) int_0^1 g(y_a + u (y_b - y_a)) du.
+
+F_(2;M) and its survival are polynomials of degree M in y, which the
+(M // 2 + 1)-point Gauss-Legendre rule in u integrates exactly, with no CDF
+evaluation at the nodes (`_segment_integrals`).
 
 The best revenue reserve on a piecewise-linear F (every interpolated
 estimate) is exact: on each knot segment the revenue is unimodal, so its
@@ -30,9 +38,11 @@ maximizer there is the clipped stationary point of the first-order
 condition, and one vectorized pass scores every segment's candidate. Only
 candidates strictly inside their segment need quadrature from the candidate
 to the segment's end; at either end that integral is already known. Analytic
-laws use a grid plus golden-section refinement; the tail objective's reserve
-is the lowest type of the support. All quadrature runs in blocks of about
-`_BLOCK_NODES` nodes, with the bits of one pass over all segments.
+laws use a grid plus golden-section refinement, with an at-least-8-point rule
+per grid interval in theta (`_gl_integral_segments`); the tail objective's
+reserve is the lowest type of the support. Quadrature runs in blocks of
+about `_BLOCK_NODES` nodes or segments, with the bits of one pass over all
+segments.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from .guarantees import BoundKind, GuaranteeResult, regret_guarantee
 from .numerics import argmax_refine
 
 __all__ = [
+    "MAX_BIDDERS",
     "ProfitMode",
     "AuctionSetting",
     "SecondOrderCdf",
@@ -58,8 +69,12 @@ __all__ = [
 ]
 
 _RESERVE_GRID = 10_000
-# quadrature nodes per block in `_gl_integral_segments`: 64 KB per temporary
+# quadrature nodes per block in `_gl_integral_segments`, and segments per
+# block in `_segment_integrals`: 64 KiB per temporary
 _BLOCK_NODES = 8192
+# the most bidders a setting takes; its exact rule, leggauss(501), builds in
+# about 20 ms, where leggauss's companion matrix grows with the square of M
+MAX_BIDDERS = 1000
 
 
 class ProfitMode(Enum):
@@ -76,6 +91,12 @@ class AuctionSetting:
     def __post_init__(self) -> None:
         if self.bidders < 2:
             raise ValueError("auction requires at least two bidders")
+        if self.bidders > MAX_BIDDERS:
+            raise ValueError(f"auction takes at most {MAX_BIDDERS} bidders, got {self.bidders}")
+        # the quadrature order is an integer function of the count
+        if self.bidders != int(self.bidders):
+            raise ValueError(f"the number of bidders must be an integer, got {self.bidders}")
+        object.__setattr__(self, "bidders", int(self.bidders))
         if self.seller_value < 0:
             raise ValueError("seller value must be nonnegative")
         if not self.cdf.is_continuous:
@@ -141,8 +162,8 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gl_order(bidders: int) -> int:
-    # F_(2;M) is a polynomial of degree M per knot segment of a piecewise-linear
-    # F, which an order-k rule integrates exactly for M <= 2k - 1
+    # the theta-space rule for analytic laws, whose F_(2;M) is no polynomial:
+    # at least 8 nodes, and more for many bidders, since phi has degree M in F
     return max(8, (bidders + 3) // 2)
 
 
@@ -172,25 +193,47 @@ def _gl_integral_segments(f2_eval, lows: np.ndarray, highs: np.ndarray, order: i
     return out
 
 
+def _segment_integrals(g, degree: int, y_lo: np.ndarray, y_hi: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """int of g(F) over segments of the given widths on which F runs linearly
+    from y_lo to y_hi, for an elementwise polynomial g of at most `degree`.
+
+    Each is width * sum_j w_j g(y_lo + u_j (y_hi - y_lo)), the Gauss-Legendre
+    rule of order degree // 2 + 1 mapped to u in [0, 1], which is exact. The
+    node columns are summed elementwise, one segment per row, so a segment's
+    bits do not depend on the rows around it; rows run in blocks of
+    `_BLOCK_NODES`.
+    """
+    nodes, weights = _gauss_legendre(degree // 2 + 1)
+    units = [(0.5 * (1.0 + x), 0.5 * w) for x, w in zip(nodes.tolist(), weights.tolist())]
+    out = np.empty(y_lo.size)
+    for s in range(0, y_lo.size, _BLOCK_NODES):
+        lo = y_lo[s : s + _BLOCK_NODES]
+        rise = y_hi[s : s + _BLOCK_NODES] - lo
+        acc = np.zeros(lo.size)
+        for u, w in units:
+            acc += w * g(lo + u * rise)
+        out[s : s + _BLOCK_NODES] = width[s : s + _BLOCK_NODES] * acc
+    return out
+
+
 def _integral_f2_above(F: Cdf, bidders: int, r: float) -> float:
     """int_r^{top} F_(2;M)(theta) dtheta."""
-    f2 = SecondOrderCdf(F, bidders)
     lo, hi = F.support
     if r >= hi:
         return 0.0
     a = max(r, lo)
     if isinstance(F, PiecewiseLinear):
-        t = F.thetas
-        start = int(np.searchsorted(t, a, side="right")) - 1
-        start = max(start, 0)
-        lows = np.maximum(t[start:-1], a)
-        highs = t[start + 1 :]
-        keep = highs > lows
-        order = _gl_order(bidders)
-        return float(np.sum(_gl_integral_segments(f2.cdf_array, lows[keep], highs[keep], order)))
+        # the segments after a: the first starts at a, the rest at their knots
+        t, p = F.thetas, F.probs
+        k = int(np.searchsorted(t, a, side="right"))
+        y_lo = np.concatenate([[F.cdf(a)], p[k:-1]])
+        width = np.diff(np.concatenate([[a], t[k:]]))
+        phi = partial(_phi, m=bidders)
+        return float(np.sum(_segment_integrals(phi, bidders, y_lo, p[k:], width)))
     # imported here, so that start-up loads no scipy
     from scipy import integrate
 
+    f2 = SecondOrderCdf(F, bidders)
     kinks = [p for p in F.special_points() if a < p < hi]
     points = kinks if 0 < len(kinks) <= 80 else None
     val, _ = integrate.quad(
@@ -239,25 +282,22 @@ def _exact_reserve(F: PiecewiseLinear, bidders: int, seller_value: float) -> flo
         stationary = 0.5 * ((1.0 - p[:-1]) / (np.diff(p) / np.diff(t)) + t[:-1] + c)
     r = np.fmin(np.fmax(stationary, t[:-1]), t[1:])
 
-    order = _gl_order(m)
-
-    def survival(theta: np.ndarray) -> np.ndarray:
+    def survival(y: np.ndarray) -> np.ndarray:
         # 1 - phi(y), with phi(y) = y^{M-1} (M - (M-1) y); it is exactly 0
         # where F = 1, so candidates there score exactly 0 and tie exactly
-        y = F.cdf_array(theta)
         return 1.0 - y ** (m - 1) * (m - (m - 1) * y)
 
-    whole = _gl_integral_segments(survival, t[:-1], t[1:], order)
+    whole = _segment_integrals(survival, m, p[:-1], p[1:], np.diff(t))
     # the integral over the segments after each candidate's own
     above_next = np.concatenate([np.cumsum(whole[:0:-1])[::-1], [0.0]])
     # the integral from each candidate to its segment's end: a candidate at
     # the left end has the inputs, so the bits, of `whole`, one at the right
-    # end has half-width 0 and integral exactly 0, and only interior ones need
+    # end has width 0 and integral exactly 0, and only interior ones need
     # quadrature
+    y = F.cdf_array(r)
     part = np.where(r == t[:-1], whole, 0.0)
     inside = (t[:-1] < r) & (r < t[1:])
-    part[inside] = _gl_integral_segments(survival, r[inside], t[1:][inside], order)
-    y = F.cdf_array(r)
+    part[inside] = _segment_integrals(survival, m, y[inside], p[1:][inside], t[1:][inside] - r[inside])
     vals = (r - c) * (1.0 - y**m) + part + above_next
     best = float(r[np.argmax(vals)])
     # R is constant where F = 0, so there the lowest type is the smallest maximizer

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimators, guarantees
-from .auction import AuctionSetting, ProfitMode, auction_profit, auction_regret_guarantee, optimal_reserve
+from .auction import MAX_BIDDERS, AuctionSetting, ProfitMode, auction_profit, auction_regret_guarantee, optimal_reserve
 from .distributions import KernelShape, KernelSpec, read_sample
 from .environment import environment_from_config
 from .errors import EmpriceError
@@ -285,6 +285,8 @@ def _cmd_infer(args) -> int:
 def _cmd_auction(args) -> int:
     if args.bidders < 2:
         raise UsageError(f"--bidders must be at least 2, got {args.bidders}")
+    if args.bidders > MAX_BIDDERS:
+        raise UsageError(f"--bidders must be at most {MAX_BIDDERS}, got {args.bidders}")
     if args.seller_value < 0:
         raise UsageError(f"--seller-value must be nonnegative, got {args.seller_value}")
     if args.bound_n is not None and args.bound_n < 1:

@@ -712,13 +712,13 @@ def read_sample(path: str | Path, header: bool = False) -> Sample:
         raw = raw[1:]
     try:
         # one bare number per line; float() itself strips the whitespace
-        vals = list(map(float, raw))
+        vals = np.fromiter(map(float, raw), float, count=len(raw))
     except ValueError:
         # blank lines, a comma column, or a bad line (whose message follows)
-        vals = [float(line.strip().split(",")[0]) for line in raw if line.strip()]
-    if not vals:
+        vals = np.asarray([float(line.strip().split(",")[0]) for line in raw if line.strip()])
+    if vals.size == 0:
         raise ValueError(f"no observations found in {path}")
-    return Sample(np.asarray(vals))
+    return Sample(vals)
 
 
 def write_sample(path: str | Path, sample: Sample, header: bool = False) -> None:

@@ -6,6 +6,8 @@ must score at least as well as it and as every point of its grid.
 """
 
 import math
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from emprice.auction import (
     _gl_integral_segments,
     _gl_order,
     _phi,
+    _segment_integrals,
 )
 from emprice.numerics import argmax_refine
 
@@ -80,6 +83,35 @@ def _random_flat_law(gen, segments, widen):
     probs[k - int(gen.integers(1, max(2, k // 4))):] = 1.0
     thetas = thetas + np.where(idx >= zeros - 1, widen, 0.0)
     return ep.PiecewiseLinear(thetas, probs)
+
+
+def _exact_revenue(F, m, c, r):
+    """Revenue at reserve r in rational arithmetic, from its definition:
+    r P(exactly one value >= r) + E[Y2; Y2 >= r] - c P(some value >= r), with
+    Y2 the second-highest value. On a knot segment theta = a + b y is linear
+    in y = F(theta), and dF_(2;M) = M (M-1) y^(M-2) (1 - y) dy, so each
+    segment's share of E[Y2; Y2 >= r] has a closed form in y."""
+    t = [Fraction(v) for v in F.thetas.tolist()]
+    p = [Fraction(v) for v in F.probs.tolist()]
+    r, c = Fraction(r), Fraction(c)
+
+    def moment(a, b, y):
+        # antiderivative in y of (a + b y) M (M-1) (y^(M-2) - y^(M-1))
+        return m * (m - 1) * (a * (y ** (m - 1) / (m - 1) - y**m / m)
+                              + b * (y**m / m - y ** (m + 1) / (m + 1)))
+
+    y_r = Fraction(0) if r <= t[0] else Fraction(1)
+    for k in range(len(t) - 1):
+        if t[k] <= r <= t[k + 1]:
+            y_r = p[k] + (r - t[k]) * (p[k + 1] - p[k]) / (t[k + 1] - t[k])
+            break
+    second = Fraction(0)
+    for k in range(len(t) - 1):
+        if t[k + 1] > r and p[k + 1] > p[k]:
+            b = (t[k + 1] - t[k]) / (p[k + 1] - p[k])
+            a = t[k] - b * p[k]
+            second += moment(a, b, p[k + 1]) - moment(a, b, y_r if t[k] < r else p[k])
+    return r * m * y_r ** (m - 1) * (1 - y_r) + second - c * (1 - y_r**m)
 
 
 class TestSecondOrderCdf:
@@ -202,6 +234,12 @@ class TestOptimalReserve:
     def test_setting_validation(self):
         with pytest.raises(ValueError):
             ep.AuctionSetting(1, 0.0, ep.Uniform(0, 1))
+        with pytest.raises(ValueError, match="at most 1000 bidders, got 1001"):
+            ep.AuctionSetting(emprice.auction.MAX_BIDDERS + 1, 0.0, ep.Uniform(0, 1))
+        with pytest.raises(ValueError, match="must be an integer, got 2.5"):
+            ep.AuctionSetting(2.5, 0.0, ep.Uniform(0, 1))
+        F = ep.PiecewiseLinear(np.array([0.0, 0.4, 1.0]), np.array([0.0, 0.3, 1.0]))
+        assert ep.optimal_reserve(ep.AuctionSetting(3.0, 0.1, F)) == ep.optimal_reserve(ep.AuctionSetting(3, 0.1, F))
         with pytest.raises(ValueError):
             ep.AuctionSetting(2, -0.1, ep.Uniform(0, 1))
 
@@ -250,6 +288,36 @@ class TestExactReserve:
         _, ref_v, _ = _grid_reserve_reference(setting)
         assert v >= ref_v - ROUNDING
 
+    def test_value_matches_exact_rational_oracle(self):
+        # flat runs and F = 0 / F = 1 runs included; M = 100 on few segments,
+        # where the rationals grow with y^(M+1)
+        gen = np.random.default_rng(29)
+        cases = [(segments, m) for segments in (1, 2, 3, 7, 20, 60, 200) for m in (2, 3, 5, 8)]
+        cases += [(segments, 100) for segments in (1, 2, 5, 20)]
+        for i, (segments, m) in enumerate(cases):
+            F = _random_flat_law(gen, segments, 0.5 * (i % 2))
+            for c in (0.0, 0.1, 0.25, 0.9):
+                setting = ep.AuctionSetting(m, c, F)
+                r, v = ep.optimal_reserve(setting)
+                exact = _exact_revenue(F, m, c, r)
+                assert abs(Fraction(v) - exact) <= Fraction(1e-14) * abs(exact), (segments, m, c)
+
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    def test_solve_evaluates_cdf_once_per_segment(self, m):
+        # the probability-space rule needs F only at the candidates and a few
+        # single points; a rule at theta-space nodes needs 8 points a segment
+        sizes = []
+
+        class Counted(ep.PiecewiseLinear):
+            def cdf_array(self, theta):
+                sizes.append(np.size(theta))
+                return super().cdf_array(theta)
+
+        F = ep.interp_ecdf(ep.Sample(np.random.default_rng(m).beta(2.0, 2.0, 2000)), 0.0)
+        counted = ep.AuctionSetting(m, 0.25, Counted(F.thetas, F.probs))
+        assert ep.optimal_reserve(counted) == ep.optimal_reserve(ep.AuctionSetting(m, 0.25, F))
+        assert 0 < sum(sizes) < 2 * F.thetas.size
+
     def test_interior_optimum_is_the_stationary_point(self):
         # the golden pin auction-revenue-5-interior.json solves this setting
         sample = ep.read_sample(Path(__file__).parent / "golden" / "infer-sample.txt")
@@ -292,20 +360,18 @@ def _candidates(F, c):
 
 
 def _every_candidate_reserve(F, m, c):
-    """`_exact_reserve` with the partial quadrature run in one pass on every
-    candidate, clipped or not."""
-    t = F.thetas
+    """`_exact_reserve` with the partial quadrature run on every candidate,
+    clipped or not."""
+    t, p = F.thetas, F.probs
     r = _candidates(F, c)
 
-    def survival(theta):
-        y = F.cdf_array(theta)
+    def survival(y):
         return 1.0 - y ** (m - 1) * (m - (m - 1) * y)
 
-    order = _gl_order(m)
-    whole = _one_pass_segments(survival, t[:-1], t[1:], order)
+    whole = _segment_integrals(survival, m, p[:-1], p[1:], np.diff(t))
     above_next = np.concatenate([np.cumsum(whole[:0:-1])[::-1], [0.0]])
     y = F.cdf_array(r)
-    vals = (r - c) * (1.0 - y**m) + _one_pass_segments(survival, r, t[1:], order) + above_next
+    vals = (r - c) * (1.0 - y**m) + _segment_integrals(survival, m, y, p[1:], t[1:] - r) + above_next
     best = float(r[np.argmax(vals)])
     return float(t[0]) if F.cdf(best) == 0.0 else best
 
@@ -327,11 +393,13 @@ def _interior_law(gen, segments, c):
 
 class TestQuadratureParity:
     """The exact reserve integrates only interior candidates, in blocks: it
-    must pick the reserve that one pass over every candidate picks, and the
-    blocks must give every segment the bits of one pass. The golden sample
-    has 120 knots and crosses no block, so these tests pin the blocking."""
+    must pick the reserve that quadrature on every candidate picks, and the
+    blocks must give every segment the bits of one pass, both in probability
+    space on piecewise-linear laws and in theta on analytic ones. The golden
+    sample has 120 knots and crosses no block, so these tests pin the
+    blocking."""
 
-    @pytest.mark.parametrize("segments", [1, 2, 1023, 1024, 1025, 5000])
+    @pytest.mark.parametrize("segments", [1, 2, 1023, 1024, 1025, 5000, 8193])
     def test_reserve_matches_every_candidate_quadrature(self, segments):
         gen = np.random.default_rng(segments)
         interior = 0
@@ -346,6 +414,23 @@ class TestQuadratureParity:
                     assert _exact_reserve(F, m, c) == _every_candidate_reserve(F, m, c), (i, c, m)
         # the interior laws put all but one candidate per law inside its segment
         assert interior >= 3 * (segments - 1)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 100])
+    def test_segment_blocks_do_not_move_bits(self, m, monkeypatch):
+        # sizes straddle one and two block boundaries; each block size must
+        # give the bits of one pass over every segment
+        block = emprice.auction._BLOCK_NODES
+        gen = np.random.default_rng(m)
+        for n in (block - 1, block, block + 1, 2 * block + 3):
+            y_lo = gen.uniform(0.0, 1.0, n)
+            y_hi = np.minimum(1.0, y_lo + np.where(gen.random(n) < 0.2, 0.0, gen.uniform(0.0, 0.1, n)))
+            width = gen.uniform(0.0, 0.01, n)
+            args = (partial(_phi, m=m), m, y_lo, y_hi, width)
+            got = _segment_integrals(*args)
+            for size in (n, 1000, 7):
+                monkeypatch.setattr(emprice.auction, "_BLOCK_NODES", size)
+                assert np.array_equal(_segment_integrals(*args), got), (n, size)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("order", [8, 21, 51])
     def test_blocks_match_one_pass(self, order):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emprice as ep
+import emprice.auction
 from emprice.cli import _json_text, _simulate_config, build_parser, main
 
 
@@ -448,6 +449,21 @@ class TestAuction:
         )
         assert payload["profit"]["lipschitz"] == 12.0
 
+    def test_too_many_bidders_exit_2_before_quadrature(self, capsys, monkeypatch):
+        # leggauss(50001) would build an 18.6 GiB companion matrix
+        def no_rule(order):
+            raise AssertionError(f"quadrature of order {order} ran")
+
+        monkeypatch.setattr(emprice.auction, "_gauss_legendre", no_rule)
+        path = Path(__file__).parent / "golden" / "infer-sample.txt"
+        assert main(["auction", "--sample", str(path), "--bidders", "100000"]) == 2
+        assert capsys.readouterr() == ("", "error: --bidders must be at most 1000, got 100000\n")
+
+    def test_most_bidders_solve(self, capsys):
+        path = Path(__file__).parent / "golden" / "infer-sample.txt"
+        _, payload = run_json(capsys, ["auction", "--sample", str(path), "--bidders", "1000"])
+        assert payload["bidders"] == 1000 and payload["value"] > 0
+
     def test_neither_sample_nor_bound_n_exits_2(self, capsys):
         assert main(["auction", "--bidders", "2"]) == 2
         assert capsys.readouterr().err == "error: auction needs --sample or --bound-n\n"
@@ -488,6 +504,8 @@ class TestAuction:
         (["bound", "--delta", "nan"], "--delta must be finite, got nan"),
         (["bound", "--delta", "0.1", "--samples-needed", "--alpha", "nan"], "--alpha must be finite, got nan"),
         (["auction", "--bidders", "2", "--theta-min=-inf"], "--theta-min must be finite, got -inf"),
+        (["auction", "--bidders", "1001"], "--bidders must be at most 1000, got 1001"),
+        (["auction", "--bidders", "1001", "--bound-n", "10"], "--bidders must be at most 1000, got 1001"),
     ],
 )
 def test_flag_out_of_range_exits_2(capsys, sample_file, argv, message):
