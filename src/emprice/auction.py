@@ -259,7 +259,9 @@ def auction_profit(r: float, setting: AuctionSetting, mode: ProfitMode = ProfitM
     f2_r = float(_phi(np.asarray([y]), m)[0])
     # above the top type no bidder buys, so the by-parts term is 0, not hi - r
     expected_second = hi - r * f2_r - _integral_f2_above(F, m, r) if r <= hi else 0.0
-    reserve_term = r * m * y ** (m - 1) * (1.0 - y)
+    # y^(M-1) (1 - y) is 0 at y = 0 and y = 1, where a reserve far outside the
+    # support can overflow r * m to inf, and inf * 0 is NaN
+    reserve_term = r * m * y ** (m - 1) * (1.0 - y) if 0.0 < y < 1.0 else 0.0
     sale_prob = 1.0 - y**m
     return reserve_term + expected_second - setting.seller_value * sale_prob
 

@@ -14,17 +14,18 @@ function (continued-fraction evaluation via scipy.special.betainc).
 
 Beta quantiles take the bisection's own path without evaluating the CDF at
 each step: a guide gives an approximate inverse, and the descent compares
-each of the bisection's midpoints 0.5*(lo+hi) with it. The guide is a cubic
-Hermite table of the quantile, built once per (alpha, beta) with
+each of the bisection's midpoints 0.5*(lo+hi) with it. The guide is a
+quintic Hermite table of the quantile, built once per (alpha, beta) with
 `scipy.special.betaincinv` and cached for the process. Levels q <= 1/2 are
 interpolated in s = q^(1/min(alpha, 8)) and levels above in
-(1-q)^(1/min(beta, 8)), in which the quantile stays smooth into the tails,
-and one Newton step on F, kept inside the table cell, polishes the
-interpolated value. On the support
-[0, 1] the bisection's midpoints are the exact nodes k/2^42, so the final
-cell needs no descent: hi is the smallest node at or above the guess, and lo
-the node below. Supports whose midpoints round walk the descent. Two CDF
-evaluations then check the final cell, F(lo) < q <= F(hi). A check fails at
+(1-q)^(1/min(beta, 8)), in which the quantile stays smooth into the tails;
+a guess evaluates no CDF. On the support [0, 1] the bisection's midpoints
+are the exact nodes k/2^42, so the final cell needs no descent: hi is the
+smallest node at or above the guess, and lo the node below. Supports whose
+midpoints round walk the descent, and their guess takes one Newton step on
+F, since a miss there has no one-cell repair. Two CDF evaluations then
+check the final cell, F(lo) < q <= F(hi), the only ones most levels make on
+[0, 1]. A check fails at
 ordinary levels too, where the guess is within a last bit of a node and
 lands one cell off, and near q = 1 or at q = 0. On [0, 1] a failed level
 tests the neighbouring cell with one more evaluation; what still fails goes
@@ -322,9 +323,13 @@ class BetaCdf(Cdf):
         q = _check_levels(q)
         out = np.empty(q.shape)
         levels, flat = q.reshape(-1), out.reshape(-1)
+        # on [0, 1] a guess one cell off is repaired with one evaluation of F;
+        # the descent of other supports has no repair, so there the guess gets
+        # a Newton step on F to keep such misses from the plain bisection
+        polish = (self.lo, self.hi) != (0.0, 1.0)
         for start in range(0, levels.size, _QUANTILE_BLOCK):
             block = levels[start:start + _QUANTILE_BLOCK]
-            guess = _beta_guess(self.alpha, self.beta, block)
+            guess = _beta_guess(self.alpha, self.beta, block, polish)
             guess *= self.hi - self.lo
             guess += self.lo
             flat[start:start + _QUANTILE_BLOCK] = _bisect_quantile(self, block, guess)
@@ -341,15 +346,17 @@ def _special():
 
 @functools.lru_cache(maxsize=16)
 def _guide_table(a: float, b: float) -> tuple:
-    """Cubic Hermite table of the Beta(a, b) quantile on the levels [0, 1/2].
+    """Quintic Hermite table of the Beta(a, b) quantile on the levels [0, 1/2].
 
     The abscissa is s = q^(1/m), m = min(a, 8). F(x) ~ C x^a near 0, so for
     a <= 8 the quantile is smooth in s up to q = 0; the cap keeps the nodes
     spread over the levels that occur when a is large. The K+1 nodes are
-    evenly spaced in s; each holds betaincinv and the slope
-    dx/ds = m s^(m-1) / f(x), and each cell keeps the coefficients of its
-    cubic in the local coordinate t in [0, 1]. Returns (K / s_end, m, the
-    node quantiles, the coefficients low order first, log B(a, b)).
+    evenly spaced in s; each holds betaincinv, the slope
+    x' = dx/ds = m s^(m-1) / f(x) and the curvature
+    x'' = (m-1)/s x' - ((a-1)/x - (b-1)/(1-x)) x'^2, and each cell keeps the
+    coefficients of its quintic in the local coordinate t in [0, 1]. Returns
+    (K / s_end, m, the node quantiles, the coefficients low order first,
+    log B(a, b)).
     """
     special = _special()
     m = min(a, _GUIDE_POWER)
@@ -364,41 +371,59 @@ def _guide_table(a: float, b: float) -> tuple:
         # f(x) = x^(a-1) (1-x)^(b-1) / B(a, b), in logs so that large shapes
         # neither overflow nor underflow
         slope = m * np.exp((m - 1.0) * np.log(s) - (a - 1.0) * np.log(x) - (b - 1.0) * np.log1p(-x) + log_beta)
+        curve = (m - 1.0) / s * slope - ((a - 1.0) / x - (b - 1.0) / (1.0 - x)) * slope**2
         dx = np.diff(x)
-        # at s = 0, and where s^m underflows, the tail x ~ s (a B(a, b))^(1/a)
-        # gives the slope for m = a; for m < a it is infinite: take a secant
-        tail = np.exp((np.log(a) + log_beta) / a) if m == a else np.append(dx, dx[-1]) / h
-        slope = np.where(np.isfinite(slope) & (x > 0.0), slope, tail)
-        d0, d1 = slope[:-1] * h, slope[1:] * h
-        coef = (x[:-1], d0, 3.0 * dx - 2.0 * d0 - d1, d0 + d1 - 2.0 * dx)
+        # at s = 0, and where s^m underflows, the tail
+        # x ~ c s + (b-1) c^2 s^2 / (a+1), c = (a B(a, b))^(1/a), gives both
+        # derivatives for m = a; with a zero curvature there, most levels of
+        # cell 0 missed their bisection cell when a < 1. For m < a the slope
+        # is infinite at s = 0: take a secant and no curvature
+        if m == a:
+            c = np.exp((np.log(a) + log_beta) / a)
+            tail_slope, tail_curve = c, 2.0 * (b - 1.0) * c * c / (a + 1.0)
+        else:
+            tail_slope, tail_curve = np.append(dx, dx[-1]) / h, 0.0
+        tail = ~(np.isfinite(slope) & np.isfinite(curve) & (x > 0.0))
+        slope = np.where(tail, tail_slope, slope) * h
+        curve = np.where(tail, tail_curve, curve) * (h * h)
+        v0, v1, w0, w1 = slope[:-1], slope[1:], curve[:-1], curve[1:]
+        coef = (
+            x[:-1],
+            v0,
+            0.5 * w0,
+            10.0 * dx - 6.0 * v0 - 4.0 * v1 - 1.5 * w0 + 0.5 * w1,
+            -15.0 * dx + 8.0 * v0 + 7.0 * v1 + 1.5 * w0 - w1,
+            6.0 * dx - 3.0 * v0 - 3.0 * v1 - 0.5 * w0 + 0.5 * w1,
+        )
         return 1.0 / h, m, x, coef, log_beta
 
 
-def _lower_guess(a: float, b: float, p: np.ndarray) -> np.ndarray:
+def _lower_guess(a: float, b: float, p: np.ndarray, polish: bool) -> np.ndarray:
     """Approximate Beta(a, b) quantiles of levels p in [0, 1/2] (NaN allowed).
 
-    The table's cubic at s = p^(1/m), then one Newton step on F(y) = p kept
-    inside the table cell. A NaN or non-finite value only costs the check.
+    The table's quintic at s = p^(1/m), clipped to the table cell: one power
+    and a Horner pass per level, no evaluation of F. With `polish`, one
+    Newton step on F(y) = p comes before the clip. A NaN or non-finite value
+    only costs the check.
     """
-    special = _special()
-    scale, m, x, (c0, c1, c2, c3), log_beta = _guide_table(a, b)
+    scale, m, x, (c0, c1, c2, c3, c4, c5), log_beta = _guide_table(a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # fmax sends NaN to cell 0, so the table is never indexed by garbage
         u = np.fmin(np.fmax(p ** (1.0 / m) * scale, 0.0), float(_GUIDE_CELLS))
         j = np.minimum(u.astype(np.intp), _GUIDE_CELLS - 1)
         u -= j
-        y = c3[j]
-        for c in (c2, c1, c0):
+        y = c5[j]
+        for c in (c4, c3, c2, c1, c0):
             y *= u
             y += c[j]
-        # the Newton step (F(y) - p) / f(y)
-        step = special.betainc(a, b, y) - p
-        step /= np.exp((a - 1.0) * np.log(y) + (b - 1.0) * np.log1p(-y) - log_beta)
-        y -= step
+        if polish:
+            step = _special().betainc(a, b, y) - p
+            step /= np.exp((a - 1.0) * np.log(y) + (b - 1.0) * np.log1p(-y) - log_beta)
+            y -= step
         return np.fmin(np.fmax(y, x[j]), x[j + 1])
 
 
-def _beta_guess(a: float, b: float, q: np.ndarray) -> np.ndarray:
+def _beta_guess(a: float, b: float, q: np.ndarray, polish: bool) -> np.ndarray:
     """Approximate Beta(a, b) quantiles on [0, 1] of checked 1-D levels q.
 
     A level above 1/2 takes 1 minus the Beta(b, a) quantile of 1 - q (exact
@@ -406,8 +431,8 @@ def _beta_guess(a: float, b: float, q: np.ndarray) -> np.ndarray:
     """
     upper = q > 0.5
     guess = np.empty_like(q)
-    guess[~upper] = _lower_guess(a, b, q[~upper])
-    guess[upper] = 1.0 - _lower_guess(b, a, 1.0 - q[upper])
+    guess[~upper] = _lower_guess(a, b, q[~upper], polish)
+    guess[upper] = 1.0 - _lower_guess(b, a, 1.0 - q[upper], polish)
     return guess
 
 

@@ -171,6 +171,21 @@ def _pruned_price_scan(F: Cdf, cand: np.ndarray, c_bar: float, x_max: float) -> 
     return values
 
 
+def _price_candidates(F: Cdf, grid_size: int) -> np.ndarray:
+    """The sorted distinct points of a grid_size-point grid on F's support and
+    of F's special points, as np.unique gives them. A strictly increasing grid
+    that already holds every special point, bit for bit, is that set as it is,
+    so np.unique's sort runs only when a point must be merged in or a repeat
+    dropped."""
+    lo, hi = F.support
+    grid = np.linspace(lo, hi, grid_size)
+    special = np.asarray(F.special_points(), dtype=float)
+    at = np.minimum(np.searchsorted(grid, special), grid.size - 1)
+    if np.all(grid[1:] > grid[:-1]) and np.array_equal(grid[at].view(np.int64), special.view(np.int64)):
+        return grid
+    return np.unique(np.concatenate([grid, special]))
+
+
 def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = _PRICE_GRID) -> SolveResult:
     """Best single full-quantity offer against F in the linear environment."""
     if env.kind is not MarketKind.LINEAR_UNIT_DEMAND:
@@ -189,10 +204,7 @@ def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = _PRICE_GRID
         method, iters = SolveMethod.UNIFORM_PRICE_ENUMERATION, 0
     else:
         lo, hi = F.support
-        cand = np.unique(np.concatenate([
-            np.linspace(lo, hi, max(int(grid_size), 2)),
-            F.special_points(),
-        ]))
+        cand = _price_candidates(F, max(int(grid_size), 2))
         values = _pruned_price_scan(F, cand, c_bar, x_max)
         best_rho, best_val, iters = argmax_refine(cand, values, objective, lo, hi, F.atoms()[0])
         method = SolveMethod.UNIFORM_PRICE_GRID

@@ -442,6 +442,20 @@ class TestAuction:
         assert payload["reserve"] == 5.0
         assert payload["value"] == 0.0
 
+    @pytest.mark.parametrize("reserve", ["1e308", "1.7976931348623157e308", "-1e308"])
+    def test_reserve_far_outside_support_prints_finite_json(self, capsys, reserve):
+        # r * M overflowed to inf there, and inf * 0 printed "value": NaN
+        def non_finite(name):
+            raise AssertionError(f"printed {name}")
+
+        path = Path(__file__).parent / "golden" / "infer-sample.txt"
+        values = []
+        for r in (reserve, "5" if reserve[0] != "-" else "-1"):
+            assert main(["auction", "--sample", str(path), "--bidders", "2", f"--reserve={r}"]) == 0
+            values.append(json.loads(capsys.readouterr().out, parse_constant=non_finite)["value"])
+        # the value of a reserve above (below) every type, as at a moderate one
+        assert values[0] == values[1]
+
     def test_guarantee_mode(self, capsys):
         _, payload = run_json(
             capsys,

@@ -257,26 +257,65 @@ PLAIN_BISECTION_BOUNDS = {
 }
 
 
+def _plain_bisections(monkeypatch) -> list:
+    """The sizes of the plain bisections that quantile calls run from now on."""
+    plain = []
+    bisect = distributions._bisect_quantile
+
+    def counted(F, q, guess=None):
+        if guess is None:
+            plain.append(q.size)
+        return bisect(F, q, guess)
+
+    monkeypatch.setattr(distributions, "_bisect_quantile", counted)
+    return plain
+
+
 class TestBetaGuide:
-    """The cached Hermite table and its Newton step put the guess in the
-    bisection's final cell, or next to it, for almost every level."""
+    """The cached quintic Hermite table puts the guess in the bisection's
+    final cell, or next to it, for almost every level, without evaluating F."""
 
     @pytest.mark.parametrize("F", LAWS, ids=LAW_IDS)
     def test_plain_bisection_is_rare(self, monkeypatch, F):
-        plain = []
-        bisect = distributions._bisect_quantile
-
-        def counted(F, q, guess=None):
-            if guess is None:
-                plain.append(q.size)
-            return bisect(F, q, guess)
-
-        monkeypatch.setattr(distributions, "_bisect_quantile", counted)
+        plain = _plain_bisections(monkeypatch)
         bounds = PLAIN_BISECTION_BOUNDS[LAW_IDS[LAWS.index(F)]]
         for q, bound in zip((np.random.default_rng(12).random(100_000), HARD_LEVELS), bounds):
             plain.clear()
             F.quantile_array(q)
             assert sum(plain) <= bound
+
+    # the laws on the support [0, 1]
+    @pytest.mark.parametrize("F", LAWS[:5], ids=LAW_IDS[:5])
+    def test_two_cdf_evaluations_per_level(self, monkeypatch, F):
+        # the final cell's check takes two; the guess takes none (a Newton
+        # step on F made it three), and repairs add a few
+        evaluated = []
+        special = distributions._special()
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(special, name)
+
+            def betainc(self, a, b, x):
+                evaluated.append(np.size(x))
+                return special.betainc(a, b, x)
+
+        monkeypatch.setattr(distributions, "_special", Counting)
+        q = np.random.default_rng(17).random(100_000)
+        F.quantile_array(q)
+        assert sum(evaluated) <= 2.01 * q.size
+
+    @pytest.mark.parametrize("a", [0.25, 0.5])
+    def test_tail_cell_reaches_no_plain_bisection(self, monkeypatch, a):
+        # table cell 0 holds the levels q < h^a, h = 0.5^(1/a) / 1024: q < 0.088
+        # for a = 0.25. Its quintic needs the tail's curvature at s = 0;
+        # without it most of these levels missed their cell
+        plain = _plain_bisections(monkeypatch)
+        top = (0.5 ** (1.0 / a) / distributions._GUIDE_CELLS) ** a
+        gen = np.random.default_rng(16)
+        q = np.concatenate([gen.random(100_000) * top, np.logspace(-300, np.log10(top), 10_000, endpoint=False)])
+        ep.BetaCdf(a, a).quantile_array(q)
+        assert sum(plain) == 0
 
     @pytest.mark.parametrize("shape", [(1e-4, 2), (5e-4, 5e-4), (1e-300, 1), (300, 2), (1e3, 0.5), (1e3, 1e3), (1e300, 2)])
     def test_extreme_shapes_keep_bits(self, shape):

@@ -16,7 +16,7 @@ import pytest
 import emprice as ep
 from emprice.numerics import argmax_refine
 from emprice.rng import substream
-from emprice.solvers import _minorant_slopes, _surplus_maximizers, posts_offer
+from emprice.solvers import _minorant_slopes, _price_candidates, _surplus_maximizers, posts_offer
 
 from conftest import random_exact_cdf, random_menu
 from test_mechanisms import _menu_from_allocation_reference
@@ -203,6 +203,40 @@ class TestPrunedPriceScan:
         res = ep.optimal_uniform_price(Counted(a, b), linear_env)
         assert 0 < sum(sizes) < 1000
         assert res == ep.optimal_uniform_price(ep.BetaCdf(a, b), linear_env)
+
+
+class TestPriceCandidates:
+    _LAWS = {
+        "uniform": ep.Uniform(0, 1),
+        "beta-4-4": ep.BetaCdf(4, 4),
+        "beta-2-2-0.5-3": ep.BetaCdf(2, 2, 0.5, 3),
+        "mixture-kinks": ep.Mixture(np.array([0.4, 0.6]), (ep.Uniform(0.1, 0.3), ep.Uniform(0.0, 1.0))),
+        "mixture-kink-on-grid": ep.Mixture(np.array([0.5, 0.5]), (ep.Uniform(0.0, 0.5), ep.Uniform(0.0, 1.0))),
+        "pointmass": ep.PointMass(0.7),
+        "narrow": ep.Uniform(0.3, 0.3 + 1e-13),
+        "negative-zero-bottom": ep.Uniform(-0.0, 1.0),
+        "negative-zero-top": ep.Uniform(-1.0, -0.0),
+        "mixture-zero-atom": ep.Mixture(np.array([0.5, 0.5]), (ep.PointMass(-0.0), ep.Uniform(-1.0, 1.0))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_LAWS))
+    def test_match_np_unique_bit_for_bit(self, name):
+        F = self._LAWS[name]
+        for grid_size in (2, 3, 5, 64, 10_000):
+            want = np.unique(np.concatenate([np.linspace(*F.support, grid_size), F.special_points()]))
+            assert _bits(_price_candidates(F, grid_size)) == _bits(want)
+
+    @pytest.mark.parametrize("name", ["uniform", "beta-4-4", "beta-2-2-0.5-3"])
+    def test_grid_holding_every_special_point_is_not_sorted(self, name, monkeypatch):
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique ran")
+
+        F = self._LAWS[name]
+        want = np.linspace(*F.support, 10_000)
+        monkeypatch.setattr(np, "unique", no_sort)
+        got = _price_candidates(F, 10_000)
+        monkeypatch.undo()
+        assert _bits(got) == _bits(want)
 
 
 class TestIroning:
