@@ -41,6 +41,7 @@ from .environment import (
     separable_screening,
 )
 from .errors import (
+    CollapsedGridError,
     EmpriceError,
     InvalidEnvironmentError,
     InvalidMenuError,

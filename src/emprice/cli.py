@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -44,48 +43,62 @@ _KERNELS = sorted(k.value for k in KernelShape)
 
 
 def _json_text(value) -> str:
-    """The text `json.dumps(value, indent=2)` gives.
+    """The text `json.dumps(value, indent=2)` gives, for values whose floats
+    are all finite; a NaN or an infinity raises EmpriceError naming its key,
+    since JSON (RFC 8259) has no number for it.
 
     json's encoder runs in Python once `indent` is set, at several calls per
     scalar, and a screening menu has hundreds of items. Finite floats and
     strings are printed here by the functions json itself calls; every other
-    scalar (ints, bools, None, non-finite floats, float subclasses) goes to
-    `json.dumps`, so json's own rules hold for it. Dict keys must be str.
+    scalar (ints, bools, None, float subclasses) goes to `json.dumps`, so
+    json's own rules hold for it. Dict keys must be str.
     """
     if not isinstance(value, (dict, list, tuple)):
+        _check_finite(value, None)
         return json.dumps(value, indent=2)
     parts: list[str] = []
-    _append_container(value, parts, "\n")
+    _append_container(value, parts, "\n", None)
     return "".join(parts)
 
 
-# stands in for the key of a list item in _append_container
-_NO_KEY = object()
+def _check_finite(value, where) -> None:
+    """Raise EmpriceError on a non-finite float; `where` is the (parent,
+    key) chain of _append_container."""
+    if isinstance(value, float) and not math.isfinite(value):
+        keys = []
+        while where is not None:
+            where, key = where
+            keys.append(f"[{key}]" if type(key) is int else f".{key}")
+        name = "".join(reversed(keys)).lstrip(".") or "the result"
+        raise EmpriceError(f"{name} is not finite ({float(value)!r}): JSON has no number for it")
 
 
-def _append_container(obj, parts: list[str], newline: str) -> None:
+def _append_container(obj, parts: list[str], newline: str, where) -> None:
     """Append the indent=2 text of a dict, list or tuple whose opening bracket
-    sits on the line that `newline` starts."""
+    sits on the line that `newline` starts; `where` is None or the (parent,
+    key) pair under which it sits."""
     if not obj:
         parts.append("{}" if isinstance(obj, dict) else "[]")
         return
     inner = newline + "  "
     append = parts.append
-    if isinstance(obj, dict):
+    keyed = isinstance(obj, dict)
+    if keyed:
         append("{")
         items, closer = obj.items(), "}"
     else:
         append("[")
-        items, closer = zip(itertools.repeat(_NO_KEY), obj), "]"
+        items, closer = enumerate(obj), "]"
     for key, v in items:
-        append(inner if key is _NO_KEY else inner + encode_basestring_ascii(key) + ": ")
+        append(inner + encode_basestring_ascii(key) + ": " if keyed else inner)
         if type(v) is float and math.isfinite(v):
             append(float.__repr__(v))
         elif type(v) is str:
             append(encode_basestring_ascii(v))
         elif isinstance(v, (dict, list, tuple)):
-            _append_container(v, parts, inner)
+            _append_container(v, parts, inner, (where, key))
         else:
+            _check_finite(v, (where, key))
             append(json.dumps(v))
         append(",")
     # the last item takes no comma

@@ -34,11 +34,30 @@ one final cell has F(lo) < q <= F(hi), and the plain bisection ends in it,
 so a checked cell is the plain result bit for bit, whatever the accuracy of
 the guide: a poor guess costs only evaluations. Guide, check and repair run
 in blocks of levels, so that their temporaries stay small.
+
+Sample files are read without decimal-to-binary conversion where a line has
+the shape d.ddd: one digit, a point and D = 1 to 24 digits, as `write_sample`
+writes values in [0, 10). The file is read once into a buffer with 24 bytes
+in front; each line's last 24 bytes are read as three 8-byte words, masked
+to the line's own digits, checked to be digits and converted eight digits at
+a time (SWAR), which gives the integer m of d.ddd when it is below 2^64. The
+value x = m / 10^D is then divided in x87 extended precision and rounded to a
+double. m and 10^D (D <= 27) are exact in the 64-bit significand, so the
+quotient r is x rounded to 64 bits. Every midpoint between two doubles has
+54 significant bits, so it is a 64-bit value too: a midpoint strictly between
+x and r would be nearer to x than r is. Rounding r to 53 bits therefore gives
+the double nearest x, as `float()` does, unless r is itself a midpoint, which
+the low 11 bits of its significand (0x400) show; about one line in 2048 is,
+and it goes to `float()` with every line of another shape. The reader runs
+only where long double has that 64-bit significand.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import re
+import stat
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -731,7 +750,29 @@ def sup_distance(F: Cdf, G: Cdf) -> float:
 
 
 def read_sample(path: str | Path, header: bool = False) -> Sample:
-    """Read one observation per line; `header` skips the first line."""
+    """Read one observation per line; `header` skips the first line.
+
+    Lines d.ddd (one digit, a point, 1 to 24 digits; the shape
+    `write_sample` gives values in [0, 10)) are read exactly without
+    `float()`: m / 10^D divided in 64-bit precision rounds to the same
+    double as the decimal itself unless the quotient is a double midpoint
+    (module docstring). Midpoints, m of 2^64 or more and lines of any other
+    shape go to `float()`. The general text path reads the whole file
+    instead when its first data line is not d.ddd, when more than 1/8 of
+    the lines are left over, or when a leftover line is one `float()`
+    rejects (a blank line, a comma column, a bad value) or holds a byte
+    that a text split treats otherwise than a split on b"\n" (\r, \x0b,
+    \x0c, \x1c-\x1f, non-ASCII). Either way the values and the errors are
+    those of the general path.
+    """
+    exact = _read_sample_exact(path, header) if _EXTENDED else None
+    if exact is None:
+        return _read_sample_text(path, header)
+    return Sample(exact[0])
+
+
+def _read_sample_text(path: str | Path, header: bool) -> Sample:
+    """The general path: decoded text, blank lines, a comma column."""
     raw = Path(path).read_text().strip().splitlines()
     if header:
         raw = raw[1:]
@@ -744,6 +785,155 @@ def read_sample(path: str | Path, header: bool = False) -> Sample:
     if vals.size == 0:
         raise ValueError(f"no observations found in {path}")
     return Sample(vals)
+
+
+# x87 extended precision: a 64-bit significand in the low 8 of 16 bytes,
+# which division rounds to all 64 bits (1/3 there ends in ...AAAB)
+_EXTENDED = (
+    np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
+    and (np.ones(1, np.longdouble) / 3).view(np.uint64)[0] == 0xAAAAAAAAAAAAAAAB
+)
+# bytes in front of the first line, so that each line's three 8-byte words
+# start inside the buffer
+_PAD = 24
+# lines per block of the exact reader: its temporaries stay below glibc's
+# default 128 KiB mmap threshold
+_READ_BLOCK = 2048
+_FAST_LINE = re.compile(rb"[0-9]\.[0-9]{1,24}")
+_BLANK_LINE = re.compile(rb"[ \t]*")
+# bytes that str.splitlines or str.strip treat as a break or as whitespace
+# and that a split on b"\n" and float() on bytes do not
+_TEXT_ONLY_BYTE = re.compile(rb"[\r\x0b\x0c\x1c-\x1f\x80-\xff]")
+_ZEROS = np.uint64(0x3030303030303030)
+_ABOVE_NINE = np.uint64(0x7676767676767676)
+_HIGH_BITS = np.uint64(0x8080808080808080)
+
+
+def _line_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per line length L (capped at 27), for the last 24 bytes of a line
+    read as three words: the masks of each word's own digits, the powers
+    10^k of the words' digit counts and the bound on the leading part of
+    m, and the divisor 10^(L-2). Lengths outside 3..26 get bound 0."""
+    masks = np.zeros((28, 3), np.uint64)
+    powers = np.zeros((28, 4), np.uint64)
+    scale = np.ones(28, np.longdouble)
+    power = np.longdouble(1)
+    for length in range(3, 27):
+        digits = length - 2
+        power *= 10  # exact up to 10^27
+        scale[length] = power
+        for col, k in enumerate((min(max(digits - 16, 0), 8), min(max(digits - 8, 0), 8), min(digits, 8))):
+            masks[length, col] = (2**64 - 1) ^ (2 ** (8 * (8 - k)) - 1)  # the word's top k bytes
+            powers[length, col] = 10**k
+        # T below this bound keeps m = T * 10^8 + (last 8 digits) below
+        # 2^64 + 10^8: m wraps at most once, and then to below its last 8
+        # digits
+        powers[length, 3] = (2**64 - 1) // 10**8 + 1
+    return masks, powers, scale
+
+
+_LINE_MASKS, _LINE_POWERS, _LINE_SCALE = _line_tables()
+
+
+def _read_sample_exact(path: str | Path, header: bool) -> tuple[np.ndarray, int] | None:
+    """The values of the file's lines in file order and the number of lines
+    left to `float()`, or None where the general path must read the file."""
+    with Path(path).open("rb", buffering=0) as f:
+        info = os.fstat(f.fileno())
+        if not stat.S_ISREG(info.st_mode) or info.st_size == 0:
+            return None
+        size = info.st_size
+        data = bytearray(_PAD + size + 1)
+        if f.readinto(memoryview(data)[_PAD : _PAD + size]) != size:
+            return None
+    # the general path's strip drops trailing blanks
+    stop = _PAD + size
+    while stop > _PAD and data[stop - 1] in b" \t\n":
+        stop -= 1
+    if stop == _PAD:
+        return None
+    data[_PAD - 1] = data[stop] = 10
+    start = _PAD
+    if header:
+        start = data.find(b"\n", _PAD, stop + 1) + 1
+        if start > stop or _TEXT_ONLY_BYTE.search(data, _PAD, start - 1) or _BLANK_LINE.fullmatch(data, _PAD, start - 1):
+            return None
+    if not _FAST_LINE.fullmatch(data, start, data.find(b"\n", start, stop + 1)):
+        return None
+
+    # bounds[i] and bounds[i + 1] are the line breaks around line i
+    bounds = np.flatnonzero(np.frombuffer(data, np.uint8, stop + 1) == 10)[int(header):]
+    n = bounds.size - 1
+    tails = np.ndarray((len(data) - 23,), "V24", data, 0, (1,))
+    head = np.frombuffer(data, np.uint8)
+    out = np.empty(n)
+    missed = []
+    count = 0
+    for i in range(0, n, _READ_BLOCK):
+        miss = _read_block_exact(tails, head, bounds[i : i + _READ_BLOCK + 1], out[i : i + _READ_BLOCK])
+        count += miss.size
+        if 8 * count > n:
+            return None
+        missed.append(miss + i)
+    for i in np.concatenate(missed).tolist():
+        lo, hi = int(bounds[i]) + 1, int(bounds[i + 1])
+        if _TEXT_ONLY_BYTE.search(data, lo, hi):
+            return None
+        try:
+            out[i] = float(data[lo:hi])
+        except ValueError:
+            return None
+    return out, count
+
+
+def _read_block_exact(tails: np.ndarray, head: np.ndarray, bounds: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the value of each d.ddd line between consecutive `bounds` into
+    `out`; return the indices of the lines left to `float()`.
+
+    `tails[j]` is the 24 bytes from `j`, `head` the buffer's bytes."""
+    ends = bounds[1:]
+    starts = bounds[:-1] + 1
+    length = np.minimum(ends - starts, 27)
+    # each line's last 24 bytes as three words of digit values, with the
+    # bytes before the line's digits set to 0; a byte above 9 flags a
+    # non-digit
+    z = tails[ends - 24].view(np.uint64).reshape(-1, 3)
+    z ^= _ZEROS
+    z &= _LINE_MASKS.take(length, axis=0)
+    flags = z + _ABOVE_NINE
+    flags |= z
+    flags = flags[:, 0] | flags[:, 1] | flags[:, 2]
+    # the digit before the point
+    lead = head[starts] - 48
+    dot = head[1:][starts]
+    # SWAR: eight digit bytes to one integer in three multiplies
+    z *= 2561
+    z >>= 8
+    z &= 0x00FF00FF00FF00FF
+    z *= 6553601
+    z >>= 16
+    z &= 0x0000FFFF0000FFFF
+    z *= 42949672960001
+    z >>= 32
+    powers = _LINE_POWERS.take(length, axis=0)
+    top = lead.astype(np.uint64)
+    top *= powers[:, 0]
+    top += z[:, 0]
+    top *= powers[:, 1]
+    top += z[:, 1]
+    m = top * powers[:, 2]
+    m += z[:, 2]
+    ok = (flags & _HIGH_BITS) == 0
+    ok &= lead < 10
+    ok &= dot == 46
+    ok &= top < powers[:, 3]
+    ok &= m >= z[:, 2]
+    r = m.astype(np.longdouble)
+    r /= _LINE_SCALE.take(length)
+    ok &= (r.view(np.uint64)[::2] & 0x7FF) != 0x400
+    out[...] = r
+    return np.flatnonzero(~ok)
 
 
 def write_sample(path: str | Path, sample: Sample, header: bool = False) -> None:

@@ -2,7 +2,7 @@
 
 __all__ = [
     "EmpriceError", "InvalidEnvironmentError", "InvalidMenuError",
-    "TiedSampleError", "UnsupportedPairError", "MissingDensityError",
+    "TiedSampleError", "UnsupportedPairError", "MissingDensityError", "CollapsedGridError",
 ]
 
 
@@ -28,3 +28,7 @@ class UnsupportedPairError(EmpriceError, ValueError):
 
 class MissingDensityError(EmpriceError, ValueError):
     """The distribution has no density where one is required."""
+
+
+class CollapsedGridError(EmpriceError, ValueError):
+    """A law's quantile grid repeats a point at float resolution."""

@@ -43,7 +43,7 @@ import numpy as np
 
 from .distributions import Cdf, EmpiricalStep
 from .environment import Environment, MarketKind
-from .errors import MissingDensityError, UnsupportedPairError
+from .errors import CollapsedGridError, MissingDensityError, UnsupportedPairError
 from .mechanisms import Allocation, Menu, expected_profit, menu_from_allocation, menu_to_dict
 from .numerics import argmax_refine
 
@@ -304,7 +304,13 @@ def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = _SCREENING
 
     # one allocation step at the first segment and wherever x* rises
     change = np.flatnonzero(np.diff(x_star, prepend=-np.inf))
-    allocation = Allocation(tuple(table.thetas[change].tolist()), tuple(x_star[change].tolist()))
+    thresholds = table.thetas[change]
+    if np.any(np.diff(thresholds) <= 0.0):
+        raise CollapsedGridError(
+            f"this law's quantile grid collapses at float resolution: on [{F.support[0]:g}, "
+            f"{F.support[1]:g}], two of its {grid_size} levels where the allocation steps invert to one type"
+        )
+    allocation = Allocation(tuple(thresholds.tolist()), tuple(x_star[change].tolist()))
     menu = menu_from_allocation(allocation, env)
     value = expected_profit(menu, F, env)
     return SolveResult(menu, value, SolveMethod.SCREENING_IRONED, int(grid_size))

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import emprice as ep
 import emprice.auction
 from emprice.cli import _json_text, _simulate_config, build_parser, main
+from emprice.errors import EmpriceError
 
 
 @pytest.fixture
@@ -177,6 +179,17 @@ class TestSolve:
         top = ep.ironed_virtual_value(ep.BetaCdf(0.25, 0.25, 0.2, 0.9)).segment_thetas[-1]
         assert (top - 0.2) / (0.9 - 0.2) < 1.0
 
+    @pytest.mark.parametrize("law, support", [("beta:2:1e-8", "[0, 1]"), ("beta:2:5:0:1e-9", "[0, 1e-09]")])
+    def test_collapsed_quantile_grid_is_named(self, capsys, law, support):
+        # these laws exited 1 with the Allocation's "breakpoints must be
+        # finite and strictly increasing"; the linear solve takes them
+        assert main(["solve", "--env", "screening", "--dist", law]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: this law's quantile grid collapses at float resolution: on {support}, "
+                       "two of its 2000 levels where the allocation steps invert to one type\n")
+        assert main(["solve", "--dist", law]) == 0
+
     def test_comma_column_sample(self, capsys, tmp_path, sample_file, linear_env):
         path = tmp_path / "cols.csv"
         path.write_text("theta,id\r\n0.3,1\r\n\r\n0.5,2\r\n0.9,3\r\n")
@@ -205,10 +218,34 @@ _JSON_VALUES = st.recursive(
 )
 
 
+def _has_non_finite(value) -> bool:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return any(map(_has_non_finite, value))
+    return isinstance(value, float) and not math.isfinite(value)
+
+
 @given(_JSON_VALUES)
 @settings(max_examples=500, deadline=None)
 def test_json_text_is_json_dumps_indent_2(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
+    # json.dumps writes NaN and Infinity, which are not JSON (RFC 8259)
+    if _has_non_finite(value):
+        with pytest.raises(EmpriceError, match="not finite"):
+            _json_text(value)
+    else:
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [(float("nan"), "the result"), ({"bound": float("inf")}, "bound"),
+     ({"regret": {"delta": -np.inf}}, "regret.delta"), ({"items": [{"x": 1.0}, {"x": np.nan}]}, "items[1].x")],
+)
+def test_json_text_names_non_finite_key(value, name):
+    with pytest.raises(EmpriceError) as err:
+        _json_text(value)
+    assert str(err.value).startswith(f"{name} is not finite (")
 
 
 class TestBound:
@@ -239,6 +276,30 @@ class TestBound:
             ["bound", "--kind", "dkw", "--delta", "0.4", "--lipschitz", "4", "--samples-needed", "--alpha", "0.05"],
         )
         assert payload["samples_needed"] == 185
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--tv-bound", "1e308", "--bandwidth", "0.1"], "bound"),
+            (["--tv-bound", "0.1", "--bandwidth", "1e308"], None),
+            (["--tv-bound", "0.1", "--bandwidth", "0.1", "--lipschitz", "1e308"], "regret.delta"),
+            (["--tv-bound", "1e308", "--bandwidth", "0.1", "--lipschitz", "2"], "profit.delta"),
+        ],
+        ids=["tv-bound", "bandwidth", "lipschitz", "tv-bound-lipschitz"],
+    )
+    def test_huge_kernel_flags_print_only_finite_json(self, capsys, flags, key):
+        # the bound overflowed to inf, and the CLI printed "bound": Infinity
+        def non_finite(name):
+            raise AssertionError(f"printed {name}")
+
+        code = main(["bound", "--kind", "kernel", "--n", "100", "--delta", "0.1", *flags])
+        out, err = capsys.readouterr()
+        if key is None:
+            assert code == 0 and err == ""
+            json.loads(out, parse_constant=non_finite)
+        else:
+            assert (code, out) == (1, "")
+            assert err == f"error: {key} is not finite (inf): JSON has no number for it\n"
 
     def test_kernel_needs_extra_flags(self, capsys):
         assert main(["bound", "--kind", "kernel", "--n", "100", "--delta", "0.1"]) == 2

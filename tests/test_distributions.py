@@ -505,6 +505,98 @@ class TestReadSample:
             ep.read_sample(path)
         assert str(got.value) == str(want.value)
 
+    # d.ddd lines around the odd ones, so that the exact reader takes the file
+    PLAIN = "".join(f"0.{k:017d}\n" for k in range(10**16, 10**17, 10**14 + 7))
+
+    @pytest.mark.parametrize(
+        "text, header, exact",
+        [
+            ("0.00012345678901234567\n0.000000000000000000000001\n" + PLAIN, False, True),
+            ("".join(f"{d}.{'9' * 18}\n{d}.{'3' * 19}\n" for d in range(1, 10)) + PLAIN, False, True),
+            ("1.8446744073709551615\n1.8446744073709551616\n1.8446744073709551617\n" + PLAIN, False, True),
+            (PLAIN + "-0.5\n+0.5\n5\n1e-05\n0.1_2\n-0.0\n+.5\n1_5\n", False, True),
+            (PLAIN + "0,5\n", False, False),
+            ("0.5\n0.25  \n0.125\t\n" + PLAIN + "0.75 \n  \n\t\n\n", False, True),
+            ("theta\n" + PLAIN, True, True),
+            ("0.5\n٠.٥\n" + PLAIN, False, False),
+            ("0.5\n0.25\x0c0.125\n" + PLAIN, False, False),
+            ("0.5\n0.25\x1c\n0.125\x0b\n" + PLAIN, False, False),
+            ("\n\ntheta\n" + PLAIN, True, False),
+            ("  \n" + PLAIN, True, False),
+            ("theta\x0c0.5\n" + PLAIN, True, False),
+            ("1e-3\n" + PLAIN, False, False),
+            ("0.5\n" + "".join(f"{k}e-5\n" for k in range(1, 200)), False, False),
+        ],
+        ids=["long-fraction", "wrap-guard", "wrap-edge", "float-lines", "comma-for-point", "trailing-blanks", "header",
+             "non-ascii-digits", "form-feed", "separators", "leading-blank-header", "blank-header",
+             "header-break", "exponent-first", "too-many-left"],
+    )
+    def test_exact_lines_match_general_loop(self, tmp_path, text, header, exact):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        got = ep.read_sample(path, header=header)
+        assert same_bits(got.values, read_sample_reference(path, header).values)
+        if distributions._EXTENDED:
+            assert (distributions._read_sample_exact(path, header) is not None) == exact
+
+    @pytest.mark.parametrize(
+        "text, header",
+        [("", False), ("theta\n", True), ("theta", True), (" \n\t\n", False),
+         (PLAIN + "0.2\x005\n", False), (PLAIN + "0.5,1\n0.25;1\n", False), (PLAIN + "abc\n", False), (PLAIN + "a.5\n", False)],
+        ids=["empty", "header-only", "header-no-break", "blank", "nul", "comma-then-bad", "word", "letter-lead"],
+    )
+    def test_exact_errors_match_general_loop(self, tmp_path, text, header):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as want:
+            read_sample_reference(path, header)
+        with pytest.raises(ValueError) as got:
+            ep.read_sample(path, header=header)
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 10.0, exclude_max=True), min_size=1, max_size=80),
+        st.sampled_from([".17g", "r", ".6f", ".19f"]),
+    )
+    def test_formats_same_bits(self, tmp_path_factory, values, fmt):
+        path = tmp_path_factory.getbasetemp() / "formats.csv"
+        path.write_text("".join(f"{format(v, fmt.strip('r'))}\n" for v in values))
+        got = ep.read_sample(path)
+        assert same_bits(got.values, read_sample_reference(path).values)
+
+    @pytest.mark.skipif(not distributions._EXTENDED, reason="needs x87 extended precision")
+    def test_extended_midpoints_go_to_float(self, tmp_path):
+        # 17-digit m whose quotient m / 10^17 rounds to a double midpoint in
+        # 64 bits; about half of them round the wrong way a second time
+        m = np.random.default_rng(0).integers(10**16, 10**17, size=200_000, dtype=np.uint64)
+        r = m.astype(np.longdouble) / np.longdouble(10**17)
+        tie = (r.view(np.uint64)[::2] & 0x7FF) == 0x400
+        lines = [f"0.{k:017d}" for k in m[tie].tolist()]
+        assert len(lines) > 50
+        assert sum(a != float(line) for a, line in zip(r[tie].astype(float).tolist(), lines)) > 10
+        path = tmp_path / "ties.csv"
+        path.write_text("0.5\n" + "\n".join(lines) + "\n" + self.PLAIN)
+        values, missed = distributions._read_sample_exact(path, False)
+        assert missed >= len(lines)
+        assert same_bits(np.sort(values), read_sample_reference(path).values)
+
+    def test_written_sample_reads_exactly_and_small(self, tmp_path):
+        path = tmp_path / "beta.csv"
+        ep.write_sample(path, ep.Sample(np.random.default_rng(7).beta(2.0, 5.0, 10_000)))
+        want = read_sample_reference(path)
+        assert same_bits(ep.read_sample(path).values, want.values)
+        if distributions._EXTENDED:
+            values, missed = distributions._read_sample_exact(path, False)
+            assert missed <= 100
+        peaks = []
+        for read in (read_sample_reference, ep.read_sample):
+            tracemalloc.start()
+            read(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
 
 class TestMixtureValidation:
     def test_weights_must_sum_to_one(self):

@@ -320,6 +320,14 @@ class TestScreeningSolver:
             best = np.maximum.accumulate(best) + dq * (psi * xs - c)
         assert ep.optimal_screening_menu(F, env, 2000).optimal_value >= best.max() - 1e-6
 
+    @pytest.mark.parametrize("law", ["beta:2:1e-8", "beta:2:5:0:1e-9"])
+    def test_collapsed_quantile_grid_raises_named_error(self, law):
+        # the grid's thresholds repeat where the law's quantile outruns float
+        # resolution: a point mass near 1, or a support of width 1e-9
+        F = ep.parse_distribution(law)
+        with pytest.raises(ep.CollapsedGridError, match="collapses at float resolution"):
+            ep.optimal_screening_menu(F, ep.separable_screening(cost=ep.PowerCost(0.5, 2.0)), 2000)
+
     def test_uniform_zero_cost_matches_uniform_pricing(self):
         env = ep.separable_screening(cost=ep.PowerCost(0.0, 1.0))
         res = ep.optimal_screening_menu(ep.Uniform(0, 1), env, 2000)
