@@ -32,7 +32,6 @@ from .distributions import (
 )
 from .environment import (
     Environment,
-    MarketKind,
     PowerCost,
     TypeSpace,
     environment_from_config,

@@ -31,7 +31,7 @@ from .inference import (
     bootstrap_compare,
 )
 from .mechanisms import Menu, menu_from_dict, read_menu
-from .solvers import optimal_profit
+from .solvers import SolveMethod, optimal_profit
 
 
 class UsageError(EmpriceError):
@@ -109,25 +109,33 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(_json_text(payload) + "\n")
 
 
+def _flag_value(args, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
 def _env_from_args(args) -> "Environment":
-    cfg = {
-        "kind": args.env,
-        "theta_min": args.theta_min,
-        "theta_max": args.theta_max,
-        "x_max": args.x_max,
-    }
+    """The environment of --env and its cost flags; a cost flag of the other
+    --env is a usage error."""
+    own, other = ("--cost",), ("--cost-scale", "--cost-power")
+    if args.env == "screening":
+        own, other = other, own
+    stray = [flag for flag in other if _flag_value(args, flag) is not None]
+    if stray:
+        raise UsageError(f"{stray[0]} does not apply to --env {args.env}, which takes {' and '.join(own)}")
+    cfg = {"kind": args.env, "theta_min": args.theta_min, "theta_max": args.theta_max, "x_max": args.x_max}
     if args.env == "linear":
-        cfg["c_bar"] = args.cost
+        cfg["c_bar"] = 0.0 if args.cost is None else args.cost
     else:
-        cfg["cost"] = {"scale": args.cost_scale, "power": args.cost_power}
+        scale, power = args.cost_scale, args.cost_power
+        cfg["cost"] = {"scale": 0.5 if scale is None else scale, "power": 2.0 if power is None else power}
     return environment_from_config(cfg)
 
 
 def _add_env_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--env", choices=["linear", "screening"], default="linear")
-    p.add_argument("--cost", type=float, default=0.0, help="unit cost (linear kind)")
-    p.add_argument("--cost-scale", type=float, default=0.5, help="screening cost scale a in a*x^p")
-    p.add_argument("--cost-power", type=float, default=2.0, help="screening cost power p in a*x^p")
+    p.add_argument("--cost", type=float, help="--env linear: unit cost c in c*x, PowerCost(c, 1) (default 0)")
+    p.add_argument("--cost-scale", type=float, help="--env screening: cost scale a in a*x^p (default 0.5)")
+    p.add_argument("--cost-power", type=float, help="--env screening: cost power p >= 1 in a*x^p (default 2)")
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=1.0)
     p.add_argument("--x-max", type=float, default=1.0)
@@ -135,6 +143,16 @@ def _add_env_flags(p: argparse.ArgumentParser) -> None:
 
 # the flag that stands in for --sample, where --sample is optional
 _SAMPLE_ALTERNATIVE = {"solve": "--dist", "auction": "--bound-n"}
+
+
+def _takes_alternative(args) -> bool:
+    """Whether the flag that stands in for --sample is given; giving it and
+    --sample both is a usage error."""
+    flag = _SAMPLE_ALTERNATIVE[args.command]
+    given = _flag_value(args, flag) is not None
+    if given and args.sample is not None:
+        raise UsageError(f"{args.command} takes --sample or {flag}, not both")
+    return given
 
 
 def _load_sample(args):
@@ -218,7 +236,7 @@ def _cmd_solve(args) -> int:
     if args.grid_size is not None and args.grid_size < 1:
         raise UsageError(f"--grid-size must be at least 1, got {args.grid_size}")
     env = _env_from_args(args)
-    if args.dist is not None:
+    if _takes_alternative(args):
         F = law_in_type_space(args.dist, env)
     else:
         sample = _sample_in_type_space(args, env)
@@ -228,7 +246,7 @@ def _cmd_solve(args) -> int:
             F = estimators.ecdf(sample)
     result = optimal_profit(F, env, args.grid_size)
     payload = result.to_dict()
-    if len(result.menu.items) == 1 and args.env == "linear":
+    if result.method is not SolveMethod.SCREENING_IRONED and result.menu.items:
         x, p = result.menu.items[0]
         payload["uniform_price"] = p / x
     _emit(payload)
@@ -306,7 +324,7 @@ def _cmd_auction(args) -> int:
         raise UsageError(f"--bound-n must be at least 1, got {args.bound_n}")
     _require_positive(args, "delta", "tv_bound", "bandwidth")
     mode = ProfitMode(args.mode)
-    if args.bound_n is not None:
+    if _takes_alternative(args):
         profit, regret = auction_regret_guarantee(_bound_kind(args), args.bound_n, args.delta, args.bidders)
         _emit({"profit": profit.to_dict(), "regret": regret.to_dict()})
         return 0
@@ -515,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.fn(args)
-    except (FileNotFoundError, UsageError) as exc:
+    except (OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EmpriceError, ValueError) as exc:

@@ -3,13 +3,15 @@
 A consumer of type theta who buys quantity x at price p gets utility
 ``v(theta, x) - p``. The valuation is v(theta, x) = theta * x, so its type
 derivative is x itself. Every `Environment` checks this when it is built;
-the solvers and mechanisms rely on it. The cost is c_bar * x for the linear
-kind and a `PowerCost` c(x) = a * x**p, a >= 0 and p >= 1, for the screening
-kind. With types theta >= 0, v is then zero at x = 0, nondecreasing in both
-arguments and supermodular on Theta x [0, x_max], and c is nondecreasing,
-convex, with c(0) = 0. The one assumption left to check is
-v(theta_min, x) = 0, that is theta_min * x_max <= 1e-9. Together they make
-menu profit Lipschitz in the type distribution with constant
+the solvers and mechanisms rely on it. The cost is a `PowerCost`
+c(x) = a * x**p with a >= 0 and p >= 1, and its power picks the solver: a
+linear cost (p = 1, `linear_unit_demand`'s c_bar * x) is priced by one
+posted offer, a convex one (p > 1) by ironing. With types theta >= 0, v is
+then zero at x = 0, nondecreasing in both arguments and supermodular on
+Theta x [0, x_max], and c is nondecreasing, convex, with c(0) = 0. The one
+assumption left to check is v(theta_min, x) = 0, that is
+theta_min * x_max <= 1e-9. Together they make menu profit Lipschitz in the
+type distribution with constant
 
     L = 2 * ( theta_max * x_max + (theta_max - theta_min) * x_max + c(x_max) ).
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 import math
 
 import numpy as np
@@ -27,7 +28,6 @@ from .errors import InvalidEnvironmentError
 
 __all__ = [
     "TypeSpace",
-    "MarketKind",
     "Environment",
     "PowerCost",
     "linear_unit_demand",
@@ -60,39 +60,26 @@ class TypeSpace:
         return self.upper - self.lower
 
 
-class MarketKind(Enum):
-    """Analytic structure tag that tells the solvers which closed form applies."""
-
-    LINEAR_UNIT_DEMAND = "linear_unit_demand"
-    SEPARABLE_SCREENING = "separable_screening"
-
-
 @dataclass(frozen=True)
 class Environment:
     """Market primitives: types, quantity range, valuation v, and cost.
 
     ``valuation`` is v(theta, x) = theta * x and must accept numpy arrays.
-    Building one checks that v = theta * x on a 4 x 4 grid and that a
-    screening kind's cost is a `PowerCost`; it raises InvalidEnvironmentError
-    otherwise. ``c_bar`` is the unit cost for the linear kind (None otherwise).
+    Building one checks that v = theta * x on a 4 x 4 grid and that the cost
+    is a `PowerCost`; it raises InvalidEnvironmentError otherwise.
     """
 
     types: TypeSpace
     x_max: float
     valuation: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    cost: Callable[[np.ndarray], np.ndarray]
-    kind: MarketKind
-    c_bar: float | None = None
+    cost: PowerCost
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x_max) and self.x_max > 0):
             raise InvalidEnvironmentError("x_max must be positive and finite")
-        if self.kind is MarketKind.LINEAR_UNIT_DEMAND:
-            if self.c_bar is None or not (math.isfinite(self.c_bar) and self.c_bar >= 0):
-                raise InvalidEnvironmentError("linear kind requires a finite c_bar >= 0")
-        elif not isinstance(self.cost, PowerCost):
+        if not isinstance(self.cost, PowerCost):
             raise InvalidEnvironmentError(
-                f"separable screening needs a PowerCost(scale, power) cost, got {type(self.cost).__name__}"
+                f"an environment needs a PowerCost(scale, power) cost, got {type(self.cost).__name__}"
             )
         th = self.types.lower + self.types.width * _SEPARABLE_GRID[:, None]
         xs = self.x_max * _SEPARABLE_GRID
@@ -105,7 +92,7 @@ class Environment:
 @dataclass(frozen=True)
 class PowerCost:
     """The cost c(x) = scale * x**power, with scale >= 0 and power >= 1 for
-    convexity; the screening solver maximizes its surplus in closed form."""
+    convexity. Power 1 is the linear cost scale * x, bit for bit."""
 
     scale: float
     power: float
@@ -113,7 +100,7 @@ class PowerCost:
     def __post_init__(self) -> None:
         a, p = self.scale, self.power
         if not (math.isfinite(a) and math.isfinite(p) and a >= 0 and p >= 1):
-            raise InvalidEnvironmentError("screening cost needs finite scale >= 0 and power >= 1 for convexity")
+            raise InvalidEnvironmentError("cost needs finite scale >= 0 and power >= 1 for convexity")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.scale * np.asarray(x) ** self.power
@@ -129,15 +116,9 @@ def linear_unit_demand(
     x_max: float = 1.0,
     c_bar: float = 0.0,
 ) -> Environment:
-    """Environment with v(theta, x) = theta * x and linear cost c_bar * x."""
-    return Environment(
-        types=TypeSpace(theta_min, theta_max),
-        x_max=x_max,
-        valuation=_valuation,
-        cost=lambda x: c_bar * np.asarray(x),
-        kind=MarketKind.LINEAR_UNIT_DEMAND,
-        c_bar=float(c_bar),
-    )
+    """Environment with v(theta, x) = theta * x and the linear cost
+    c_bar * x, that is `PowerCost(c_bar, 1.0)`."""
+    return Environment(TypeSpace(theta_min, theta_max), x_max, _valuation, PowerCost(float(c_bar), 1.0))
 
 
 def separable_screening(
@@ -146,24 +127,18 @@ def separable_screening(
     theta_max: float = 1.0,
     x_max: float = 1.0,
 ) -> Environment:
-    """Screening environment with valuation v(theta, x) = theta * x and the
-    cost c(x) = a * x**p of a `PowerCost`; any other cost raises
+    """Environment with valuation v(theta, x) = theta * x and the cost
+    c(x) = a * x**p of a `PowerCost`; any other cost raises
     InvalidEnvironmentError."""
-    return Environment(
-        types=TypeSpace(theta_min, theta_max),
-        x_max=x_max,
-        valuation=_valuation,
-        cost=cost,
-        kind=MarketKind.SEPARABLE_SCREENING,
-    )
+    return Environment(TypeSpace(theta_min, theta_max), x_max, _valuation, cost)
 
 
 def environment_from_config(cfg: dict) -> Environment:
     """Build an environment from a plain config mapping.
 
     Keys: ``kind`` ("linear" | "screening"), ``theta_min``, ``theta_max``,
-    ``x_max``, and either ``c_bar`` (linear) or ``cost`` = {"scale": a,
-    "power": p} meaning c(x) = a * x**p (screening).
+    ``x_max``, and either ``c_bar`` (linear: c(x) = c_bar * x) or ``cost`` =
+    {"scale": a, "power": p} meaning c(x) = a * x**p (screening).
     """
     kind = cfg.get("kind", "linear")
     theta_min = float(cfg.get("theta_min", 0.0))
@@ -173,12 +148,7 @@ def environment_from_config(cfg: dict) -> Environment:
         return linear_unit_demand(theta_min, theta_max, x_max, float(cfg.get("c_bar", 0.0)))
     if kind == "screening":
         spec = cfg.get("cost", {"scale": 0.5, "power": 2.0})
-        return separable_screening(
-            cost=PowerCost(float(spec["scale"]), float(spec["power"])),
-            theta_min=theta_min,
-            theta_max=theta_max,
-            x_max=x_max,
-        )
+        return separable_screening(PowerCost(float(spec["scale"]), float(spec["power"])), theta_min, theta_max, x_max)
     raise InvalidEnvironmentError(f"unknown environment kind {kind!r}")
 
 

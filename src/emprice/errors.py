@@ -23,7 +23,7 @@ class TiedSampleError(EmpriceError, ValueError):
 
 
 class UnsupportedPairError(EmpriceError, ValueError):
-    """No solver is available for this (distribution variant, environment kind) pair."""
+    """No solver is available for this (distribution, cost) pair."""
 
 
 class MissingDensityError(EmpriceError, ValueError):

@@ -28,6 +28,7 @@ CSV schemas (17 significant digits for round-tripping):
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -321,7 +322,15 @@ def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _map_chunks(fn, tasks, workers: int):
+    """fn over the tasks, in order. The pool starts every one of its processes
+    at the first submit, so it gets no more of them than there are tasks or
+    usable CPUs; results do not depend on how many run."""
+    workers = min(workers, len(tasks), _usable_cpus())
     if workers <= 1:
         return [fn(t) for t in tasks]
     # imported here: serial runs never load the process pool

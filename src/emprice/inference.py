@@ -25,8 +25,8 @@ harness. It takes the PCG64 states of all B streams from
 draws each resample's indices exactly as
 ``substream(*path(s), b).integers(0, n, size=n)`` would. A `Statistic` then
 scores the resamples a block at a time, as a function of a (k, n) index
-array: means and the linear-ECDF optimum are vectorized over the block's
-rows, other solvers run once per row. Each row goes through the same
+array: means and the ECDF optimum under a linear cost are vectorized over
+the block's rows, other solvers run once per row. Each row goes through the same
 elementwise operations and reductions as a single resample would, so the
 roots are bit-identical to scoring the draws one by one. A block holds a
 fixed budget of indices rather than a fixed number of resamples, so its
@@ -228,9 +228,9 @@ def optimal_value_statistic(sample: Sample, env: Environment, estimator: str = "
     values = sample.values
     n = values.size
     if estimator == "ecdf":
-        # only the linear kind solves on a step law: any other raises here
+        # only a linear cost solves on a step law: a convex one raises here
         point = float(optimal_profit(ecdf(sample), env).optimal_value)
-        c_bar, x_max = float(env.c_bar), float(env.x_max)
+        c_bar, x_max = float(env.cost.scale), float(env.x_max)
         margins = x_max * (values - c_bar)
 
         def on_resamples(idx: np.ndarray) -> np.ndarray:

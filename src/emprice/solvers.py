@@ -1,8 +1,10 @@
-"""Optimal menus and the value function for the supported environment kinds.
+"""Optimal menus and the value function. Every environment has v = theta * x
+and a `PowerCost` c(x) = a * x**p, and the power p picks the solver.
 
-Linear unit demand (v = theta * x, cost c_bar * x): the optimal mechanism is a
-single take-it-or-leave-it offer of the full quantity, and the optimal type
-threshold maximizes (rho - c_bar) * (1 - F(rho-)). For an empirical step
+A linear cost (p = 1, c(x) = c_bar * x): a single take-it-or-leave-it offer of
+the full quantity is optimal among all menus (Riley and Zeckhauser 1983), so
+the solver posts the type threshold that maximizes
+(rho - c_bar) * (1 - F(rho-)), against any law. For an empirical step
 distribution the maximizer sits on a sample point, so exact enumeration
 applies (`ecdf_uniform_prices`, vectorized over many samples); for other
 distributions the best point of a 10^4-point grid (plus every atom and kink)
@@ -17,16 +19,17 @@ falls near 1. So the grid's first argmax, its bracket and the solve keep the
 bits of scoring every candidate; on Beta laws the default grid needs 2-7% of
 its CDF evaluations.
 
-Separable screening (v = theta * x, cost a `PowerCost` c(x) = a * x**p with
-a >= 0 and p >= 1): with an absolutely continuous estimate with positive
-density, the optimal allocation pointwise maximizes the ironed virtual surplus
+A convex cost (p > 1), the screening solver: with an absolutely continuous
+estimate with positive density, the optimal allocation pointwise maximizes
+the ironed virtual surplus
 
     psi_bar(theta) * v_theta(theta, x) - c(x)  =  psi_bar(theta) * x - a * x**p,
 
 where psi_bar irons the virtual value J(theta) = theta - (1 - F(theta)) / f(theta).
 It is maximized once per distinct ironed value, in closed form:
 x* = (psi_bar / (a * p))**(1 / (p - 1)) clipped to [0, x_max] for a > 0 and
-p > 1, and the boundary rules (0 or x_max) for a linear surplus.
+p > 1, and the boundary rules (0 or x_max) for a linear surplus (a = 0, or
+p = 1 when `optimal_screening_menu` is called directly).
 Ironing happens in quantile space: per-segment virtual values are cumulated
 into a piecewise-linear function whose greatest convex minorant has slopes
 psi_bar. Pool-adjacent-violators (weighted isotonic regression of the knot
@@ -42,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from .distributions import Cdf, EmpiricalStep
-from .environment import Environment, MarketKind
+from .environment import Environment
 from .errors import CollapsedGridError, MissingDensityError, UnsupportedPairError
 from .mechanisms import Allocation, Menu, expected_profit, menu_from_allocation, menu_to_dict
 from .numerics import argmax_refine
@@ -124,7 +127,7 @@ def ecdf_uniform_prices(values: np.ndarray, starts: np.ndarray, env: Environment
     lengths = np.diff(starts, append=values.size)
     if starts.size == 0 or starts[0] != 0 or np.any(lengths < 1):
         raise ValueError("need non-empty samples starting at index 0")
-    c_bar, x_max = float(env.c_bar), float(env.x_max)
+    c_bar, x_max = float(env.cost.scale), float(env.x_max)
     index = np.arange(values.size)
     j = index - np.repeat(starts, lengths)
     objective = x_max * (values - c_bar) * (1.0 - j / np.repeat(lengths, lengths))
@@ -187,12 +190,12 @@ def _price_candidates(F: Cdf, grid_size: int) -> np.ndarray:
 
 
 def optimal_uniform_price(F: Cdf, env: Environment, grid_size: int = _PRICE_GRID) -> SolveResult:
-    """Best single full-quantity offer against F in the linear environment."""
-    if env.kind is not MarketKind.LINEAR_UNIT_DEMAND:
-        raise UnsupportedPairError("uniform pricing requires the linear unit-demand kind")
+    """Best single full-quantity offer against F under a linear cost."""
+    if env.cost.power != 1.0:
+        raise UnsupportedPairError(f"uniform pricing needs a linear cost (power 1), got power {env.cost.power:g}")
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
-    c_bar = float(env.c_bar)
+    c_bar = float(env.cost.scale)
     x_max = float(env.x_max)
 
     def objective(rho: float) -> float:
@@ -291,8 +294,6 @@ def _surplus_maximizers(w: np.ndarray, env: Environment) -> tuple[np.ndarray, in
 
 def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = _SCREENING_GRID) -> SolveResult:
     """Menu from pointwise maximization of the ironed virtual surplus."""
-    if env.kind is not MarketKind.SEPARABLE_SCREENING:
-        raise UnsupportedPairError("screening solver requires the separable screening kind")
     table = ironed_virtual_value(F, grid_size)
     # the surplus psi_bar * x - c(x) depends on psi_bar alone: solve once per
     # distinct ironed value
@@ -317,15 +318,13 @@ def optimal_screening_menu(F: Cdf, env: Environment, grid_size: int = _SCREENING
 
 
 def optimal_profit(F: Cdf, env: Environment, grid_size: int | None = None) -> SolveResult:
-    """Value function: dispatch to the solver matching the environment kind."""
-    if env.kind is MarketKind.LINEAR_UNIT_DEMAND:
+    """Value function: a linear cost posts one price against any law, a
+    convex cost irons, which needs a density."""
+    if env.cost.power == 1.0:
         return optimal_uniform_price(F, env, _PRICE_GRID if grid_size is None else grid_size)
-    if env.kind is MarketKind.SEPARABLE_SCREENING:
-        if not F.has_density:
-            raise UnsupportedPairError(
-                "no solver for this pair: separable screening needs a distribution "
-                "with a density (piecewise-linear or analytic); linear unit demand "
-                "accepts any distribution"
-            )
-        return optimal_screening_menu(F, env, _SCREENING_GRID if grid_size is None else grid_size)
-    raise UnsupportedPairError(f"no solver for environment kind {env.kind}")
+    if not F.has_density:
+        raise UnsupportedPairError(
+            "no solver for this pair: a cost power above 1 needs a distribution with a "
+            "density (piecewise-linear or analytic); a linear cost (power 1) accepts any distribution"
+        )
+    return optimal_screening_menu(F, env, _SCREENING_GRID if grid_size is None else grid_size)

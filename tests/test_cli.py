@@ -148,6 +148,20 @@ class TestSolve:
         assert main(["solve"]) == 2
         assert capsys.readouterr().err == "error: solve needs --sample or --dist\n"
 
+    def test_sample_beside_dist_exits_2(self, capsys, sample_file):
+        # the sample file was never read
+        assert main(["solve", "--dist", "uniform", "--sample", sample_file]) == 2
+        assert capsys.readouterr() == ("", "error: solve takes --sample or --dist, not both\n")
+
+    def test_screening_power_one_prints_uniform_price(self, capsys, sample_file):
+        # the price solver ran, so its price is printed under either --env
+        for env in (["--env", "linear"], ["--env", "screening", "--cost-power", "1", "--cost-scale", "0"]):
+            code, payload = run_json(capsys, ["solve", "--sample", sample_file, *env])
+            assert code == 0 and payload["uniform_price"] == 0.5
+            assert payload["method"] == "uniform_price_enumeration"
+        _, payload = run_json(capsys, ["solve", "--dist", "uniform", "--env", "screening", "--grid-size", "100"])
+        assert payload["method"] == "screening_ironed" and "uniform_price" not in payload
+
     def test_unknown_flag_exits_2(self, capsys, sample_file):
         assert main(["solve", "--sample", sample_file, "--frobnicate"]) == 2
 
@@ -542,6 +556,30 @@ class TestAuction:
     def test_neither_sample_nor_bound_n_exits_2(self, capsys):
         assert main(["auction", "--bidders", "2"]) == 2
         assert capsys.readouterr().err == "error: auction needs --sample or --bound-n\n"
+
+    def test_sample_beside_bound_n_exits_2(self, capsys, sample_file):
+        assert main(["auction", "--bound-n", "100", "--bidders", "2", "--sample", sample_file]) == 2
+        assert capsys.readouterr() == ("", "error: auction takes --sample or --bound-n, not both\n")
+
+
+_STRAY_COST = "error: --cost does not apply to --env screening, which takes --cost-scale and --cost-power\n"
+_STRAY_POWER = "error: --cost-power does not apply to --env linear, which takes --cost\n"
+_STRAY_SCALE = "error: --cost-scale does not apply to --env linear, which takes --cost\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--env", "screening", "--cost", "0.3", "--dist", "uniform"], _STRAY_COST),
+    (["solve", "--env", "linear", "--cost-power", "3", "--dist", "uniform"], _STRAY_POWER),
+    (["solve", "--cost-scale", "0.2", "--dist", "uniform"], _STRAY_SCALE),
+    (["solve", "--env", "screening", "--cost", "0", "--cost-power", "1", "--dist", "uniform"], _STRAY_COST),
+    (["infer", "--target", "optimal", "--seed", "1", "--env", "screening", "--cost", "0.3"], _STRAY_COST),
+    (["infer", "--target", "optimal", "--seed", "1", "--cost-power", "3"], _STRAY_POWER),
+])
+def test_cost_flag_of_the_other_env_exits_2(capsys, sample_file, argv, message):
+    # these were ignored, and the solve ran with the other --env's default cost
+    extra = ["--sample", sample_file] if argv[0] == "infer" else []
+    assert main([*argv, *extra]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,42 @@ class TestRunCoverage:
         csv8 = ep.run_coverage(replace(cfg, workers=8)).to_csv()
         assert csv1 == csv2 == csv8
 
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    @pytest.mark.parametrize("target", ["regret", "coverage-fixed"])
+    def test_pool_never_outnumbers_tasks_or_cpus(self, monkeypatch, capsys, cpus, target):
+        # the pool starts every process it is sized for at its first submit,
+        # so --workers 100000 asked for 100,000 processes; a stand-in pool
+        # records its size and maps in-process, so none starts here
+        import concurrent.futures
+
+        from emprice.cli import main
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return list(map(fn, tasks))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        argv = ["simulate", "--target", target, "--sizes", "10", "--reps", "2", "--bootstrap", "100", "--seed", "1"]
+        outputs = []
+        for workers in ("1", "100000"):
+            assert main([*argv, "--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        # two replications make two chunk tasks
+        assert sizes == ([] if cpus == 1 else [2])
+
     def test_mc_se_is_binomial(self):
         res = ep.run_coverage(small_coverage_cfg())
         for row in res.rows:
@@ -269,7 +305,7 @@ def regret_shares_reference(F, opt_true, d_idx, cfg):
     """The per-replication loop: draw, enumerate the distinct sample values
     for the first-argmax price, score the offer against F."""
     env = cfg.environment()
-    c_bar, x_max = float(env.c_bar), float(env.x_max)
+    c_bar, x_max = float(env.cost.scale), float(env.x_max)
     shares = np.empty((len(cfg.sample_sizes), cfg.replications))
     empty = 0
     for i, n in enumerate(cfg.sample_sizes):

@@ -139,6 +139,19 @@ def test_solve_auction_json_bytes_match_golden(name):
     assert _cli(SOLVE_AUCTION[name]) == (GOLDEN / name).read_text()
 
 
+def test_screening_power_one_prints_the_linear_solve():
+    # a linear cost picks the exact price solver under either --env: the
+    # ironing grid posted 0.364252 here, with method screening_ironed
+    argv = ["solve", "--env", "screening", "--cost-power", "1", "--cost-scale", "0.2", "--dist", "beta:2:5"]
+    assert _cli(argv) == (GOLDEN / "solve-beta-2-5-cost.json").read_text()
+
+
+def test_screening_power_one_solves_on_a_sample():
+    # the ECDF, which ironing cannot take (exit 1), posts the linear price
+    argv = ["solve", "--env", "screening", "--cost-power", "1", "--cost-scale", "0.2", "--sample", SAMPLE]
+    assert _cli(argv) == _cli(["solve", "--sample", SAMPLE, "--cost", "0.2"])
+
+
 def test_usage_error_leaves_later_calls_alone():
     # the parser is built once per process: a failed parse must not change
     # what later calls print

@@ -216,7 +216,7 @@ def reference_roots(stat_of_idx, n, b_draws, path, point):
 def reference_ecdf_optimum(values, env):
     """Per-draw linear-ECDF optimum: one bincount per resample."""
     n = values.size
-    margins = float(env.x_max) * (values - float(env.c_bar))
+    margins = float(env.x_max) * (values - float(env.cost.scale))
 
     def stat(idx):
         counts = np.bincount(idx, minlength=n)

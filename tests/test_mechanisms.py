@@ -79,9 +79,9 @@ _THRESH_TOL = 1e-12
 
 def _reference_crossing(env, x_lo, p_lo, x_hi, p_hi):
     """Threshold search before the closed form: scalar bisection on the
-    utility gap to 1e-12 (closed form only for the linear kind)."""
+    utility gap to 1e-12 (closed form only for a linear cost)."""
     lo, hi = env.types.lower, env.types.upper
-    if env.kind is ep.MarketKind.LINEAR_UNIT_DEMAND:
+    if env.cost.power == 1.0:
         t = (p_hi - p_lo) / (x_hi - x_lo)
         if t > hi:
             return None

@@ -78,7 +78,7 @@ def _screening_reference(F, env, grid_size, maximizers=_closed_form_maximizers):
 def _full_grid_price_reference(F, env, grid_size):
     """(menu, value, golden-section steps) of the price solve on a law with
     no enumeration: every candidate of the grid scored, then refined."""
-    c_bar, x_max = float(env.c_bar), float(env.x_max)
+    c_bar, x_max = float(env.cost.scale), float(env.x_max)
 
     def objective(rho):
         return x_max * (rho - c_bar) * (1.0 - F.cdf_left_array(rho))
@@ -399,7 +399,7 @@ class TestScreeningSolver:
             ep.Environment(
                 types=ep.TypeSpace(0.0, 1.0), x_max=1.0,
                 valuation=lambda th, x: np.asarray(th) ** 2 * np.asarray(x),
-                cost=ep.PowerCost(0.5, 2.0), kind=ep.MarketKind.SEPARABLE_SCREENING,
+                cost=ep.PowerCost(0.5, 2.0),
             )
 
 
@@ -467,8 +467,31 @@ class TestDispatch:
     def test_unsupported_pair_names_supported_ones(self):
         env = ep.separable_screening(cost=ep.PowerCost(0.5, 2.0))
         F = ep.ecdf(ep.Sample(np.array([0.5])))
-        with pytest.raises(ep.UnsupportedPairError, match="linear unit demand"):
+        with pytest.raises(ep.UnsupportedPairError, match="a linear cost \\(power 1\\) accepts any distribution"):
             ep.optimal_profit(F, env)
+
+    @pytest.mark.parametrize("law", ["ecdf", "beta-2-5", "interp", "pointmass"])
+    def test_power_one_posts_the_linear_price(self, law):
+        # the cost picks the solver: PowerCost(c, 1) built either way posts
+        # the price solver's offer, on any law, the ECDF included
+        sample = ep.Sample(substream(79, 60).beta(2.0, 5.0, 60))
+        F = {"ecdf": ep.ecdf(sample), "beta-2-5": ep.BetaCdf(2, 5), "interp": ep.interp_ecdf(sample, 0.0),
+             "pointmass": ep.PointMass(0.7)}[law]
+        linear = ep.linear_unit_demand(0.0, 1.0, 1.0, 0.2)
+        power_one = ep.separable_screening(ep.PowerCost(0.2, 1.0))
+        assert linear == power_one
+        got = ep.optimal_profit(F, power_one)
+        assert got == ep.optimal_profit(F, linear) == ep.optimal_uniform_price(F, linear)
+        assert got.method is not ep.SolveMethod.SCREENING_IRONED
+
+    def test_grid_accurate_screening_price_is_gone(self):
+        # p = 1 ran the ironing grid and posted 0.364252 on Beta(2, 5) with
+        # c = 0.2; the price solver's 0.364170 earns more
+        env = ep.separable_screening(ep.PowerCost(0.2, 1.0))
+        exact = ep.optimal_profit(ep.BetaCdf(2, 5), env)
+        ironed = ep.optimal_screening_menu(ep.BetaCdf(2, 5), env)
+        assert exact.menu.items[0][1] == pytest.approx(0.364170, abs=1e-6)
+        assert exact.optimal_value > ironed.optimal_value
 
 
 class TestValueFunctionProperties:
