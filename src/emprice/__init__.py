@@ -65,7 +65,7 @@ from .guarantees import (
     GuaranteeFlavor,
     GuaranteeResult,
     InterpEcdfBound,
-    KernelDeterministicBound,
+    KernelBound,
     deviation_bound,
     regret_guarantee,
     sample_complexity,

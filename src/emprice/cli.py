@@ -197,9 +197,7 @@ def _bound_kind(args) -> guarantees.BoundKind:
         return guarantees.InterpEcdfBound()
     if args.tv_bound is None or args.bandwidth is None:
         raise UsageError("kernel bound needs --tv-bound and --bandwidth")
-    return guarantees.KernelDeterministicBound(
-        args.tv_bound, KernelSpec(KernelShape(args.kernel)), args.bandwidth
-    )
+    return guarantees.KernelBound(args.tv_bound, KernelSpec(KernelShape(args.kernel)), args.bandwidth)
 
 
 def _cmd_estimate(args) -> int:

@@ -637,10 +637,9 @@ class KernelShape(Enum):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Compactly supported kernel with closed-form moments.
-
-    k1 = int |u| K(u) du and k2 = int K(u)^2 du feed the deterministic
-    estimation error bound; every shape is supported on [-1, 1].
+    """Compactly supported kernel on [-1, 1] with a closed-form first
+    absolute moment k1 = int |u| K(u) du, which sets the kernel bound's gap
+    k1 h (B + 1) (`guarantees.KernelBound`).
     """
 
     shape: KernelShape
@@ -648,10 +647,6 @@ class KernelSpec:
     @property
     def k1(self) -> float:
         return {KernelShape.UNIFORM: 0.5, KernelShape.TRIANGLE: 1.0 / 3.0, KernelShape.EPANECHNIKOV: 3.0 / 8.0}[self.shape]
-
-    @property
-    def k2(self) -> float:
-        return {KernelShape.UNIFORM: 0.5, KernelShape.TRIANGLE: 2.0 / 3.0, KernelShape.EPANECHNIKOV: 3.0 / 5.0}[self.shape]
 
     def density(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)

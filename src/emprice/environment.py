@@ -65,8 +65,9 @@ class Environment:
     """Market primitives: types, quantity range, valuation v, and cost.
 
     ``valuation`` is v(theta, x) = theta * x and must accept numpy arrays.
-    Building one checks that v = theta * x on a 4 x 4 grid and that the cost
-    is a `PowerCost`; it raises InvalidEnvironmentError otherwise.
+    Building one checks that the cost is a `PowerCost`, that theta_max * x_max
+    and c(x_max) are finite, and that v = theta * x on a 4 x 4 grid; it raises
+    InvalidEnvironmentError otherwise.
     """
 
     types: TypeSpace
@@ -81,6 +82,11 @@ class Environment:
             raise InvalidEnvironmentError(
                 f"an environment needs a PowerCost(scale, power) cost, got {type(self.cost).__name__}"
             )
+        with np.errstate(over="ignore", invalid="ignore"):
+            tops = {"theta_max * x_max": self.types.upper * self.x_max, "c(x_max)": float(self.cost(self.x_max))}
+        for name, top in tops.items():
+            if not math.isfinite(top):
+                raise InvalidEnvironmentError(f"environment needs a finite {name}, got {top}")
         th = self.types.lower + self.types.width * _SEPARABLE_GRID[:, None]
         xs = self.x_max * _SEPARABLE_GRID
         gap = np.asarray(self.valuation(th, xs), dtype=float) - th * xs

@@ -1,20 +1,21 @@
 """Finite-sample deviation bounds, profit/regret guarantees, sample complexity.
 
-Estimator deviation bounds p(n, delta) on P(sup|F_hat - F0| > delta):
+Every estimator's deviation bound is the DKW tail (Massart 1990) shifted by
+a gap s(n) that the estimator adds to the ECDF's error:
 
-- empirical step CDF:      2 * exp(-2 n delta^2)          (DKW with the sharp constant)
-- interpolated ECDF:       2 * exp(-2 n (delta - 1/n)^2)  (valid for delta > 1/n)
-- kernel CDF estimate:     deterministic radius q(n, h) = (2B + 1) k1 h + sqrt(k2 / (n h))
-                           for densities of total variation at most B.
+    P(sup|F_hat - F0| > delta) <= p(n, delta) = min(1, 2 exp(-2 n (delta - s)^2)),  delta > s.
+
+- empirical step CDF:   s = 0;
+- interpolated ECDF:    s = 1/n, since it lies within 1/n of the step CDF;
+- kernel CDF estimate:  s = b = k1 h (B + 1). The estimate is the ECDF
+  smoothed by K, so for every sample sup|F_hat_h - F0| <= sup|F_n - F0| +
+  k1 h sup f0; on the unit type space a density of total variation at most
+  B has sup f0 <= B + 1.
 
 Profit is L-Lipschitz in the distribution, so an empirically optimal mechanism
 satisfies P(|profit gap| > delta) <= p(n, delta / L) and
-P(regret > 2 delta) <= p(n, delta / L); the kernel bound gives deterministic
-radii instead. Those radii are not certain, although their flavor reads
-"deterministic": 200 copies of 0.4 against Beta(2, 3) with B = 3.556, a uniform
-kernel and h = 0.05 give sup|F_hat - F0| = 0.437 > q = 0.426. The sample size
-for a target confidence level inverts either probabilistic bound in closed
-form. Probability bounds are clamped at 1.
+P(regret > 2 delta) <= p(n, delta / L). The sample size for a target
+confidence level inverts p in closed form.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .distributions import KernelSpec
 __all__ = [
     "DkwBound",
     "InterpEcdfBound",
-    "KernelDeterministicBound",
+    "KernelBound",
     "BoundKind",
     "GuaranteeFlavor",
     "GuaranteeResult",
@@ -40,24 +41,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DkwBound:
+    """The step ECDF. Each kind's gap is s(n) = gap + atoms / n, and
+    `requirement` is its error for delta <= s(n)."""
+
     name = "dkw"
+    gap = 0.0
+    atoms = 0.0
+    requirement = "delta must be positive"
 
 
 @dataclass(frozen=True)
 class InterpEcdfBound:
     name = "interp_ecdf"
+    gap = 0.0
+    atoms = 1.0
+    requirement = "interpolated-ECDF bound requires delta > 1/n"
 
 
 @dataclass(frozen=True)
-class KernelDeterministicBound:
-    """Radius q(n, h) for kernel estimation of a bounded-variation density;
-    a sample can exceed it (see the module docstring)."""
+class KernelBound:
+    """Kernel estimation of a density on the unit type space whose total
+    variation is at most B: gap b = k1 h (B + 1)."""
 
     total_variation_bound: float
     kernel: KernelSpec
     bandwidth: float
 
-    name = "kernel_deterministic"
+    name = "kernel"
+    atoms = 0.0
 
     def __post_init__(self) -> None:
         if not self.total_variation_bound > 0:
@@ -65,23 +76,27 @@ class KernelDeterministicBound:
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
 
+    @property
+    def gap(self) -> float:
+        return self.kernel.k1 * self.bandwidth * (self.total_variation_bound + 1.0)
 
-BoundKind = DkwBound | InterpEcdfBound | KernelDeterministicBound
+    @property
+    def requirement(self) -> str:
+        return f"kernel bound requires delta > b = k1*h*(B + 1) = {self.gap:g}"
+
+
+BoundKind = DkwBound | InterpEcdfBound | KernelBound
 
 
 class GuaranteeFlavor(Enum):
-    """DETERMINISTIC labels the kernel radius, which is not certain (module docstring)."""
-
     PROFIT_DEVIATION = "profit_deviation"
     REGRET = "regret"
-    DETERMINISTIC = "deterministic"
 
 
 @dataclass(frozen=True)
 class GuaranteeResult:
-    """One guarantee: for probabilistic flavors, `bound` is the failure
-    probability (profit deviation beyond delta, or regret beyond 2*delta);
-    for the deterministic flavor, `bound` == `delta` is the kernel radius."""
+    """One guarantee: `bound` is the probability that the profit deviates by
+    more than `delta` (or the regret exceeds 2 * `delta`)."""
 
     delta: float
     bound: float
@@ -100,42 +115,23 @@ class GuaranteeResult:
 
 
 def deviation_bound(kind: BoundKind, n: int, delta: float) -> float:
-    """p(n, delta), clamped to [0, 1]; the kernel variant ignores delta."""
+    """p(n, delta), clamped to [0, 1]; delta must exceed the kind's gap."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if isinstance(kind, KernelDeterministicBound):
-        k = kind.kernel
-        return (2.0 * kind.total_variation_bound + 1.0) * k.k1 * kind.bandwidth + math.sqrt(
-            k.k2 / (n * kind.bandwidth)
-        )
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    if isinstance(kind, InterpEcdfBound):
-        if delta <= 1.0 / n:
-            raise ValueError("interpolated-ECDF bound requires delta > 1/n")
-        delta -= 1.0 / n
-    elif not isinstance(kind, DkwBound):
-        raise TypeError(f"unknown bound kind {kind!r}")
+    gap = kind.gap + kind.atoms / n
+    if not delta > gap:
+        raise ValueError(kind.requirement)
+    delta -= gap
     return min(1.0, 2.0 * math.exp(-2.0 * n * delta * delta))
 
 
 def regret_guarantee(
     kind: BoundKind, n: int, delta: float, lipschitz: float
 ) -> tuple[GuaranteeResult, GuaranteeResult]:
-    """(profit-deviation guarantee, regret guarantee) for the given estimator.
-
-    Probabilistic kinds: both events fail with probability at most
-    p(n, delta / L). Kernel kind: certain radii L*q (profit) and 2L*q (regret).
-    """
+    """(profit-deviation guarantee, regret guarantee) for the given estimator:
+    both events fail with probability at most p(n, delta / L)."""
     if not delta > 0 or not lipschitz > 0:
         raise ValueError("delta and lipschitz must be positive")
-    if isinstance(kind, KernelDeterministicBound):
-        q = deviation_bound(kind, n, delta)
-        profit_r, regret_r = lipschitz * q, 2.0 * lipschitz * q
-        return (
-            GuaranteeResult(profit_r, profit_r, n, lipschitz, GuaranteeFlavor.DETERMINISTIC),
-            GuaranteeResult(regret_r, regret_r, n, lipschitz, GuaranteeFlavor.DETERMINISTIC),
-        )
     p = deviation_bound(kind, n, delta / lipschitz)
     return (
         GuaranteeResult(delta, p, n, lipschitz, GuaranteeFlavor.PROFIT_DEVIATION),
@@ -146,26 +142,27 @@ def regret_guarantee(
 def sample_complexity(kind: BoundKind, delta: float, alpha: float, lipschitz: float) -> int:
     """Smallest N with p(N, eps) <= alpha, eps = delta / L.
 
-    With s = 0 (DKW) or 1 (interpolated ECDF) and l = ln(2/alpha)/2, the
-    bound holds iff n > s/eps and n (eps - s/n)^2 >= l, that is from the root
-    (l + 2 s eps + sqrt(l (l + 4 s eps))) / (2 eps^2) on. Every operation in
-    the floating-point p is monotone in n, so p(n) <= alpha also holds from
-    one n on, which a bracket from the root's ceiling and a bisection find.
+    With the kind's gap s(n) = g + a/n, e = eps - g and l = ln(2/alpha)/2,
+    the bound holds iff e > 0, n > a/e and n (e - a/n)^2 >= l, that is from
+    the root (l + 2 a e + sqrt(l (l + 4 a e))) / (2 e^2) on. Every operation
+    in the floating-point p is monotone in n, so p(n) <= alpha also holds
+    from one n on, which a bracket from the root's ceiling and a bisection
+    find.
     """
-    if isinstance(kind, KernelDeterministicBound):
-        raise ValueError("no sample-size inversion for the kernel bound at fixed bandwidth")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if not delta > 0 or not lipschitz > 0:
         raise ValueError("delta and lipschitz must be positive")
     eff = delta / lipschitz
-    s = 1.0 if isinstance(kind, InterpEcdfBound) else 0.0
+    e, a = eff - kind.gap, kind.atoms
+    if not e > 0:
+        raise ValueError(kind.requirement)
     log_term = math.log(2.0 / alpha) / 2.0
-    denom = 2.0 * eff * eff
-    root = (log_term + 2.0 * s * eff + math.sqrt(log_term * (log_term + 4.0 * s * eff))) / denom if denom else math.inf
+    denom = 2.0 * e * e
+    root = (log_term + 2.0 * a * e + math.sqrt(log_term * (log_term + 4.0 * a * e))) / denom if denom else math.inf
     if math.isinf(root):
         raise ValueError(f"delta / lipschitz = {eff:g} is too small: the sample size overflows")
-    lowest = math.floor(s / eff) + 1
+    lowest = math.floor(a / e) + 1
 
     def holds(n: int) -> bool:
         return n >= lowest and deviation_bound(kind, n, eff) <= alpha

@@ -292,28 +292,45 @@ class TestBound:
         assert payload["samples_needed"] == 185
 
     @pytest.mark.parametrize(
-        "flags, key",
+        "flags, gap",
         [
-            (["--tv-bound", "1e308", "--bandwidth", "0.1"], "bound"),
-            (["--tv-bound", "0.1", "--bandwidth", "1e308"], None),
-            (["--tv-bound", "0.1", "--bandwidth", "0.1", "--lipschitz", "1e308"], "regret.delta"),
-            (["--tv-bound", "1e308", "--bandwidth", "0.1", "--lipschitz", "2"], "profit.delta"),
+            (["--tv-bound", "1e308", "--bandwidth", "0.1"], "3.75e+306"),
+            (["--tv-bound", "0.1", "--bandwidth", "1e308"], "4.125e+307"),
+            (["--tv-bound", "0.1", "--bandwidth", "0.1", "--lipschitz", "1e308"], "0.04125"),
+            (["--tv-bound", "1e308", "--bandwidth", "0.1", "--lipschitz", "2"], "3.75e+306"),
         ],
         ids=["tv-bound", "bandwidth", "lipschitz", "tv-bound-lipschitz"],
     )
-    def test_huge_kernel_flags_print_only_finite_json(self, capsys, flags, key):
-        # the bound overflowed to inf, and the CLI printed "bound": Infinity
-        def non_finite(name):
-            raise AssertionError(f"printed {name}")
-
+    def test_huge_kernel_flags_print_only_finite_json(self, capsys, flags, gap):
+        # the radius overflowed to inf, and the CLI printed "bound": Infinity;
+        # now a huge flag puts the gap b = k1*h*(B + 1) above delta / L
         code = main(["bound", "--kind", "kernel", "--n", "100", "--delta", "0.1", *flags])
-        out, err = capsys.readouterr()
-        if key is None:
-            assert code == 0 and err == ""
-            json.loads(out, parse_constant=non_finite)
-        else:
-            assert (code, out) == (1, "")
-            assert err == f"error: {key} is not finite (inf): JSON has no number for it\n"
+        assert (code, *capsys.readouterr()) == (
+            1, "", f"error: kernel bound requires delta > b = k1*h*(B + 1) = {gap}\n"
+        )
+
+    def test_kernel_prints_failure_probabilities(self, capsys):
+        argv = ["bound", "--kind", "kernel", "--n", "500", "--delta", "0.4", "--lipschitz", "4"]
+        _, payload = run_json(capsys, [*argv, "--tv-bound", "1", "--bandwidth", "0.05"])
+        kind = ep.KernelBound(1.0, ep.KernelSpec(ep.KernelShape.EPANECHNIKOV), 0.05)
+        profit, regret = ep.regret_guarantee(kind, 500, 0.4, 4.0)
+        assert payload == {"kind": "kernel", "profit": profit.to_dict(), "regret": regret.to_dict()}
+        assert (profit.flavor.value, regret.flavor.value) == ("profit_deviation", "regret")
+
+    def test_kernel_delta_at_most_gap_exits_1(self, capsys):
+        # the argv of bound-kernel.json before the kernel radius went: delta / L
+        # = 0.025 lies below b = 3/8 * 0.1 * 2
+        argv = ["bound", "--kind", "kernel", "--n", "500", "--delta", "0.1", "--tv-bound", "1", "--bandwidth", "0.1"]
+        assert main([*argv, "--lipschitz", "4"]) == 1
+        assert capsys.readouterr() == ("", "error: kernel bound requires delta > b = k1*h*(B + 1) = 0.075\n")
+
+    def test_kernel_samples_needed(self, capsys):
+        argv = ["bound", "--kind", "kernel", "--delta", "0.4", "--lipschitz", "4", "--tv-bound", "1"]
+        code, payload = run_json(capsys, [*argv, "--bandwidth", "0.05", "--samples-needed", "--alpha", "0.05"])
+        kind = ep.KernelBound(1.0, ep.KernelSpec(ep.KernelShape.EPANECHNIKOV), 0.05)
+        n = payload["samples_needed"]
+        assert code == 0 and payload["kind"] == "kernel"
+        assert ep.deviation_bound(kind, n, 0.1) <= 0.05 < ep.deviation_bound(kind, n - 1, 0.1)
 
     def test_kernel_needs_extra_flags(self, capsys):
         assert main(["bound", "--kind", "kernel", "--n", "100", "--delta", "0.1"]) == 2
@@ -537,6 +554,15 @@ class TestAuction:
             ["auction", "--bidders", "3", "--bound-n", "500", "--delta", "0.6", "--kind", "dkw"],
         )
         assert payload["profit"]["lipschitz"] == 12.0
+
+    def test_kernel_guarantee_mode(self, capsys):
+        argv = ["auction", "--bidders", "2", "--bound-n", "500", "--delta", "0.8", "--kind", "kernel"]
+        _, payload = run_json(capsys, [*argv, "--tv-bound", "1", "--bandwidth", "0.05"])
+        kind = ep.KernelBound(1.0, ep.KernelSpec(ep.KernelShape.EPANECHNIKOV), 0.05)
+        profit, regret = ep.auction_regret_guarantee(kind, 500, 0.8, 2)
+        assert payload == {"profit": profit.to_dict(), "regret": regret.to_dict()}
+        assert (payload["profit"]["flavor"], payload["regret"]["flavor"]) == ("profit_deviation", "regret")
+        assert 0.0 < profit.bound < 1.0
 
     def test_too_many_bidders_exit_2_before_quadrature(self, capsys, monkeypatch):
         # leggauss(50001) would build an 18.6 GiB companion matrix

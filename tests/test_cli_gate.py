@@ -1,12 +1,13 @@
 """The CLI input gate: the golden argument lists, with one flag value at a time
 replaced by an edge value, plus the cases that once went wrong.
 
-Every case must exit 0, 1 or 2 without a traceback. On exit 1 stderr is one
-`error:` line; on exit 2 argparse's usage block may come before that line.
-On exit 0 stderr is empty and stdout parses as JSON (as CSV for `simulate`)
-whose every number is finite. Flags that size work keep small values: their
-edge values are rejected before any work runs, and `--workers` never goes
-above 1.
+Every case must exit 0, 1 or 2 without a traceback or a warning (a real
+process prints warnings on stderr; pytest would capture them). On exit 1
+stderr is one `error:` line; on exit 2 argparse's usage block may come
+before that line. On exit 0 stderr is empty and stdout parses as JSON (as
+CSV for `simulate`) whose every number is finite. Flags that size work keep
+small values: their edge values are rejected before any work runs, and
+`--workers` never goes above 1.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 from emprice.cli import main
 
@@ -42,11 +44,13 @@ EXTRA = (
     # reserves far outside the support printed NaN
     ["auction", "--sample", SAMPLE, "--bidders", "2", "--reserve=-1e308"],
     ["auction", "--sample", SAMPLE, "--bidders", "2", "--reserve=1e308"],
-    # huge kernel flags printed Infinity
+    # huge kernel flags printed Infinity; now the gap exceeds delta
     ["bound", "--kind", "kernel", "--n", "100", "--delta", "0.1", "--tv-bound", "1e308", "--bandwidth", "0.1"],
     ["bound", "--kind", "kernel", "--n", "100", "--delta", "0.1", "--tv-bound", "1", "--bandwidth", "0.1",
      "--lipschitz", "1e308"],
     ["bound", "--kind", "kernel", "--n", "100", "--delta", "0.1", "--tv-bound", "1", "--bandwidth", "1e308"],
+    # a linear cost whose c(x_max) overflows warned in the price solver
+    ["solve", "--dist", "beta:2:5", "--cost", "1e308", "--x-max", "2"],
     # quantile grids that collapse at float resolution
     *([*SCREENING, "--dist", law] for law in
       ("beta:2:1e-8", "beta:2:5:0:1e-9", "beta:1e3:0.25:0.2:0.9", "beta:1e4:0.25:0.2:0.9", "beta:0.25:0.25")),
@@ -94,10 +98,14 @@ def _fault(argv: list[str]) -> str | None:
     """What is wrong with the case's exit, or None."""
     out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv)
     except Exception as exc:  # any escape is the fault
         return f"raised {type(exc).__name__}: {exc}"
+    if caught:
+        return f"warned {caught[0].category.__name__}: {caught[0].message}"
     out, err = out.getvalue(), err.getvalue()
     if "Traceback" in err:
         return "traceback on stderr"

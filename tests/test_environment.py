@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,39 @@ class TestOnlyPowerCost:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: cost needs finite scale >= 0 and power >= 1 for convexity\n"
+
+
+class TestFiniteTop:
+    """theta_max * x_max and c(x_max) must be finite; the check runs before
+    the 4 x 4 valuation grid, which overflowed on them."""
+
+    SCREENING = ["solve", "--dist", "beta:2:5", "--env", "screening", "--cost-scale", "0.2", "--cost-power", "1.5",
+                 "--grid-size", "200", "--x-max", "2", "--theta-max", "1.5"]
+
+    @pytest.mark.parametrize("argv,quantity", [
+        ([*SCREENING, "--cost-power=1e308"], "c(x_max)"),
+        ([*SCREENING, "--cost-scale=1e308"], "c(x_max)"),
+        ([*SCREENING, "--x-max=1e308"], "c(x_max)"),
+        # this one exited 1 as valuation_separable, on the grid's overflow
+        ([*SCREENING, "--theta-max=1e308"], "theta_max * x_max"),
+        (["solve", "--dist", "beta:2:5", "--cost", "1e308", "--x-max", "2"], "c(x_max)"),
+    ], ids=["cost-power", "cost-scale", "x-max", "theta-max", "linear-cost"])
+    def test_cli_exits_1_without_a_warning(self, capsys, argv, quantity):
+        # each printed a numpy RuntimeWarning on stderr, and all but
+        # --theta-max then exited 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert (code, caught) == (1, [])
+        assert capsys.readouterr() == ("", f"error: environment needs a finite {quantity}, got inf\n")
+
+    def test_library_builds_checked(self):
+        with pytest.raises(ep.InvalidEnvironmentError, match=r"^environment needs a finite theta_max \* x_max"):
+            ep.linear_unit_demand(theta_max=1e200, x_max=1e200)
+        with pytest.raises(ep.InvalidEnvironmentError, match=r"^environment needs a finite c\(x_max\), got nan$"):
+            ep.separable_screening(ep.PowerCost(0.0, 1e308), x_max=2.0)
+        env = ep.separable_screening(ep.PowerCost(1e300, 2.0), theta_max=1e154, x_max=1e4)
+        assert float(env.cost(env.x_max)) == 1e308
 
 
 class TestTypeSpace:

@@ -104,32 +104,34 @@ class TestKernelCdf:
         grid = np.linspace(lo - 0.05, hi + 0.05, 500)
         assert np.all(np.diff(F.cdf_array(grid)) >= -1e-15)
 
-    @pytest.mark.parametrize("shape,k1,k2", [
-        (KernelShape.UNIFORM, 0.5, 0.5),
-        (KernelShape.TRIANGLE, 1 / 3, 2 / 3),
-        (KernelShape.EPANECHNIKOV, 3 / 8, 3 / 5),
+    @pytest.mark.parametrize("shape,k1", [
+        (KernelShape.UNIFORM, 0.5),
+        (KernelShape.TRIANGLE, 1 / 3),
+        (KernelShape.EPANECHNIKOV, 3 / 8),
     ])
-    def test_kernel_moments_match_quadrature(self, shape, k1, k2):
+    def test_kernel_moments_match_quadrature(self, shape, k1):
         spec = KernelSpec(shape)
         assert spec.k1 == pytest.approx(k1, abs=1e-15)
-        assert spec.k2 == pytest.approx(k2, abs=1e-15)
         u = np.linspace(-1, 1, 2_000_001)
         dens = spec.density(u)
         du = u[1] - u[0]
         assert np.trapezoid(dens, dx=du) == pytest.approx(1.0, abs=1e-9)
         assert np.trapezoid(np.abs(u) * dens, dx=du) == pytest.approx(k1, abs=1e-9)
-        assert np.trapezoid(dens**2, dx=du) == pytest.approx(k2, abs=1e-9)
 
-    def test_deterministic_radius_dominates_observed_error(self):
-        # Beta(4,4) density has total variation 2 * f(1/2) = 4.375
-        F0 = ep.BetaCdf(4, 4)
-        tv = 2.0 * float(F0.density_array(np.array([0.5]))[0])
-        spec = KernelSpec(KernelShape.EPANECHNIKOV)
-        for n, seed in ((200, 1), (1000, 2)):
-            h = ep.default_bandwidth(n)
-            bound = ep.deviation_bound(ep.KernelDeterministicBound(tv, spec, h), n, 0.1)
-            s = ep.draw_sample(F0, n, seed)
-            assert ep.sup_distance(ep.kernel_cdf(s, spec, h), F0) <= bound
+    @pytest.mark.parametrize("shape", list(KernelShape))
+    def test_error_within_ecdf_error_plus_smoothing_bias(self, shape):
+        # F_hat_h is the ECDF smoothed by K, so for every sample
+        # sup|F_hat_h - F0| <= sup|F_n - F0| + k1 h sup f0: the kernel bound's gap
+        spec = KernelSpec(shape)
+        # 200 copies of 0.4 exceeded the radius q = 0.426 that this bound replaced
+        cases = [(ep.Sample(np.full(200, 0.4)), ep.BetaCdf(2, 3), 1 / 3, 0.05)]
+        for F0, mode in ((ep.Uniform(0, 1), 0.5), (ep.BetaCdf(2, 3), 1 / 3), (ep.BetaCdf(4, 4), 0.5)):
+            for seed, h in ((1, 0.05), (2, 0.25)):
+                cases.append((ep.draw_sample(F0, 50, seed), F0, mode, h))
+        for sample, F0, mode, h in cases:
+            sup_f = float(F0.density_array(np.array([mode]))[0])
+            got = ep.sup_distance(ep.kernel_cdf(sample, spec, h), F0)
+            assert got <= ep.sup_distance(ep.ecdf(sample), F0) + spec.k1 * h * sup_f + 1e-12
 
 
 class TestDefaultBandwidth:
@@ -164,3 +166,21 @@ class TestDkwFrequency:
             ks = np.arange(1, n + 1) / n
             direct = max(np.abs(ks - s.values).max(), np.abs(ks - 1 / n - s.values).max())
             assert ep.sup_distance(ep.ecdf(s), ep.Uniform(0, 1)) == pytest.approx(direct, abs=1e-12)
+
+
+class TestKernelBoundFrequency:
+    def test_violation_rate_within_bound(self):
+        # Beta(2, 3) on the unit interval: its density rises from 0 to 16/9
+        # and falls back, so its total variation is B = 32/9
+        R, n, h = 200, 50, 0.05
+        F0 = ep.BetaCdf(2, 3)
+        spec = KernelSpec(KernelShape.UNIFORM)
+        kind = ep.KernelBound(32 / 9, spec, h)
+        sups = np.array([
+            ep.sup_distance(ep.kernel_cdf(ep.Sample(F0.quantile_array(substream(3141, r).random(n))), spec, h), F0)
+            for r in range(R)
+        ])
+        for alpha in (0.05, 0.2, 0.5):
+            delta = kind.gap + np.sqrt(np.log(2.0 / alpha) / (2.0 * n))
+            assert ep.deviation_bound(kind, n, delta) == pytest.approx(alpha, rel=1e-9)
+            assert (sups > delta).mean() <= alpha + 3.0 * np.sqrt(alpha * (1.0 - alpha) / R)

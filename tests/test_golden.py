@@ -97,7 +97,7 @@ SOLVE_AUCTION = {
     ],
     "bound-interp.json": ["bound", "--kind", "interp", "--n", "500", "--delta", "0.4", "--lipschitz", "4"],
     "bound-kernel.json": [
-        "bound", "--kind", "kernel", "--n", "500", "--delta", "0.1", "--tv-bound", "1", "--bandwidth", "0.1",
+        "bound", "--kind", "kernel", "--n", "500", "--delta", "0.4", "--tv-bound", "1", "--bandwidth", "0.05",
         "--lipschitz", "4",
     ],
     "estimate-ecdf.json": ["estimate", "--sample", SAMPLE, "--estimator", "ecdf"],

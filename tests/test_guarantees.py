@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from emprice.distributions import KernelShape, KernelSpec
 from emprice.guarantees import (
     DkwBound,
     InterpEcdfBound,
-    KernelDeterministicBound,
+    KernelBound,
     deviation_bound,
     regret_guarantee,
     sample_complexity,
@@ -34,6 +35,10 @@ def _sample_complexity_scan_reference(kind, delta, alpha, lipschitz):
     return n
 
 
+# gap b = k1 h (B + 1) = 0.5 * 0.02 * 2 = 0.02
+KERNEL = KernelBound(1.0, KernelSpec(KernelShape.UNIFORM), 0.02)
+
+
 class TestDeviationBound:
     def test_dkw_value(self):
         assert deviation_bound(DkwBound(), 100, 0.1) == pytest.approx(0.270671, abs=1e-6)
@@ -50,14 +55,19 @@ class TestDeviationBound:
         with pytest.raises(ValueError):
             deviation_bound(InterpEcdfBound(), 100, 0.01)
 
-    def test_kernel_radius_closed_form(self):
-        kind = KernelDeterministicBound(1.0, KernelSpec(KernelShape.EPANECHNIKOV), 0.1)
-        assert deviation_bound(kind, 100, 0.5) == pytest.approx(0.357449, abs=1e-6)
-        # delta is ignored by the deterministic kind
-        assert deviation_bound(kind, 100, 0.01) == deviation_bound(kind, 100, 0.9)
+    def test_kernel_value(self):
+        # delta - b = 0.1, as for the interpolated kind above
+        assert deviation_bound(KERNEL, 100, 0.12) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
+
+    def test_kernel_requires_delta_above_gap(self):
+        message = re.escape("kernel bound requires delta > b = k1*h*(B + 1) = 0.02")
+        with pytest.raises(ValueError, match=message):
+            deviation_bound(KERNEL, 100, 0.02)
+        with pytest.raises(ValueError, match=message):
+            sample_complexity(KERNEL, 0.08, 0.05, 4.0)
 
     def test_monotone_in_n_and_delta(self):
-        for kind in (DkwBound(), InterpEcdfBound()):
+        for kind in (DkwBound(), InterpEcdfBound(), KERNEL):
             for n in (50, 100, 400):
                 for d in (0.08, 0.12, 0.2):
                     assert deviation_bound(kind, n, d) >= deviation_bound(kind, 2 * n, d) - 1e-15
@@ -92,13 +102,14 @@ class TestRegretGuarantee:
         assert profit.bound == 1.0
         assert regret.bound == 1.0
 
-    def test_kernel_deterministic_scalings(self):
-        kind = KernelDeterministicBound(1.0, KernelSpec(KernelShape.EPANECHNIKOV), 0.1)
-        q = deviation_bound(kind, 100, 0.5)
-        profit, regret = regret_guarantee(kind, 100, 0.5, 4.0)
-        assert profit.flavor is ep.GuaranteeFlavor.DETERMINISTIC
-        assert profit.bound == pytest.approx(4.0 * q, rel=1e-12)
-        assert regret.bound == pytest.approx(8.0 * q, rel=1e-12)
+    def test_kernel_pair(self):
+        profit, regret = regret_guarantee(KERNEL, 500, 0.4, 4.0)
+        want = 2.0 * math.exp(-2.0 * 500 * 0.08**2)
+        assert profit.bound == pytest.approx(want, rel=1e-12)
+        assert regret.bound == pytest.approx(want, rel=1e-12)
+        assert profit.flavor is ep.GuaranteeFlavor.PROFIT_DEVIATION
+        assert regret.flavor is ep.GuaranteeFlavor.REGRET
+        assert profit.delta == regret.delta == 0.4
 
 
 class TestSampleComplexity:
@@ -108,16 +119,15 @@ class TestSampleComplexity:
     def test_interp_scan(self):
         assert sample_complexity(InterpEcdfBound(), 0.4, 0.05, 4.0) == 204
 
+    def test_kernel_closed_form(self):
+        # ln(2 / 0.05) / 2 / (0.1 - 0.02)^2 = 288.19
+        assert sample_complexity(KERNEL, 0.4, 0.05, 4.0) == 289
+
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             sample_complexity(DkwBound(), 0.4, 2.0, 4.0)
 
-    def test_kernel_kind_rejected(self):
-        kind = KernelDeterministicBound(1.0, KernelSpec(KernelShape.UNIFORM), 0.1)
-        with pytest.raises(ValueError):
-            sample_complexity(kind, 0.4, 0.05, 4.0)
-
-    @pytest.mark.parametrize("kind", [DkwBound(), InterpEcdfBound()])
+    @pytest.mark.parametrize("kind", [DkwBound(), InterpEcdfBound(), KERNEL])
     @pytest.mark.parametrize("eff,alpha", [(0.1, 0.05), (0.05, 0.01), (0.2, 0.2)])
     def test_minimality(self, kind, eff, alpha):
         n = sample_complexity(kind, eff, alpha, 1.0)
